@@ -9,9 +9,10 @@
 //     placement behaviours the paper reverse-engineered (base hosts, helper
 //     hosts, demand-window load balancing, gradual idle termination).
 //   - The paper's attacker toolkit: TSC-based host fingerprinting for the
-//     Gen 1 (gVisor) and Gen 2 (VM) sandboxes, the n-way RNG-contention
-//     covert channel, scalable co-location verification, and the naive and
-//     optimized instance-launching strategies.
+//     Gen 1 (gVisor) sandbox, the n-way RNG-contention covert channel,
+//     scalable co-location verification, the naive and optimized
+//     instance-launching strategies, and the staged campaign engine
+//     (single-region and multi-region fleets).
 //   - The full evaluation harness: every figure and table of the paper can
 //     be regenerated with RunExperiment (see Experiments for the catalog).
 //
@@ -31,7 +32,6 @@
 package eaao
 
 import (
-	"io"
 	"time"
 
 	"eaao/internal/core/attack"
@@ -71,13 +71,9 @@ type (
 	// HostID is a ground-truth host identity (experiment scoring only;
 	// attack code cannot observe it).
 	HostID = faas.HostID
-	// InstanceSize is a container resource specification (Table 1).
-	InstanceSize = faas.InstanceSize
 	// TrafficModel parameterizes a region's background-tenant traffic (the
 	// living-cloud load the noisesweep experiment and -load flag attach).
 	TrafficModel = faas.TrafficModel
-	// TrafficStats reports what the background tenants are doing right now.
-	TrafficStats = faas.TrafficStats
 	// Guest is the sandboxed view attack code runs against.
 	Guest = sandbox.Guest
 	// Gen identifies the sandbox generation (Gen1 gVisor, Gen2 VM).
@@ -92,37 +88,16 @@ type (
 type (
 	// PlacementPolicy is a region's swappable placement engine.
 	PlacementPolicy = faas.PlacementPolicy
-	// PlacementRequest is one batch-placement decision's context.
-	PlacementRequest = faas.PlacementRequest
-	// PlacementBatch is the handle a policy materializes decisions through.
-	PlacementBatch = faas.PlacementBatch
-	// CloudRunPolicy is the calibrated Cloud Run extraction (the default).
-	CloudRunPolicy = faas.CloudRunPolicy
 	// RandomUniformPolicy is the §6 co-location-resistant defense.
 	RandomUniformPolicy = faas.RandomUniformPolicy
-	// LeastLoadedPolicy is a load-driven bin-packing orchestrator.
-	LeastLoadedPolicy = faas.LeastLoadedPolicy
-	// PlacementEvent is one audited placement decision.
-	PlacementEvent = faas.PlacementEvent
-	// PlacementTracer receives placement decisions as they happen.
-	PlacementTracer = faas.PlacementTracer
-	// TraceRing is a bounded in-memory PlacementTracer.
-	TraceRing = faas.TraceRing
 )
 
-// Fault-plane types (deterministic injected failures; zero values disable).
-type (
-	// FaultPlan is a region's seeded fault-injection configuration.
-	FaultPlan = faas.FaultPlan
-	// FaultCounters tallies the faults a data center actually injected.
-	FaultCounters = faas.FaultCounters
-)
+// FaultPlan is a region's seeded fault-injection configuration
+// (deterministic injected failures; the zero value disables them).
+type FaultPlan = faas.FaultPlan
 
 // ErrLaunchFault marks transient injected launch failures (retryable).
 var ErrLaunchFault = faas.ErrLaunchFault
-
-// ErrProbeFault marks injected fingerprint-probe failures.
-var ErrProbeFault = sandbox.ErrProbeFault
 
 // UniformFaultPlan derives every fault rate from one severity level.
 func UniformFaultPlan(level float64) FaultPlan { return faas.UniformFaultPlan(level) }
@@ -133,39 +108,14 @@ type (
 	Sample = fingerprint.Sample
 	// Gen1Fingerprint identifies a host by CPU model + rounded boot time.
 	Gen1Fingerprint = fingerprint.Gen1
-	// Gen2Fingerprint identifies a host by its refined TSC frequency.
-	Gen2Fingerprint = fingerprint.Gen2
-	// FingerprintKey is the comparable fingerprint identity used to group
-	// instances (VerifyItem.Fingerprint); build one with the fingerprints'
-	// Key methods.
-	FingerprintKey = fingerprint.Key
 	// FingerprintHistory tracks derived boot times over time (drift).
 	FingerprintHistory = fingerprint.History
 	// Drift is a fitted linear boot-time drift.
 	Drift = fingerprint.Drift
-	// FreqMeasurement is a measured-TSC-frequency estimate (method 2).
-	FreqMeasurement = fingerprint.FreqMeasurement
-	// CovertConfig parameterizes the RNG-contention covert channel.
-	CovertConfig = covert.Config
 	// CovertTester runs CTest invocations and accounts their cost.
 	CovertTester = covert.Tester
-	// CovertChannel is one pluggable covert-channel primitive (RNG, memory
-	// bus, LLC); build testers for it with NewChannelCovertTester.
-	CovertChannel = covert.Channel
-	// CovertRunner is the tester capability surface shared by the
-	// single-channel Tester and the majority-combined MultiCovertTester.
-	CovertRunner = covert.Runner
-	// MultiCovertTester combines several channels by majority vote.
-	MultiCovertTester = covert.MultiTester
-	// ChannelModel is one channel family's physical parameters in the
-	// platform registry (round time, bandwidth, load-sensitive noise).
-	ChannelModel = faas.ChannelModel
-	// ChannelFaultRates is a FaultPlan's per-channel misfire override.
-	ChannelFaultRates = faas.ChannelFaultRates
-	// ChannelCost is a campaign ledger's per-channel verify-stage split.
-	ChannelCost = attack.ChannelCost
 	// ColocTester is the covert capability co-location verification needs;
-	// every CovertRunner satisfies it.
+	// a CovertTester satisfies it.
 	ColocTester = coloc.Tester
 	// VerifyItem is one instance tagged with its fingerprint.
 	VerifyItem = coloc.Item
@@ -186,29 +136,14 @@ type (
 	CampaignResult = attack.CampaignResult
 	// CampaignStats is the per-stage cost/coverage ledger of a campaign.
 	CampaignStats = attack.CampaignStats
-	// CampaignSink is the engine surface a LaunchStrategy emits waves
-	// through.
-	CampaignSink = attack.CampaignSink
 	// LaunchStrategy is a pluggable §5.2 launching behavior.
 	LaunchStrategy = attack.LaunchStrategy
-	// Wave is one launch of one service as a strategy observes it.
-	Wave = attack.Wave
-	// NaiveStrategy is launching Strategy 1 (cold launches only).
-	NaiveStrategy = attack.NaiveStrategy
 	// OptimizedStrategy is launching Strategy 2 (demand priming).
 	OptimizedStrategy = attack.OptimizedStrategy
-	// AdaptiveStrategy stops launching when marginal host yield dries up.
-	AdaptiveStrategy = attack.AdaptiveStrategy
 	// Coverage is an attacker-vs-victim co-location measurement.
 	Coverage = attack.Coverage
-	// CoverageOpts tunes a coverage measurement (fault-recovery budgets).
-	CoverageOpts = attack.CoverageOpts
-	// CoverageFaults meters probe-fault recovery during a measurement.
-	CoverageFaults = attack.CoverageFaults
 	// FootprintTracker accumulates apparent hosts across launches.
 	FootprintTracker = attack.FootprintTracker
-	// ScaleEstimate is a data-center size estimation (Fig. 12).
-	ScaleEstimate = attack.ScaleEstimate
 )
 
 // Multi-region fleet types (the cross-region campaign layer).
@@ -222,14 +157,6 @@ type (
 	FleetStats = attack.FleetStats
 	// Planner decides which region shards get another launch round.
 	Planner = attack.Planner
-	// ShardStatus is one shard's attacker-visible state at a barrier.
-	ShardStatus = attack.ShardStatus
-	// ShardVerification is one region's verify-stage outcome.
-	ShardVerification = attack.ShardVerification
-	// StaticEvenPlanner splits the round budget evenly (the baseline).
-	StaticEvenPlanner = attack.StaticEvenPlanner
-	// ProportionalPlanner splits the budget by first-round yield.
-	ProportionalPlanner = attack.ProportionalPlanner
 	// CrossRegionPlanner drains saturated regions and re-funds yielding ones.
 	CrossRegionPlanner = attack.CrossRegionPlanner
 )
@@ -242,11 +169,6 @@ func NewFleet(seed uint64, profiles ...RegionProfile) (*Fleet, error) {
 	return faas.NewFleet(seed, profiles...)
 }
 
-// FleetOf wraps existing regions into a fleet. Multi-region fleets need one
-// platform per region (each shard must own its virtual clock); a one-region
-// fleet may wrap any platform's region.
-func FleetOf(regions ...*DataCenter) (*Fleet, error) { return faas.FleetOf(regions...) }
-
 // NewFleetAttackCampaign binds a launch strategy, an account identity and a
 // budget planner to a fleet. A nil planner selects the strategy's native
 // continue/stop rule, making a one-region fleet byte-identical to the legacy
@@ -255,9 +177,6 @@ func NewFleetAttackCampaign(fleet *Fleet, account string, cfg AttackConfig, gen 
 	strategy LaunchStrategy, planner Planner) (*FleetCampaign, error) {
 	return attack.NewFleetCampaign(fleet, account, cfg, gen, strategy, planner)
 }
-
-// AttackPlanners returns one instance of every built-in budget planner.
-func AttackPlanners() []Planner { return attack.Planners() }
 
 // AttackPlannerByName resolves a built-in budget planner from its name
 // ("static-even", "proportional", "adaptive").
@@ -292,11 +211,8 @@ type (
 	ExperimentOutcome = experiments.Outcome
 )
 
-// Pricing types.
-type (
-	// Rates are per-resource prices.
-	Rates = pricing.Rates
-)
+// Rates are per-resource prices.
+type Rates = pricing.Rates
 
 // Sandbox generations.
 const (
@@ -304,22 +220,14 @@ const (
 	Gen2 = sandbox.Gen2
 )
 
-// The three studied Cloud Run regions.
+// Names of studied Cloud Run regions (DefaultProfiles builds all three).
 const (
-	USEast1    = faas.USEast1
-	USCentral1 = faas.USCentral1
-	USWest1    = faas.USWest1
+	USEast1 = faas.USEast1
+	USWest1 = faas.USWest1
 )
 
 // DefaultPrecision is the paper's default fingerprint rounding (1 s).
 const DefaultPrecision = fingerprint.DefaultPrecision
-
-// Covert-channel resource families (the ChannelModel registry's keys).
-const (
-	ResourceRNG    = faas.ResourceRNG
-	ResourceMemBus = faas.ResourceMemBus
-	ResourceLLC    = faas.ResourceLLC
-)
 
 // PlacementPolicies returns one instance of every built-in placement policy.
 func PlacementPolicies() []PlacementPolicy { return faas.Policies() }
@@ -330,16 +238,8 @@ func PlacementPolicyByName(name string) (PlacementPolicy, error) {
 	return faas.PolicyByName(name)
 }
 
-// NewTraceRing returns a bounded placement tracer holding capacity events.
-func NewTraceRing(capacity int) *TraceRing { return faas.NewTraceRing(capacity) }
-
-// Container sizes of Table 1.
-var (
-	SizePico   = faas.SizePico
-	SizeSmall  = faas.SizeSmall
-	SizeMedium = faas.SizeMedium
-	SizeLarge  = faas.SizeLarge
-)
+// SizeSmall is the Cloud Run default container size (Table 1).
+var SizeSmall = faas.SizeSmall
 
 // NewPlatform builds a simulated cloud from a seed and region profiles; it
 // panics on an invalid profile set (use faas.NewPlatform via the internal
@@ -353,9 +253,6 @@ func DefaultProfiles() []RegionProfile { return faas.DefaultProfiles() }
 
 // USEast1Profile returns the default us-east1 data center profile.
 func USEast1Profile() RegionProfile { return faas.USEast1Profile() }
-
-// USCentral1Profile returns the default us-central1 data center profile.
-func USCentral1Profile() RegionProfile { return faas.USCentral1Profile() }
 
 // USWest1Profile returns the default us-west1 data center profile.
 func USWest1Profile() RegionProfile { return faas.USWest1Profile() }
@@ -372,9 +269,6 @@ func DefaultTrafficModel(tenants int, util float64) TrafficModel {
 // CollectGen1 takes one Gen 1 fingerprint measurement inside a guest.
 func CollectGen1(g *Guest) (Sample, error) { return fingerprint.CollectGen1(g) }
 
-// CollectGen2 reads a Gen 2 fingerprint inside a guest VM.
-func CollectGen2(g *Guest) (Gen2Fingerprint, error) { return fingerprint.CollectGen2(g) }
-
 // Duration re-exports time.Duration for API symmetry.
 type Duration = time.Duration
 
@@ -389,78 +283,12 @@ func NewCovertTester(sched *Scheduler) *CovertTester {
 	return covert.NewTester(sched, covert.DefaultConfig())
 }
 
-// NewCovertTesterWith builds a tester with an explicit configuration (e.g.
-// MemBusCovertConfig, or a Calibrate result).
-func NewCovertTesterWith(sched *Scheduler, cfg CovertConfig) *CovertTester {
-	return covert.NewTester(sched, cfg)
-}
-
-// MemBusCovertConfig returns the memory-bus channel configuration used by
-// earlier co-location studies: workable, but ~30x slower per test.
-func MemBusCovertConfig() CovertConfig { return covert.MemBusConfig() }
-
-// LLCCovertConfig returns the LLC contention-channel configuration: tests in
-// 20 ms instead of 100 ms, at the price of load-sensitive noise.
-func LLCCovertConfig() CovertConfig { return covert.LLCConfig() }
-
-// CovertChannelNames lists the channel selectors CovertRunnerFor accepts
-// ("rng", "llc", "membus", "combined").
-func CovertChannelNames() []string { return covert.ChannelNames() }
-
-// ValidCovertChannel reports whether name selects a covert channel: one of
-// CovertChannelNames, or empty for the default RNG channel.
+// ValidCovertChannel reports whether name selects a covert channel: "rng",
+// "llc", "membus", "combined", or empty for the default RNG channel.
 func ValidCovertChannel(name string) bool { return covert.ValidChannel(name) }
 
-// CovertChannelByName resolves one pluggable channel primitive ("" and "rng"
-// are the paper's RNG channel; "llc", "membus").
-func CovertChannelByName(name string) (CovertChannel, error) {
-	return covert.ChannelByName(name)
-}
-
-// CovertRunnerFor builds a tester for a channel selector: a single-channel
-// tester for "rng"/"llc"/"membus", or the majority-combined tester of all
-// three for "combined". voteBudget enables fault-recovery majority voting
-// (0/1 = single shot).
-func CovertRunnerFor(name string, sched *Scheduler, voteBudget int) (CovertRunner, error) {
-	return covert.RunnerFor(name, sched, voteBudget)
-}
-
-// NewChannelCovertTester builds a single-channel tester driving an explicit
-// channel primitive with an explicit configuration.
-func NewChannelCovertTester(sched *Scheduler, ch CovertChannel, cfg CovertConfig) *CovertTester {
-	return covert.NewChannelTester(sched, ch, cfg)
-}
-
-// NewMultiCovertTester combines channel primitives into one majority-voting
-// tester: a pair is co-located iff a majority of the channels say so.
-func NewMultiCovertTester(sched *Scheduler, voteBudget int, channels ...CovertChannel) *MultiCovertTester {
-	return covert.NewMultiTester(sched, voteBudget, channels...)
-}
-
-// ChannelModels returns the platform's channel-model registry in Resource
-// order (rng, membus, llc).
-func ChannelModels() []ChannelModel { return faas.Channels() }
-
-// CalibrateCovertChannel measures the background contention rate from a
-// probe instance and derives a vote threshold with comfortable margin.
-func CalibrateCovertChannel(base CovertConfig, probe *Instance, sampleRounds int) (CovertConfig, error) {
-	return covert.Calibrate(base, probe, sampleRounds)
-}
-
-// CalibrateChannel is CalibrateCovertChannel through a pluggable channel
-// primitive: sampling and threshold derivation use the channel's own round
-// primitive and tuned base configuration.
-func CalibrateChannel(ch CovertChannel, probe *Instance, sampleRounds int) (CovertConfig, error) {
-	return covert.CalibrateChannel(ch, probe, sampleRounds)
-}
-
-// LoadTargetBook reads a re-attack fingerprint book written by
-// TargetBook.Save.
-func LoadTargetBook(r io.Reader) (*TargetBook, error) { return attack.LoadTargetBook(r) }
-
-// VerifyColocation runs the scalable §4.3 verification. Any ColocTester
-// works: a plain CovertTester, a channel tester, or the majority-combined
-// MultiCovertTester.
+// VerifyColocation runs the scalable §4.3 verification with any ColocTester
+// (NewCovertTester builds the paper's).
 func VerifyColocation(tester ColocTester, items []VerifyItem, opt VerifyOptions) (*VerifyResult, error) {
 	return coloc.Verify(tester, items, opt)
 }
@@ -473,12 +301,21 @@ func DefaultAttackConfig() AttackConfig { return attack.DefaultConfig() }
 
 // RunNaiveAttack executes launching Strategy 1 (cold launches only).
 func RunNaiveAttack(acct *Account, cfg AttackConfig, gen Gen) (*CampaignResult, error) {
-	return attack.RunNaive(acct, cfg, gen)
+	return launchAttack(acct, cfg, gen, attack.NaiveStrategy{})
 }
 
 // RunOptimizedAttack executes launching Strategy 2 (demand priming).
 func RunOptimizedAttack(acct *Account, cfg AttackConfig, gen Gen) (*CampaignResult, error) {
-	return attack.RunOptimized(acct, cfg, gen)
+	return launchAttack(acct, cfg, gen, attack.OptimizedStrategy{})
+}
+
+// launchAttack runs one strategy's launch stage through a fresh campaign.
+func launchAttack(acct *Account, cfg AttackConfig, gen Gen, s LaunchStrategy) (*CampaignResult, error) {
+	c, err := attack.NewCampaign(acct, cfg, gen, s)
+	if err != nil {
+		return nil, err
+	}
+	return c.Launch()
 }
 
 // NewAttackCampaign binds a launch strategy to an attacker account; run its

@@ -33,6 +33,15 @@ func smallCfg() Config {
 	return cfg
 }
 
+// launchCampaign runs one strategy's launch stage through a fresh campaign.
+func launchCampaign(acct *faas.Account, cfg Config, gen sandbox.Gen, s LaunchStrategy) (*CampaignResult, error) {
+	c, err := NewCampaign(acct, cfg, gen, s)
+	if err != nil {
+		return nil, err
+	}
+	return c.Launch()
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Error(err)
@@ -51,7 +60,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestNaiveStaysOnBaseHosts(t *testing.T) {
 	dc := smallWorld(t, 1)
-	res, err := RunNaive(dc.Account("attacker"), smallCfg(), sandbox.Gen1)
+	res, err := launchCampaign(dc.Account("attacker"), smallCfg(), sandbox.Gen1, NaiveStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +77,11 @@ func TestNaiveStaysOnBaseHosts(t *testing.T) {
 func TestOptimizedExpandsFootprint(t *testing.T) {
 	dc := smallWorld(t, 2)
 	cfg := smallCfg()
-	naive, err := RunNaive(dc.Account("naive-acct"), cfg, sandbox.Gen1)
+	naive, err := launchCampaign(dc.Account("naive-acct"), cfg, sandbox.Gen1, NaiveStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := RunOptimized(dc.Account("opt-acct"), cfg, sandbox.Gen1)
+	opt, err := launchCampaign(dc.Account("opt-acct"), cfg, sandbox.Gen1, OptimizedStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +112,7 @@ func TestOptimizedCoverageBeatsNaive(t *testing.T) {
 	attacker := dc.Account("attacker")
 	// Distinct placement groups make the naive strategy miss; skip the
 	// test premise if the hash happened to collide.
-	opt, err := RunOptimized(attacker, cfg, sandbox.Gen1)
+	opt, err := launchCampaign(attacker, cfg, sandbox.Gen1, OptimizedStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestCoverageGroundTruthAgreement(t *testing.T) {
 	// The covert-verified coverage must agree with simulator ground truth.
 	dc := smallWorld(t, 4)
 	cfg := smallCfg()
-	opt, err := RunOptimized(dc.Account("attacker"), cfg, sandbox.Gen1)
+	opt, err := launchCampaign(dc.Account("attacker"), cfg, sandbox.Gen1, OptimizedStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +173,7 @@ func TestCoverageGroundTruthAgreement(t *testing.T) {
 func TestGen2Coverage(t *testing.T) {
 	dc := smallWorld(t, 5)
 	cfg := smallCfg()
-	opt, err := RunOptimized(dc.Account("attacker"), cfg, sandbox.Gen2)
+	opt, err := launchCampaign(dc.Account("attacker"), cfg, sandbox.Gen2, OptimizedStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,9 @@ import (
 //
 // The engine adds no platform interactions beyond the ones the strategy
 // emits — no RNG draws, no clock advances — so driving NaiveStrategy or
-// OptimizedStrategy through a Campaign reproduces the historical
-// RunNaive/RunOptimized byte for byte.
+// OptimizedStrategy through a Campaign reproduces the historical pre-engine
+// launch loops byte for byte (pinned by the legacyNaive/legacyOptimized
+// equivalence tests).
 type Campaign struct {
 	acct     *faas.Account
 	cfg      Config

@@ -9,7 +9,7 @@ import (
 	"eaao/internal/sandbox"
 )
 
-// legacyNaive is a frozen copy of the pre-engine RunNaive loop. The engine
+// legacyNaive is a frozen copy of the pre-engine naive launch loop. The engine
 // refactor promises byte-identical behavior; this copy pins the old operation
 // sequence so the equivalence tests below keep meaning something even as the
 // engine evolves.
@@ -38,7 +38,7 @@ func legacyNaive(acct *faas.Account, cfg Config, gen sandbox.Gen) (*CampaignResu
 	return res, nil
 }
 
-// legacyOptimized is the frozen pre-engine RunOptimized loop.
+// legacyOptimized is the frozen pre-engine optimized launch loop.
 func legacyOptimized(acct *faas.Account, cfg Config, gen sandbox.Gen) (*CampaignResult, error) {
 	sched := acct.DataCenter().Scheduler()
 	res := &CampaignResult{Footprint: NewFootprintTracker(cfg.Precision)}
@@ -117,7 +117,7 @@ func TestEngineMatchesLegacyNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := RunNaive(smallWorld(t, 42).Account("attacker"), cfg, sandbox.Gen1)
+	engine, err := launchCampaign(smallWorld(t, 42).Account("attacker"), cfg, sandbox.Gen1, NaiveStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestEngineMatchesLegacyOptimized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := RunOptimized(smallWorld(t, 42).Account("attacker"), cfg, sandbox.Gen1)
+	engine, err := launchCampaign(smallWorld(t, 42).Account("attacker"), cfg, sandbox.Gen1, OptimizedStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,9 +187,6 @@ func (c *Campaign) quarantineNoisy() {
 		return
 	}
 	ch := cg.Channel()
-	if ch == nil {
-		return
-	}
 	if c.strikes == nil {
 		c.strikes = make(map[*faas.Instance]int)
 		c.quarantined = make(map[*faas.Instance]bool)

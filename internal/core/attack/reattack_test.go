@@ -17,7 +17,7 @@ func TestTargetBookFocusReducesEffort(t *testing.T) {
 	cfg := smallCfg()
 
 	// First attack: campaign, coverage, record hosts shared with the victim.
-	camp, err := RunOptimized(dc.Account("attacker"), cfg, sandbox.Gen1)
+	camp, err := launchCampaign(dc.Account("attacker"), cfg, sandbox.Gen1, OptimizedStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTargetBookFocusReducesEffort(t *testing.T) {
 	// fraction of the full footprint and (b) still cover the victim's base
 	// hosts that persist.
 	dc.Scheduler().Advance(24 * time.Hour)
-	camp2, err := RunOptimized(dc.Account("attacker"), cfg, sandbox.Gen1)
+	camp2, err := launchCampaign(dc.Account("attacker"), cfg, sandbox.Gen1, OptimizedStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTargetBookEmptyFocus(t *testing.T) {
 func TestFocusedSetStillCoversVictim(t *testing.T) {
 	dc := smallWorld(t, 32)
 	cfg := smallCfg()
-	camp, err := RunOptimized(dc.Account("attacker"), cfg, sandbox.Gen1)
+	camp, err := launchCampaign(dc.Account("attacker"), cfg, sandbox.Gen1, OptimizedStrategy{})
 	if err != nil {
 		t.Fatal(err)
 	}

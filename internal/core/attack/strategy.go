@@ -6,7 +6,6 @@ import (
 
 	"eaao/internal/faas"
 	"eaao/internal/randx"
-	"eaao/internal/sandbox"
 )
 
 // Wave is one launch of one service as seen by a strategy: the instances it
@@ -54,7 +53,7 @@ type CampaignSink interface {
 // the world seed and the strategy's identity (so randomized strategies stay
 // deterministic per seed), and emits launch waves through the sink. The
 // built-in NaiveStrategy and OptimizedStrategy never draw from the RNG,
-// which keeps them byte-identical to the historical RunNaive/RunOptimized.
+// which keeps them byte-identical to the historical pre-engine launch loops.
 type LaunchStrategy interface {
 	// Name is the strategy's stable identity ("naive", "optimized", ...)
 	// used by the CLI -strategy flag and the stats ledger.
@@ -206,26 +205,4 @@ func StrategyByName(name string) (LaunchStrategy, error) {
 		return AdaptiveStrategy{}, nil
 	}
 	return nil, fmt.Errorf("attack: unknown strategy %q (naive, optimized, adaptive)", name)
-}
-
-// RunNaive executes Strategy 1 through the campaign engine. With the default
-// config this deploys Services × InstancesPerLaunch instances (the paper's
-// 4800 from six services).
-func RunNaive(acct *faas.Account, cfg Config, gen sandbox.Gen) (*CampaignResult, error) {
-	return runStrategy(acct, cfg, gen, NaiveStrategy{})
-}
-
-// RunOptimized executes Strategy 2 through the campaign engine.
-func RunOptimized(acct *faas.Account, cfg Config, gen sandbox.Gen) (*CampaignResult, error) {
-	return runStrategy(acct, cfg, gen, OptimizedStrategy{})
-}
-
-// runStrategy is the shared one-shot entry: build a campaign, run its launch
-// stage, return the result.
-func runStrategy(acct *faas.Account, cfg Config, gen sandbox.Gen, s LaunchStrategy) (*CampaignResult, error) {
-	c, err := NewCampaign(acct, cfg, gen, s)
-	if err != nil {
-		return nil, err
-	}
-	return c.Launch()
 }

@@ -131,11 +131,12 @@ func RunnerFor(name string, sched *simtime.Scheduler, voteBudget int) (Runner, e
 
 // NewChannelTester builds a Tester driving the given channel primitive with
 // an explicit configuration (usually the channel's own, possibly with a
-// VoteBudget applied).
+// VoteBudget applied). It panics on an invalid config, like NewTester.
 func NewChannelTester(sched *simtime.Scheduler, ch Channel, cfg Config) *Tester {
-	t := NewTester(sched, cfg)
-	t.ch = ch
-	return t
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	return &Tester{cfg: cfg, sched: sched, ch: ch}
 }
 
 // CalibratedRunnerFor resolves a channel selector exactly like RunnerFor but
@@ -186,9 +187,7 @@ type Rebudgeter interface {
 func (t *Tester) Rebudget(voteBudget int) Runner {
 	cfg := t.cfg
 	cfg.VoteBudget = voteBudget
-	nt := NewTester(t.sched, cfg)
-	nt.ch = t.ch
-	return nt
+	return NewChannelTester(t.sched, t.ch, cfg)
 }
 
 // MultiTester is the majority-combined multi-channel tester: every CTest
@@ -303,9 +302,7 @@ func (m *MultiTester) Rebudget(voteBudget int) Runner {
 	for i, c := range m.children {
 		cfg := c.cfg
 		cfg.VoteBudget = voteBudget
-		nt := NewTester(c.sched, cfg)
-		nt.ch = c.ch
-		children[i] = nt
+		children[i] = NewChannelTester(c.sched, c.ch, cfg)
 	}
 	return multiFromChildren(children)
 }

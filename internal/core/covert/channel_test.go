@@ -7,20 +7,18 @@ import (
 	"eaao/internal/faas"
 )
 
-// The pluggable RNG channel must be indistinguishable from the historical
-// direct-resource path: two same-seed worlds, one driven through a plain
-// Tester and one through NewChannelTester(RNGChannel()), produce identical
-// verdicts round for round.
+// A plain Tester drives its config's resource channel, so it must be
+// indistinguishable from NewChannelTester(RNGChannel()): two same-seed
+// worlds, one per constructor, produce identical verdicts round for round
+// and both label their channel "rng".
 func TestRNGChannelMatchesDirectPath(t *testing.T) {
 	plA, instsA := testWorld(t, 31, 80)
 	plB, instsB := testWorld(t, 31, 80)
 	direct := NewTester(plA.Scheduler(), DefaultConfig())
 	channel := NewChannelTester(plB.Scheduler(), RNGChannel(), DefaultConfig())
-	if direct.Channel() != nil {
-		t.Fatal("plain Tester carries a channel")
-	}
-	if channel.Channel() == nil || channel.Channel().Name() != "rng" {
-		t.Fatal("channel tester misconfigured")
+	if direct.Channel().Name() != "rng" || channel.Channel().Name() != "rng" {
+		t.Fatalf("channels %q / %q, want rng for both",
+			direct.Channel().Name(), channel.Channel().Name())
 	}
 	for trial := 0; trial < 12; trial++ {
 		lo := (trial * 7) % (len(instsA) - 3)

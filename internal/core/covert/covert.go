@@ -138,10 +138,8 @@ type Tester struct {
 	sched *simtime.Scheduler
 	stats Stats
 	sink  Sink
-	// ch is the pluggable channel primitive (NewChannelTester). nil keeps
-	// the historical direct-resource path: rounds go straight to
-	// faas.ContentionRoundOnInto on cfg.Resource, byte-identical to builds
-	// that predate the channel layer.
+	// ch is the channel primitive every round goes through: the one given
+	// to NewChannelTester, or cfg.Resource's for NewTester.
 	ch Channel
 
 	// votes and obs are per-test scratch reused across CTests (a test runs
@@ -154,31 +152,17 @@ type Tester struct {
 	wins  []int
 }
 
-// NewTester builds a Tester. It panics on an invalid config, which is always
-// a programming error at this layer.
+// NewTester builds a Tester on cfg.Resource's channel. It panics on an
+// invalid config, which is always a programming error at this layer.
 func NewTester(sched *simtime.Scheduler, cfg Config) *Tester {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Tester{cfg: cfg, sched: sched}
+	return NewChannelTester(sched, resourceChannel{cfg.Resource, cfg}, cfg)
 }
 
 // Config returns the tester's configuration.
 func (t *Tester) Config() Config { return t.cfg }
 
-// Channel returns the pluggable channel primitive the tester drives, or nil
-// on the historical direct-resource path.
+// Channel returns the channel primitive the tester drives.
 func (t *Tester) Channel() Channel { return t.ch }
-
-// channelName labels the tester's channel for observers. Both paths return
-// the resource name, so ledgers are channel-labeled regardless of how the
-// tester was built.
-func (t *Tester) channelName() string {
-	if t.ch != nil {
-		return t.ch.Name()
-	}
-	return t.cfg.Resource.String()
-}
 
 // Stats returns the accumulated cost counters.
 func (t *Tester) Stats() Stats { return t.stats }
@@ -249,13 +233,7 @@ func (t *Tester) singleCTest(instances []*faas.Instance, m, rep int) ([]bool, er
 		votes[i] = 0
 	}
 	for r := 0; r < t.cfg.Rounds; r++ {
-		var obs []int
-		var err error
-		if t.ch != nil {
-			obs, err = t.ch.Round(instances, t.obs)
-		} else {
-			obs, err = faas.ContentionRoundOnInto(t.cfg.Resource, instances, t.obs)
-		}
+		obs, err := t.ch.Round(instances, t.obs)
 		if err != nil {
 			return nil, err
 		}
@@ -285,7 +263,7 @@ func (t *Tester) singleCTest(instances []*faas.Instance, m, rep int) ([]bool, er
 	}
 	if t.sink != nil {
 		t.sink.ObserveTest(TestEvent{
-			Channel:      t.channelName(),
+			Channel:      t.ch.Name(),
 			Participants: len(instances),
 			Positives:    positives,
 			Duration:     t.cfg.TestDuration,

@@ -41,11 +41,6 @@ type Context struct {
 	// plane. The faultsweep experiment ignores this and sweeps its own
 	// plans.
 	Faults faas.FaultPlan
-	// LegacySweeps runs every region on the frozen pre-event-kernel
-	// lifecycle implementation (hourly churn/preemption scans, launch-time
-	// demand-decay detection). Only the legacy golden-digest test sets it:
-	// it proves the historical behavior is still reachable byte for byte.
-	LegacySweeps bool
 	// Big upsizes the scale experiment to the million-instance headroom
 	// configuration (80k-host region, 640 tenants; the CLI's -big flag).
 	// Only scale reads it; every other experiment is unaffected.
@@ -219,11 +214,6 @@ func (c Context) profiles() []faas.RegionProfile {
 	if c.Faults.Enabled() {
 		for i := range profs {
 			profs[i].Faults = c.Faults
-		}
-	}
-	if c.LegacySweeps {
-		for i := range profs {
-			profs[i].LegacySweeps = true
 		}
 	}
 	if c.Load > 0 {

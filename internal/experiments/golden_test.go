@@ -18,27 +18,20 @@ const goldenSeed = 9
 // default per-instance lifecycle kernel.
 //
 // RE-PIN HISTORY: the original hash (b1f376cc01…, recorded immediately before
-// the placement-policy extraction in PR 2) is preserved below as
-// legacyQuickDigest. PR 6 deliberately re-pinned this constant when the
-// hourly churn/preemption sweep and launch-time demand-decay detection were
-// replaced by per-instance scheduled events: the kernel draws per-instance
-// exponential delays (same per-hour survival probability as the sweep's
-// Bernoulli, different RNG stream), gives new instances one interval of
-// churn/preemption immunity, and fires demand decay at window expiry instead
-// of at the next cold launch — distributionally equivalent dynamics, not
-// byte-identical draws. TestLegacySweepDigestFrozen proves the pre-kernel
-// behavior is still reachable unchanged, so the delta between the two hashes
-// is exactly the kernel change and nothing else.
+// the placement-policy extraction) pinned the hourly churn/preemption sweep
+// and launch-time demand-decay detection. This constant was deliberately
+// re-pinned when those were replaced by per-instance scheduled events:
+// the kernel draws per-instance exponential delays (same per-hour survival
+// probability as the sweep's Bernoulli, different RNG stream), gives new
+// instances one interval of churn/preemption immunity, and fires demand decay
+// at window expiry instead of at the next cold launch — distributionally
+// equivalent dynamics, not byte-identical draws. The frozen sweep and its
+// digest were later retired (see DESIGN.md §5); this hash pins the kernel,
+// the only lifecycle.
 //
 // New experiments may be appended to the registry freely — the digest
 // covers exactly the ids in goldenIDs, not "whatever run all prints".
 const goldenQuickDigest = "22d68b225e0becd1cd208db36b23127acb83d1f0c22cc064163ca03c823d9de7"
-
-// legacyQuickDigest is the seed-era golden hash, now produced by running the
-// same experiments with Context.LegacySweeps (the frozen hourly-sweep
-// implementation). It must never change: the legacy path exists precisely so
-// this hash stays reachable.
-const legacyQuickDigest = "b1f376cc018b112b7d323bd8c86ccce8e78a5fe59009d0ca73cebf49e8bf1f2e"
 
 // goldenIDs is the frozen experiment set the golden digest covers (the
 // registry as of the growth seed, in presentation order).
@@ -110,25 +103,5 @@ func TestScaleDigestStableAcrossJobs(t *testing.T) {
 	par := quickDigest(t, Context{Seed: goldenSeed, Quick: true, Jobs: 8}, ids)
 	if seq != par {
 		t.Fatalf("scale digest differs across -jobs values:\n  jobs=1: %s\n  jobs=8: %s", seq, par)
-	}
-}
-
-// TestLegacySweepDigestFrozen is the kernel-vs-sweep equivalence anchor: the
-// frozen legacy lifecycle implementation (hourly sweeps, launch-time decay)
-// must still reproduce the seed-era golden hash byte for byte. Together with
-// TestGoldenDigestStableAcrossJobs this isolates the re-pin: the only
-// difference between the two hashes is the event-kernel change itself —
-// placement, lazy host materialization, autoscaling, billing, and every
-// attack layer above them are proven untouched.
-func TestLegacySweepDigestFrozen(t *testing.T) {
-	got := quickDigest(t, Context{Seed: goldenSeed, Quick: true, Jobs: 1, LegacySweeps: true}, goldenIDs)
-	if runtime.GOARCH != "amd64" {
-		t.Logf("legacy digest %s (comparison skipped on %s)", got, runtime.GOARCH)
-		return
-	}
-	if got != legacyQuickDigest {
-		t.Fatalf("frozen legacy-sweep digest drifted:\n  got    %s\n  frozen %s\n"+
-			"The LegacySweeps path must stay byte-identical to the seed era; "+
-			"something outside the event kernel changed behavior.", got, legacyQuickDigest)
 	}
 }

@@ -13,11 +13,11 @@ import (
 // The scale experiment is the event kernel's stress artifact: one oversized
 // region, a hundred-plus tenants autoscaling through demand phases, and a
 // live-instance peak in the 10⁵ range — two orders of magnitude past the
-// paper-scale worlds every other experiment builds. Under the legacy hourly
-// sweep this world costs O(fleet) per simulated hour no matter what happens;
-// under the kernel, cost tracks the number of lifecycle transitions that
-// actually occur, and the lazy fleet never materializes hosts no instance
-// ever touches.
+// paper-scale worlds every other experiment builds. Under an hourly full
+// sweep this world would cost O(fleet) per simulated hour no matter what
+// happens; under the kernel, cost tracks the number of lifecycle
+// transitions that actually occur, and the lazy fleet never materializes
+// hosts no instance ever touches.
 //
 // The deterministic outputs (instances created, peak live, preemptions,
 // events executed, hosts materialized) are digest-stable per seed; the
@@ -26,8 +26,7 @@ import (
 
 // scaleProfile is the self-contained region of the experiment. Like
 // faultsweep, scale ignores ctx.Policy and ctx.Faults — its point is the
-// default orchestrator under load — but honors LegacySweeps so the frozen
-// sweep implementation can be driven through the identical workload.
+// default orchestrator under load.
 func (c Context) scaleProfile() faas.RegionProfile {
 	p := faas.USEast1Profile()
 	p.Name = "scale-region"
@@ -47,7 +46,6 @@ func (c Context) scaleProfile() faas.RegionProfile {
 	// Preemption competes with the default 2%/h churn so both kernel branches
 	// fire at scale.
 	p.Faults.PreemptionRatePerHour = 0.01
-	p.LegacySweeps = c.LegacySweeps
 	// -load layers background-tenant traffic on top of the workload: the
 	// kernel has to absorb the bystander churn (bursts, diurnal redraws,
 	// congestion) alongside the tenants' own demand phases.

@@ -38,7 +38,7 @@ type forgedWorld struct {
 	once  sync.Once
 	mu    sync.Mutex
 	first *faas.Platform // the build the snapshot was cut from; handed to the first caller
-	snap  *faas.Snapshot // nil when the world cannot be snapshotted (LegacySweeps)
+	snap  *faas.Snapshot
 	seed  uint64
 	profs []faas.RegionProfile
 }
@@ -69,13 +69,13 @@ func (w *forgedWorld) fork() *faas.Platform {
 	w.once.Do(func() {
 		p := faas.MustPlatform(w.seed, w.profs...)
 		w.first = p
-		if snap, err := p.Snapshot(); err == nil {
-			w.snap = snap
+		// A fresh build holds no closure events, callbacks or tracer, so it
+		// always snapshots; an error here is a platform bug.
+		snap, err := p.Snapshot()
+		if err != nil {
+			panic(err)
 		}
-		// A world that cannot be snapshotted (LegacySweeps arms its sweep
-		// chain as closure events at construction) leaves snap nil: the
-		// first build is still handed out, and later calls fall back to
-		// per-call construction — the historical behavior, byte for byte.
+		w.snap = snap
 	})
 	w.mu.Lock()
 	p := w.first
@@ -84,10 +84,7 @@ func (w *forgedWorld) fork() *faas.Platform {
 	if p != nil {
 		return p
 	}
-	if w.snap != nil {
-		return w.snap.MustRestore()
-	}
-	return faas.MustPlatform(w.seed, w.profs...)
+	return w.snap.MustRestore()
 }
 
 // forkPlatform returns an independent world for (seed, profiles): built from

@@ -139,49 +139,3 @@ func TestLLCChannelLoadSensitivity(t *testing.T) {
 		t.Errorf("RNG FP rates %.3f / %.3f, want < 0.02 regardless of load", rngQuietFP, rngLoadedFP)
 	}
 }
-
-// The legacy ContentionRound shim still works but warns once per region via
-// the placement trace, like the RandomPlacement retirement did.
-func TestContentionRoundShimWarnsOnce(t *testing.T) {
-	dc := newTestDC(t, 24)
-	ring := NewTraceRing(16)
-	dc.SetPlacementTracer(ring)
-	countDeprecated := func() int {
-		n := 0
-		for _, ev := range ring.Events() {
-			if ev.Kind == TraceDeprecated {
-				n++
-			}
-		}
-		return n
-	}
-
-	insts, err := dc.Account("a1").DeployService("s", ServiceConfig{}).Launch(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The channel-aware API never warns.
-	if _, err := ContentionRoundOn(ResourceRNG, insts); err != nil {
-		t.Fatal(err)
-	}
-	if countDeprecated() != 0 {
-		t.Fatal("ContentionRoundOn emitted a deprecation event")
-	}
-	deprecated, err := ContentionRound(insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := ContentionRoundOn(ResourceRNG, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deprecated) != len(modern) {
-		t.Fatalf("shim returned %d observations, want %d", len(deprecated), len(modern))
-	}
-	if _, err := ContentionRound(insts); err != nil {
-		t.Fatal(err)
-	}
-	if got := countDeprecated(); got != 1 {
-		t.Errorf("shim emitted %d deprecation events across two calls, want 1", got)
-	}
-}

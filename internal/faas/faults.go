@@ -50,7 +50,7 @@ type FaultPlan struct {
 	LaunchFailureRate float64
 
 	// PreemptionRatePerHour is the per-hour probability that a connected
-	// instance is terminated outright during the churn sweep (no
+	// instance is terminated outright by the lifecycle kernel (no
 	// replacement), modeling host drains and capacity reclaims. Unlike
 	// churn, the connection is simply lost; the tenant must relaunch.
 	PreemptionRatePerHour float64
@@ -166,7 +166,8 @@ type FaultCounters struct {
 	// InstancesRolledBack counts instances created and then rolled back by
 	// mid-batch aborts.
 	InstancesRolledBack int
-	// Preemptions counts connected instances terminated by the fault sweep.
+	// Preemptions counts connected instances terminated by fault-plane
+	// preemption.
 	Preemptions int
 	// ChannelMisfires counts misfire episodes entered (one per window, per
 	// host).

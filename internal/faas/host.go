@@ -253,17 +253,6 @@ func (h *Host) servingResidents() int {
 	return n
 }
 
-// residentOf counts non-terminated instances of one service on the host.
-func (h *Host) residentOf(svc *Service) int {
-	n := 0
-	for _, inst := range h.instances {
-		if inst.service == svc {
-			n++
-		}
-	}
-	return n
-}
-
 // attach registers an instance on the host, materializing it on first use.
 func (h *Host) attach(inst *Instance) {
 	h.materialize()

@@ -131,9 +131,6 @@ func (i *Instance) Service() *Service { return i.service }
 // State returns the lifecycle state.
 func (i *Instance) State() InstanceState { return i.state }
 
-// CreatedAt returns when the instance was created.
-func (i *Instance) CreatedAt() simtime.Time { return i.createdAt }
-
 // ReadyAt returns when the instance finished its cold start and could serve
 // its first request.
 func (i *Instance) ReadyAt() simtime.Time { return i.readyAt }

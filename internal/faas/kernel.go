@@ -10,43 +10,39 @@ import (
 
 // The per-instance lifecycle kernel.
 //
-// The legacy implementation (platform.go, scheduleChurnSweep) walked every
-// instance of the region once per simulated hour and flipped a Bernoulli coin
-// per instance for churn recycling and fault-plane preemption. That is O(fleet)
-// per hour regardless of how much actually happens — fine at paper scale
-// (thousands of instances), prohibitive at the 10⁵–10⁶ instances the scale
-// experiment runs. The kernel replaces the scan with one scheduled event per
-// instance: work is proportional to the number of lifecycle transitions that
-// occur, not to the number of instances that exist.
+// Churn recycling and fault-plane preemption are modelled as per-hour
+// probabilities p (RegionProfile.InstanceChurnPerHour,
+// FaultPlan.PreemptionRatePerHour). The original implementation, an hourly
+// sweep that flipped a Bernoulli coin per instance, was O(fleet) per hour
+// regardless of how much actually happened — prohibitive at the 10⁵–10⁶
+// instances the scale experiment runs. The kernel instead schedules one event
+// per instance: work is proportional to the number of lifecycle transitions
+// that occur, not to the number of instances that exist.
 //
-// Equivalence with the sweep is distributional, not byte-for-byte (the golden
-// quick-digest was deliberately re-pinned; see golden_test.go). The sweep
-// gives a connected instance an independent probability p per hour of being
-// hit; the kernel draws exponential inter-event delays with rate
-// λ = -ln(1-p) per hour, which has exactly the same per-hour survival
-// probability e^{-λ} = 1-p. Churn and preemption compete as summed hazards,
-// and a single draw picks which one fired — the standard competing-risks
-// construction, half the events of two independent timers.
+// A connected instance keeps the sweep's per-hour hit probability p: the
+// kernel draws exponential inter-event delays with rate λ = -ln(1-p) per
+// hour, whose per-hour survival probability is e^{-λ} = 1-p. Churn and
+// preemption compete as summed hazards, and a single draw picks which one
+// fired — the standard competing-risks construction, half the events of two
+// independent timers.
 //
 // Determinism: per-instance delays come from stateless hash draws
 // randx.Mix3(dc.lifeSeed, instance seq, draw#) — no per-instance generator
-// state, no draw-order coupling between instances, and the "lifecycle" seed
-// label is disjoint from every legacy stream, so a LegacySweeps world is
-// untouched. Event-heap ordering is deterministic (time, then insertion seq).
+// state, no draw-order coupling between instances. Event-heap ordering is
+// deterministic (time, then insertion seq).
 //
-// Two deliberate semantic refinements over the sweep:
+// Two deliberate semantic refinements over the hourly sweep:
 //
 //   - Immunity: a freshly created instance is not eligible for churn or
 //     preemption until one full lifecycleInterval has elapsed. The sweep's
 //     preemption pass could kill a replacement instance in the same sweep
-//     that created it (it re-iterated svc.insts after the recycle pass
-//     appended replacements); the kernel makes that impossible by
-//     construction. Immunity also pays for the kernel's cheapest trick: all
-//     instances born at one instant share a single nursery-cohort event at
-//     birth + lifecycleInterval (lifeCohort), so a 200-instance launch burst
-//     costs one heap insertion, each survivor draws its exponential delay at
-//     the boundary, and an instance that dies young never touches the
-//     scheduler at all.
+//     that created it; the kernel makes that impossible by construction.
+//     Immunity also pays for the kernel's cheapest trick: all instances born
+//     at one instant share a single nursery-cohort event at birth +
+//     lifecycleInterval (lifeCohort), so a 200-instance launch burst costs
+//     one heap insertion, each survivor draws its exponential delay at the
+//     boundary, and an instance that dies young never touches the scheduler
+//     at all.
 //
 //   - Idle instances carry no hazard (the sweep only ever drew for
 //     StateActive instances): a timer that finds its instance idle dies, and
@@ -56,9 +52,9 @@ import (
 //     never surfaces at all: the old timer stays armed across it, just as a
 //     between-sweeps blip was invisible to the hourly scan.)
 
-// lifecycleInterval is the legacy sweep period, reused by the kernel as the
-// new-instance immunity span: the first churn/preemption draw of an instance
-// happens at creation + lifecycleInterval + Exp(λ).
+// lifecycleInterval is the new-instance immunity span (the old sweep's
+// period): the first churn/preemption draw of an instance happens at
+// creation + lifecycleInterval + Exp(λ).
 const lifecycleInterval = time.Hour
 
 // hazardPerHour converts a per-hour event probability into the exponential
@@ -147,11 +143,10 @@ func (dc *DataCenter) allocCohort() *lifeCohort {
 
 // scheduleLifecycle enrolls a new instance in the current nursery cohort,
 // opening one (and arming its boundary event) when this is the first
-// creation of the instant. No-op when both hazards are zero or the region
-// runs the legacy sweep.
+// creation of the instant. No-op when both hazards are zero.
 func (dc *DataCenter) scheduleLifecycle(inst *Instance, now simtime.Time) {
 	rate := dc.churnHazard + dc.preemptHazard
-	if rate <= 0 || dc.profile.LegacySweeps {
+	if rate <= 0 {
 		return
 	}
 	if dc.nursery == nil || dc.nurseryAt != now {
@@ -169,7 +164,7 @@ func (dc *DataCenter) scheduleLifecycle(inst *Instance, now simtime.Time) {
 // cohort, which arms it at the boundary.
 func (dc *DataCenter) resumeLifecycle(inst *Instance, now simtime.Time) {
 	rate := dc.churnHazard + dc.preemptHazard
-	if rate <= 0 || dc.profile.LegacySweeps || (inst.lifeEvent != nil && inst.lifeEvent.Pending()) {
+	if rate <= 0 || (inst.lifeEvent != nil && inst.lifeEvent.Pending()) {
 		return
 	}
 	if now.Sub(inst.createdAt) < lifecycleInterval {
@@ -256,7 +251,7 @@ func (i *Instance) HandleEvent(e *simtime.Event, now simtime.Time) {
 	if churn {
 		// recycle creates the replacement through createInstance, which arms
 		// a fresh timer with full immunity — a replacement can never be hit
-		// in the interval it was born, unlike under the legacy sweep.
+		// in the interval it was born, unlike under the old hourly sweep.
 		i.service.recycle(i, now)
 		return
 	}

@@ -36,7 +36,7 @@ func countSIGTERMs(svc *Service, terms *int) {
 // lifecycleInterval has elapsed. Churn rate 1.0/hour makes the hazard
 // deterministic (λ = ∞ ⇒ the exponential delay is exactly zero), so every
 // instance is recycled exactly at creation + lifecycleInterval and its
-// replacement survives until its own immunity expires — under the legacy
+// replacement survives until its own immunity expires — under the old hourly
 // sweep, a rate this high could kill a replacement in the sweep that bore it.
 func TestKernelImmunityInterval(t *testing.T) {
 	dc := kernelDC(t, 7, 1.0, 0)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"eaao/internal/randx"
 	"eaao/internal/simtime"
@@ -47,7 +46,6 @@ func NewPlatform(seed uint64, profiles ...RegionProfile) (*Platform, error) {
 		if err := prof.Validate(); err != nil {
 			return nil, err
 		}
-		prof.normalize()
 		if _, dup := p.regions[prof.Name]; dup {
 			return nil, fmt.Errorf("faas: duplicate region %s", prof.Name)
 		}
@@ -143,9 +141,8 @@ type DataCenter struct {
 	matScratch    randx.Source
 	deriveScratch randx.Source
 
-	// Per-instance lifecycle kernel (the default; profile.LegacySweeps
-	// restores the historical hourly scan): churnHazard and preemptHazard are
-	// the exponential rates per hour matching the sweep's per-hour Bernoulli
+	// Per-instance lifecycle kernel: churnHazard and preemptHazard are
+	// the exponential rates per hour matching the profile's per-hour
 	// probabilities, and lifeSeed addresses the stateless per-instance draw
 	// streams (randx.Mix3(lifeSeed, instance seq, draw#)); lifeMix1 is the
 	// precomputed first mixer round of that hash (randx.MixInit(lifeSeed)).
@@ -168,14 +165,9 @@ type DataCenter struct {
 	// profile at construction; all placement decisions flow through it.
 	policy PlacementPolicy
 	// tracer, when installed, receives every placement decision; traceSeq
-	// numbers the events. deprecationWarned latches the one-shot
-	// TraceDeprecated event for profiles built from deprecated knobs.
-	tracer            PlacementTracer
-	traceSeq          uint64
-	deprecationWarned bool
-	// channelShimWarned latches the one-shot TraceDeprecated event of the
-	// legacy ContentionRound shim.
-	channelShimWarned bool
+	// numbers the events.
+	tracer   PlacementTracer
+	traceSeq uint64
 
 	// faults is the region's injected-failure plan; the dedicated fault
 	// streams below are derived unconditionally (derivation consumes no
@@ -219,11 +211,7 @@ func newDataCenter(p *Platform, prof RegionProfile) *DataCenter {
 		initHostShell(&store[i], dc, i)
 		dc.hosts[i] = &store[i]
 	}
-	if prof.LegacySweeps {
-		dc.scheduleChurnSweep()
-	} else {
-		dc.initLifecycleKernel()
-	}
+	dc.initLifecycleKernel()
 	if prof.Traffic.Enabled() {
 		dc.initTraffic()
 	}
@@ -305,64 +293,6 @@ func formatInstanceID(svc *Service, seq uint32) string {
 	return b.String()
 }
 
-// scheduleChurnSweep installs the hourly instance-recycling sweep that
-// models the platform occasionally moving long-running instances (it is what
-// truncates fingerprint histories in the week-long Fig. 5 measurement). The
-// same sweep carries the fault plane's preemption pass: preempted instances
-// are terminated without replacement — the tenant's connection is simply
-// gone.
-//
-// FROZEN LEGACY PATH (profile.LegacySweeps): the per-instance event kernel in
-// kernel.go replaced this scan. It is kept byte-for-byte so the golden-digest
-// test can prove the historical behavior is still reachable unchanged; do not
-// edit it. Known (historical) quirk, preserved deliberately: the preemption
-// pass re-iterates svc.insts after the recycle pass appended replacement
-// instances, so a replacement can be preempted in the same sweep it was born.
-// The kernel fixes this with a one-interval immunity.
-func (dc *DataCenter) scheduleChurnSweep() {
-	churn := dc.profile.InstanceChurnPerHour
-	preempt := dc.faults.PreemptionRatePerHour
-	if churn <= 0 && preempt <= 0 {
-		return
-	}
-	churnRNG := dc.rng.Derive("churn")
-	// victims is collect-first scratch shared across sweeps (recycling
-	// mutates the instance list mid-iteration otherwise).
-	var victims []*Instance
-	var sweep func(simtime.Time)
-	sweep = func(now simtime.Time) {
-		for _, acct := range dc.acctSeq {
-			for _, svc := range acct.svcSeq {
-				if churn > 0 {
-					victims = victims[:0]
-					for _, inst := range svc.insts {
-						if inst != nil && inst.state == StateActive && churnRNG.Bool(churn) {
-							victims = append(victims, inst)
-						}
-					}
-					for _, inst := range victims {
-						svc.recycle(inst, now)
-					}
-				}
-				if preempt > 0 {
-					victims = victims[:0]
-					for _, inst := range svc.insts {
-						if inst != nil && inst.state == StateActive && dc.preemptRNG.Bool(preempt) {
-							victims = append(victims, inst)
-						}
-					}
-					for _, inst := range victims {
-						inst.terminate(now)
-						dc.faultCounters.Preemptions++
-					}
-				}
-			}
-		}
-		dc.platform.sched.After(time.Hour, sweep)
-	}
-	dc.platform.sched.After(time.Hour, sweep)
-}
-
 // ProbeContention is the extraction-step primitive: the probing instance
 // measures the instantaneous contention on its host's shared resource. The
 // result counts co-resident instances whose workload is executing right now,
@@ -426,28 +356,6 @@ func (r Resource) String() string {
 	default:
 		return "resource?"
 	}
-}
-
-// ContentionRound executes one synchronized pressure round on the hardware
-// RNG among the given instances — the paper's default channel.
-//
-// Deprecated: name the channel explicitly with ContentionRoundOn (or drive a
-// covert.Channel). The shim stays for historical callers and emits a one-shot
-// TraceDeprecated placement event per region, mirroring the RandomPlacement
-// retirement.
-func ContentionRound(parts []*Instance) ([]int, error) {
-	for _, inst := range parts {
-		if inst.host == nil {
-			continue
-		}
-		dc := inst.host.dc
-		if !dc.channelShimWarned {
-			dc.channelShimWarned = true
-			dc.trace(PlacementEvent{Kind: TraceDeprecated})
-		}
-		break
-	}
-	return ContentionRoundOn(ResourceRNG, parts)
 }
 
 // ContentionRoundOn executes one synchronized pressure round on the given

@@ -40,7 +40,7 @@ type PlacementPolicy interface {
 	Place(req PlacementRequest, b *PlacementBatch)
 
 	// Recycle picks the replacement host when the platform migrates a
-	// long-running instance (the hourly churn sweep). oldID is the
+	// long-running instance (a lifecycle-kernel churn event). oldID is the
 	// recycled instance's identity, usable as a derivation label.
 	Recycle(svc *Service, oldID string, now simtime.Time) *Host
 
@@ -122,10 +122,8 @@ func dynamicDecay(svc *Service) {
 	}
 }
 
-// policyFor resolves a normalized profile's placement engine: an explicit
-// Policy wins, and the default is the calibrated Cloud Run extraction. The
-// deprecated RandomPlacement bool has already been folded into Policy by
-// RegionProfile.normalize before this runs.
+// policyFor resolves a profile's placement engine: an explicit Policy wins,
+// and the default is the calibrated Cloud Run extraction.
 func policyFor(p RegionProfile) PlacementPolicy {
 	if p.Policy != nil {
 		return p.Policy

@@ -8,9 +8,6 @@ import "eaao/internal/simtime"
 // removes the placement structure the attack exploits — at the price of
 // image locality (every launch lands mostly on hosts that have never run
 // the service, i.e. cold starts).
-//
-// It is the policy the deprecated RegionProfile.RandomPlacement bool maps
-// to, and reproduces that code path draw for draw.
 type RandomUniformPolicy struct {
 	policyDefaults
 }
@@ -36,8 +33,7 @@ func (RandomUniformPolicy) Place(req PlacementRequest, b *PlacementBatch) {
 }
 
 // Recycle keeps the historical base-pool replacement draw: the deployed
-// defense only randomized launch placement, not the migration sweep, and the
-// RandomPlacement compatibility mapping must stay draw-identical to it.
+// defense only randomized launch placement, not churn migration.
 func (RandomUniformPolicy) Recycle(svc *Service, oldID string, now simtime.Time) *Host {
 	return recycleBaseDraw(svc, oldID)
 }

@@ -60,52 +60,6 @@ func TestNilPolicyIsCloudRun(t *testing.T) {
 	}
 }
 
-// normalize is the single place the deprecated RandomPlacement bool is read:
-// it folds the flag into Policy, after which Policy is authoritative.
-func TestNormalizeFoldsRandomPlacement(t *testing.T) {
-	p := testProfile()
-	p.RandomPlacement = true
-	p.normalize()
-	if _, ok := p.Policy.(RandomUniformPolicy); !ok {
-		t.Errorf("normalize left Policy = %T, want RandomUniformPolicy", p.Policy)
-	}
-
-	// An explicit Policy wins; the bool is ignored.
-	p = testProfile()
-	p.RandomPlacement = true
-	p.Policy = CloudRunPolicy{}
-	p.normalize()
-	if _, ok := p.Policy.(CloudRunPolicy); !ok {
-		t.Errorf("normalize overrode an explicit Policy with %T", p.Policy)
-	}
-
-	// Without the bool, nil stays nil (the CloudRun default resolves later).
-	p = testProfile()
-	p.normalize()
-	if p.Policy != nil {
-		t.Errorf("normalize invented a policy: %T", p.Policy)
-	}
-}
-
-// The deprecated RandomPlacement bool must keep working, mapped to
-// RandomUniformPolicy, draw for draw.
-func TestRandomPlacementBoolMapsToRandomUniform(t *testing.T) {
-	legacy := launchOn(t, 7, func(p *RegionProfile) { p.RandomPlacement = true }, 4, 120)
-	policy := launchOn(t, 7, func(p *RegionProfile) { p.Policy = RandomUniformPolicy{} }, 4, 120)
-	if !sameHostSets(legacy, policy) {
-		t.Error("RandomUniformPolicy placed differently from the RandomPlacement bool")
-	}
-	// And an explicit Policy wins over the bool.
-	both := launchOn(t, 7, func(p *RegionProfile) {
-		p.RandomPlacement = true
-		p.Policy = CloudRunPolicy{}
-	}, 4, 120)
-	cloud := launchOn(t, 7, nil, 4, 120)
-	if !sameHostSets(both, cloud) {
-		t.Error("explicit Policy did not win over the RandomPlacement bool")
-	}
-}
-
 // LeastLoadedPolicy must balance: after placement, resident counts across
 // used hosts differ by at most the packing cap, and a fresh tenant's batch
 // goes to the emptiest hosts.
@@ -431,47 +385,5 @@ func TestTracerDoesNotPerturbPlacement(t *testing.T) {
 	}()
 	if !sameHostSets(quiet, traced) {
 		t.Error("installing a tracer changed placement")
-	}
-}
-
-// A region configured through the deprecated RandomPlacement bool emits one
-// TraceDeprecated event to the first tracer installed — once per region, not
-// once per tracer, and never for regions configured through Policy.
-func TestDeprecatedRandomPlacementWarnsOnce(t *testing.T) {
-	countDeprecated := func(ring *TraceRing) int {
-		n := 0
-		for _, ev := range ring.Events() {
-			if ev.Kind == TraceDeprecated {
-				n++
-			}
-		}
-		return n
-	}
-
-	p := testProfile()
-	p.RandomPlacement = true
-	dc := MustPlatform(1, p).MustRegion(p.Name)
-	ring := NewTraceRing(8)
-	dc.SetPlacementTracer(ring)
-	if got := countDeprecated(ring); got != 1 {
-		t.Fatalf("first tracer saw %d deprecation events, want 1", got)
-	}
-
-	// Swapping tracers must not repeat the warning.
-	ring2 := NewTraceRing(8)
-	dc.SetPlacementTracer(ring2)
-	if got := countDeprecated(ring2); got != 0 {
-		t.Errorf("second tracer saw %d deprecation events, want 0", got)
-	}
-	dc.SetPlacementTracer(nil)
-
-	// A region using the replacement Policy field stays silent.
-	clean := testProfile()
-	clean.Policy = RandomUniformPolicy{}
-	dc2 := MustPlatform(1, clean).MustRegion(clean.Name)
-	ring3 := NewTraceRing(8)
-	dc2.SetPlacementTracer(ring3)
-	if got := countDeprecated(ring3); got != 0 {
-		t.Errorf("Policy-configured region warned %d times", got)
 	}
 }

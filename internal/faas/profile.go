@@ -139,20 +139,8 @@ type RegionProfile struct {
 	// Mitigations enables the §6 TSC-masking defenses fleet-wide.
 	Mitigations sandbox.Mitigations
 
-	// RandomPlacement enables the co-location-resistant scheduling defense
-	// §6 also cites [6, 37]: the orchestrator ignores base-host affinity
-	// and helper preferences and scatters instances uniformly across the
-	// fleet. It removes the placement structure the attack exploits — at
-	// the price of image locality (every launch lands mostly on hosts that
-	// have never run the service, i.e. cold starts).
-	//
-	// Deprecated: this is the historical knob, kept working; it maps to
-	// RandomUniformPolicy. Set Policy instead, which always wins.
-	RandomPlacement bool
-
-	// Policy selects the region's placement engine. nil means the default:
-	// CloudRunPolicy (or RandomUniformPolicy when the deprecated
-	// RandomPlacement bool is set).
+	// Policy selects the region's placement engine. nil means the default,
+	// CloudRunPolicy.
 	Policy PlacementPolicy
 
 	// Faults configures the region's injected-failure plane (launch
@@ -165,37 +153,8 @@ type RegionProfile struct {
 	// population of bystander accounts whose autoscaled demand keeps the
 	// fleet realistically occupied while experiments run (see TrafficModel).
 	// The zero value disables the layer and leaves the simulation
-	// byte-identical to a build without it. Requires the event kernel
-	// (incompatible with LegacySweeps).
+	// byte-identical to a build without it.
 	Traffic TrafficModel
-
-	// LegacySweeps restores the pre-event-kernel lifecycle implementation:
-	// the hourly churn/preemption sweep that scans every instance of the
-	// region (scheduleChurnSweep) and lazy demand-decay detection at the next
-	// launch. The legacy path is frozen — it exists so the golden-digest test
-	// can prove it still reproduces the historical behavior byte for byte —
-	// and costs O(instances) per simulated hour; leave it false everywhere
-	// else. The default (false) runs the per-instance event kernel, which
-	// additionally guarantees a freshly created instance one full
-	// lifecycleInterval of immunity before its first churn/preemption draw
-	// (the sweep could preempt a replacement in the same sweep it was born).
-	LegacySweeps bool
-
-	// legacyRandomPlacement remembers that normalize folded the deprecated
-	// RandomPlacement bool into Policy, so the trace hook can emit a one-shot
-	// deprecation event (TraceDeprecated) when a tracer attaches.
-	legacyRandomPlacement bool
-}
-
-// normalize folds deprecated knobs into their modern equivalents before the
-// profile is frozen into a data center. It is the only place the deprecated
-// RandomPlacement bool is read: after normalization, Policy is authoritative
-// everywhere else.
-func (p *RegionProfile) normalize() {
-	if p.Policy == nil && p.RandomPlacement {
-		p.Policy = RandomUniformPolicy{}
-		p.legacyRandomPlacement = true
-	}
 }
 
 // Validate checks the profile for internal consistency.
@@ -237,9 +196,6 @@ func (p RegionProfile) Validate() error {
 	}
 	if err := p.Faults.Validate(); err != nil {
 		return err
-	}
-	if p.Traffic.Enabled() && p.LegacySweeps {
-		return fmt.Errorf("faas: %s: background traffic requires the event kernel (LegacySweeps must be false)", p.Name)
 	}
 	if err := p.Traffic.Validate(); err != nil {
 		return fmt.Errorf("faas: %s: %w", p.Name, err)

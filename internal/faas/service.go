@@ -201,22 +201,19 @@ func (s *Service) Launch(n int) ([]*Instance, error) {
 	// the base pool here). Under the event kernel, going cold is detected by
 	// the decay timer each launch arms (demandDecay fires at window expiry,
 	// whether or not another launch ever arrives); a launch therefore only
-	// decays directly when it is the service's first, or when the legacy
-	// profile keeps the historical launch-time detection, or in the corner
-	// case where the timer is due at this very instant but ordered after the
-	// event that issued this launch. A mid-batch abort still counts as
+	// decays directly when it is the service's first, or in the corner case
+	// where the timer is due at this very instant but ordered after the event
+	// that issued this launch. A mid-batch abort still counts as
 	// observed demand — the load balancer processed the request before the
 	// failure.
 	if s.hasLaunched && now.Sub(s.lastLaunch) <= p.DemandWindow {
 		s.hotStreak++
-	} else if !s.hasLaunched || p.LegacySweeps || s.decayEvent.Pending() {
+	} else if !s.hasLaunched || s.decayEvent.Pending() {
 		s.demandDecay(now)
 	}
 	s.hasLaunched = true
 	s.lastLaunch = now
-	if !p.LegacySweeps {
-		s.scheduleDemandDecay(now)
-	}
+	s.scheduleDemandDecay(now)
 
 	// Reuse whatever is already running: active instances count as-is, idle
 	// ones are reconnected warm. Warm reuses are tracked only on the abort
@@ -305,8 +302,8 @@ func (s *Service) demandDecay(now simtime.Time) {
 // scheduleDemandDecay arms the service's cold-transition timer: unless a
 // further launch arrives within the demand window (cancelling and re-arming
 // the timer), the service decays the instant the window closes. The +1ns
-// keeps the boundary semantics of the legacy launch-time check, where a
-// launch exactly DemandWindow after the previous one still counted as hot.
+// keeps the boundary semantics of Launch's hot-streak check, where a launch
+// exactly DemandWindow after the previous one still counts as hot.
 func (s *Service) scheduleDemandDecay(now simtime.Time) {
 	sched := s.account.dc.platform.sched
 	sched.Cancel(&s.decayEvent)

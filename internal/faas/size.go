@@ -22,16 +22,6 @@ var (
 // Cloud Run default and the paper's default victim/attacker configuration.
 var SizeCatalog = []InstanceSize{SizePico, SizeSmall, SizeMedium, SizeLarge}
 
-// SizeByName returns the Table 1 size with the given name.
-func SizeByName(name string) (InstanceSize, error) {
-	for _, s := range SizeCatalog {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return InstanceSize{}, fmt.Errorf("faas: unknown instance size %q", name)
-}
-
 // Validate checks that the size requests positive resources.
 func (s InstanceSize) Validate() error {
 	if s.VCPU <= 0 || s.MemoryGB <= 0 {

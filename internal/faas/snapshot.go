@@ -22,10 +22,10 @@ import (
 // What cannot be snapshotted — all three capture state that lives outside
 // the world, which a deep copy cannot follow:
 //
-//   - pending closure events (Scheduler.At/After/Schedule): the legacy
-//     sweep path and experiment-scheduled callbacks. The event kernel and
-//     every platform timer use intrusive Handler events, which remap
-//     cleanly; LegacySweeps worlds and mid-callback snapshots error.
+//   - pending closure events (Scheduler.At/After/Schedule), such as
+//     experiment-scheduled callbacks. The event kernel and every platform
+//     timer use intrusive Handler events, which remap cleanly; mid-callback
+//     snapshots error.
 //   - instances carrying OnSIGTERM or SetWorkload callbacks.
 //   - an installed PlacementTracer.
 //
@@ -106,7 +106,7 @@ func clonePlatform(src *Platform) (*Platform, error) {
 		return nil, cl.err
 	}
 	if err != nil {
-		return nil, fmt.Errorf("faas: snapshot: %w (LegacySweeps worlds and experiment-scheduled closures cannot be snapshotted)", err)
+		return nil, fmt.Errorf("faas: snapshot: %w (experiment-scheduled closures cannot be snapshotted)", err)
 	}
 	np.sched = sched
 	return np, nil
@@ -122,22 +122,20 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 		rng:      odc.rng.Clone(),
 		// bootTimes is immutable after construction and identical across
 		// forks; sharing it saves the largest remaining per-fork slice.
-		bootTimes:         odc.bootTimes,
-		liveHosts:         odc.liveHosts,
-		accounts:          make(map[string]*Account, len(odc.accounts)),
-		nextInst:          odc.nextInst,
-		churnHazard:       odc.churnHazard,
-		preemptHazard:     odc.preemptHazard,
-		lifeSeed:          odc.lifeSeed,
-		lifeMix1:          odc.lifeMix1,
-		nurseryAt:         odc.nurseryAt,
-		policy:            odc.policy,
-		traceSeq:          odc.traceSeq,
-		deprecationWarned: odc.deprecationWarned,
-		channelShimWarned: odc.channelShimWarned,
-		faults:            odc.faults,
-		faultCounters:     odc.faultCounters,
-		liveInstances:     odc.liveInstances,
+		bootTimes:     odc.bootTimes,
+		liveHosts:     odc.liveHosts,
+		accounts:      make(map[string]*Account, len(odc.accounts)),
+		nextInst:      odc.nextInst,
+		churnHazard:   odc.churnHazard,
+		preemptHazard: odc.preemptHazard,
+		lifeSeed:      odc.lifeSeed,
+		lifeMix1:      odc.lifeMix1,
+		nurseryAt:     odc.nurseryAt,
+		policy:        odc.policy,
+		traceSeq:      odc.traceSeq,
+		faults:        odc.faults,
+		faultCounters: odc.faultCounters,
+		liveInstances: odc.liveInstances,
 	}
 	// Selection and derivation scratch is dead between operations by
 	// contract, so the fork starts with fresh (empty) scratch. The lifecycle

@@ -273,13 +273,4 @@ func TestSnapshotRejectsOutsideState(t *testing.T) {
 			t.Fatal("snapshot accepted a pending closure event")
 		}
 	})
-	t.Run("legacy sweeps", func(t *testing.T) {
-		prof := testProfile()
-		prof.LegacySweeps = true
-		prof.InstanceChurnPerHour = 0.05
-		p := MustPlatform(7, prof)
-		if _, err := p.Snapshot(); err == nil {
-			t.Fatal("snapshot accepted a LegacySweeps world (pending sweep closure)")
-		}
-	})
 }

@@ -8,17 +8,12 @@ type PlacementEventKind int
 const (
 	// TracePlace is a batch placement (one Launch's new instances).
 	TracePlace PlacementEventKind = iota
-	// TraceRecycle is the hourly churn sweep migrating one instance.
+	// TraceRecycle is a lifecycle-kernel churn event migrating one instance.
 	TraceRecycle
 	// TraceDemandDecay is a launch arriving outside the demand window.
 	TraceDemandDecay
 	// TraceIdleTerm is the reaper terminating an idle instance.
 	TraceIdleTerm
-	// TraceDeprecated is a one-shot warning that the region was configured
-	// through a deprecated knob (RandomPlacement) that normalize() folded
-	// into its modern equivalent. Emitted once per region, the first time a
-	// tracer is attached.
-	TraceDeprecated
 )
 
 // String names the event kind.
@@ -32,8 +27,6 @@ func (k PlacementEventKind) String() string {
 		return "demand-decay"
 	case TraceIdleTerm:
 		return "idle-term"
-	case TraceDeprecated:
-		return "deprecated"
 	default:
 		return "event?"
 	}
@@ -122,15 +115,8 @@ func (r *TraceRing) Dropped() uint64 { return r.dropped }
 
 // SetPlacementTracer installs (or, with nil, removes) the region's placement
 // tracer. The zero state is no tracer: recording costs nothing unless one is
-// installed. Regions configured through the deprecated RandomPlacement bool
-// warn once, as a TraceDeprecated event, the first time a tracer attaches.
-func (dc *DataCenter) SetPlacementTracer(t PlacementTracer) {
-	dc.tracer = t
-	if t != nil && dc.profile.legacyRandomPlacement && !dc.deprecationWarned {
-		dc.deprecationWarned = true
-		dc.trace(PlacementEvent{Kind: TraceDeprecated})
-	}
-}
+// installed.
+func (dc *DataCenter) SetPlacementTracer(t PlacementTracer) { dc.tracer = t }
 
 // trace stamps and records one event if a tracer is installed.
 func (dc *DataCenter) trace(ev PlacementEvent) {

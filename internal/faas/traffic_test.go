@@ -41,11 +41,6 @@ func TestTrafficValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("DiurnalAmplitude 1.5 accepted")
 	}
-	p := loadedProfile()
-	p.LegacySweeps = true
-	if _, err := NewPlatform(1, p); err == nil {
-		t.Error("traffic + LegacySweeps accepted")
-	}
 }
 
 // TestTrafficReachesTargetUtilization pins the model's macroscopic behavior:

@@ -59,8 +59,11 @@ func (s *Source) DeriveInto(dst *Source, labels ...string) *Source {
 	return dst
 }
 
-// DeriveIndexedInto is DeriveIndexed(label, idx) into an existing Source,
-// under the same aliasing contract as DeriveInto.
+// DeriveIndexedInto is DeriveInto(dst, label, strconv.Itoa(idx)) without
+// building the index string: the decimal digits are hashed directly. It
+// exists for per-entity stream derivation over dense integer identities (one
+// stream per host), where the throwaway label string was a measurable
+// allocation. Same aliasing contract as DeriveInto.
 func (s *Source) DeriveIndexedInto(dst *Source, label string, idx int) *Source {
 	dst.Reseed(s.deriveIndexedSeed(label, idx))
 	return dst
@@ -107,14 +110,6 @@ func (s *Source) DeriveSeed(labels ...string) uint64 {
 		}
 	}
 	return h
-}
-
-// DeriveIndexed is Derive(label, strconv.Itoa(idx)) without building the
-// index string: the decimal digits are hashed directly. It exists for
-// per-entity stream derivation over dense integer identities (one stream per
-// host), where the throwaway label string was a measurable allocation.
-func (s *Source) DeriveIndexed(label string, idx int) *Source {
-	return New(s.deriveIndexedSeed(label, idx))
 }
 
 // deriveIndexedSeed is DeriveSeed(label, strconv.Itoa(idx)) with the digits

@@ -17,9 +17,9 @@ import (
 //     doing now. A stale canceller holding a recycled slot's address can
 //     therefore only be dangerous if the slot was re-armed — which is why the
 //     kernel nil's the owning pointer when a slot is freed.
-//   - Arm of a still-pending event panics. A pool that ever freed a pending
-//     slot would blow up deterministically on the next lease instead of
-//     corrupting the queue.
+//   - ArmHandler of a still-pending event panics. A pool that ever freed a
+//     pending slot would blow up deterministically on the next lease instead
+//     of corrupting the queue.
 
 func TestCancelAfterFireIsNoOp(t *testing.T) {
 	s := NewScheduler(0)

@@ -48,14 +48,14 @@ func (t Time) String() string { return t.Real().Format(time.RFC3339Nano) }
 
 // Event is a scheduled callback, and the handle used to cancel it. Events
 // come in two flavours: Schedule allocates one per call (fire-and-forget),
-// while Arm inserts a caller-owned Event — typically embedded by value in the
-// owning object — so a timer that is re-armed over and over (the lifecycle
-// kernel's per-instance churn timers, the autoscaler's tick) costs zero
-// allocations per arm. A cancelled event is removed from the queue
+// while ArmHandler inserts a caller-owned Event — typically embedded by value
+// in the owning object — so a timer that is re-armed over and over (the
+// lifecycle kernel's per-instance churn timers, the autoscaler's tick) costs
+// zero allocations per arm. A cancelled event is removed from the queue
 // immediately (O(log n)), so abandoned timers do not leak dead entries into
 // every subsequent heap operation.
 //
-// The zero Event is ready to Arm. An Event must not be armed again while it
+// The zero Event is ready to arm. An Event must not be armed again while it
 // is still pending (Cancel it first); it may be re-armed freely from inside
 // its own callback or after it fired.
 type Event struct {
@@ -190,8 +190,8 @@ func (s *Scheduler) At(at Time, fn func(Time)) { s.Schedule(at, fn) }
 
 // Schedule is At returning the event as a cancellation handle.
 func (s *Scheduler) Schedule(at Time, fn func(Time)) *Event {
-	e := &Event{}
-	s.Arm(e, at, fn)
+	e := &Event{fn: fn}
+	s.arm(e, at)
 	return e
 }
 
@@ -206,25 +206,11 @@ func (s *Scheduler) ScheduleAfter(d time.Duration, fn func(Time)) *Event {
 	return s.Schedule(s.now.Add(d), fn)
 }
 
-// Arm inserts a caller-owned event — zero allocations per arm. Arming an
-// event that is still pending panics: a caller juggling overlapping deadlines
-// for one event has a state bug, and silently dropping either deadline would
-// destroy determinism. Cancel it first to re-target.
-func (s *Scheduler) Arm(e *Event, at Time, fn func(Time)) {
-	s.arm(e, at)
-	e.fn = fn
-}
-
-// ArmAfter is Arm with a relative deadline.
-func (s *Scheduler) ArmAfter(e *Event, d time.Duration, fn func(Time)) {
-	if d < 0 {
-		panic("simtime: negative delay")
-	}
-	s.Arm(e, s.now.Add(d), fn)
-}
-
-// ArmHandler is Arm with an interface callback instead of a func — fully
-// allocation-free per arm (see Handler).
+// ArmHandler inserts a caller-owned event with an interface callback — fully
+// allocation-free per arm (see Handler). Arming an event that is still
+// pending panics: a caller juggling overlapping deadlines for one event has a
+// state bug, and silently dropping either deadline would destroy determinism.
+// Cancel it first to re-target.
 func (s *Scheduler) ArmHandler(e *Event, at Time, h Handler) {
 	s.arm(e, at)
 	e.h = h
@@ -307,9 +293,9 @@ func (s *Scheduler) Step() bool {
 // deadline, tie-break sequence, and heap position — firing order is
 // byte-identical by construction.
 //
-// Closure events (Schedule/At, the legacy-sweep style) cannot be remapped —
-// a closure captures the old world — so a queue containing one is a Clone
-// error. The event kernel and every intrusive timer use Handler events.
+// Closure events (Schedule/At) cannot be remapped — a closure captures the
+// old world — so a queue containing one is a Clone error. The event kernel
+// and every intrusive timer use Handler events.
 func (s *Scheduler) Clone(remap func(old *Event, h Handler) (*Event, Handler)) (*Scheduler, error) {
 	c := &Scheduler{now: s.now, nextID: s.nextID, executed: s.executed}
 	if len(s.queue) == 0 {
