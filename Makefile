@@ -2,14 +2,16 @@ GO ?= go
 
 .PHONY: check lint race bench bench-scale bench-json bench-diff bench-gate run-all
 
-# Tier-1 gate: lint (gofmt + vet), build, test, a build + vet of the nested
-# perfbench module (which `./...` never reaches), a race pass over the fault
-# plane and its attack-side recovery paths, quick fault-sweep/multiregion/
+# Tier-1 gate: lint (gofmt + vet), build, test, a build + vet + test of the
+# nested perfbench module (which `./...` never reaches; its tests are the
+# determinism check on the benchmark's campaign workloads), a race pass over
+# the fault plane and its attack-side recovery paths, quick fault-sweep/multiregion/
 # channel-ablation and event-kernel smoke runs, and a smoke run of the
 # benchmark record tooling against the checked-in fixture.
 check: lint bench-scale bench-gate
 	$(GO) build ./...
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
+	cd perfbench && $(GO) test ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/core/... ./internal/faas/...
 	@$(GO) run ./cmd/eaao -quick run faultsweep >/dev/null

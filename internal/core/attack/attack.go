@@ -102,7 +102,7 @@ type Config struct {
 	MarginFloor float64
 	// MaxVoteBudget caps the escalation ladder's majority-vote budget; 0
 	// disables vote-budget escalation (the ladder goes straight to the
-	// fallback channel).
+	// fallback channel). The first raise is to 3, so 1 and 2 are invalid.
 	MaxVoteBudget int
 	// FallbackChannel, when set, is the channel the campaign swaps to when
 	// vote-budget escalation alone cannot restore margins — typically the
@@ -111,7 +111,8 @@ type Config struct {
 	// QuarantineAfter and NoisyHostBar quarantine persistently unreliable
 	// footprint instances: one whose solo background (or dead-read) rate is
 	// at least NoisyHostBar on QuarantineAfter consecutive unhealthy passes
-	// is excluded from verification. 0 disables quarantine.
+	// is excluded from verification. 0 disables quarantine; enabling it
+	// needs a positive NoisyHostBar, since a zero bar strikes every instance.
 	QuarantineAfter int
 	NoisyHostBar    float64
 	// CongestionBackoff, when positive, adds a noise-ledger hold before each
@@ -155,6 +156,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("attack: MarginFloor must be in [0, 1)")
 	case c.NoisyHostBar < 0 || c.NoisyHostBar > 1:
 		return fmt.Errorf("attack: NoisyHostBar must be in [0, 1]")
+	case c.QuarantineAfter > 0 && c.NoisyHostBar == 0:
+		return fmt.Errorf("attack: QuarantineAfter needs a positive NoisyHostBar")
+	case c.MaxVoteBudget == 1 || c.MaxVoteBudget == 2:
+		return fmt.Errorf("attack: MaxVoteBudget must be 0 or at least 3")
 	case c.FallbackChannel != "" && !covert.ValidChannel(c.FallbackChannel):
 		return fmt.Errorf("attack: unknown FallbackChannel %q (rng, llc, membus, combined)", c.FallbackChannel)
 	}

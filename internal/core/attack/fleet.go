@@ -21,7 +21,7 @@ import (
 // OptimizedStrategy and AdaptiveStrategy become paced round loops whose
 // continue/stop decision moves from the strategy into the planner (the
 // default planner for each reproduces the strategy's own rule, so a
-// one-shard fleet is byte-identical to the legacy single-region campaign);
+// one-shard fleet is byte-identical to a single-region Campaign);
 // NaiveStrategy and custom strategies run unpaced to completion, one shard
 // per region, with no budget coordination.
 type FleetCampaign struct {
@@ -386,16 +386,15 @@ func (fc *FleetCampaign) Stats() FleetStats {
 	return fs
 }
 
-// pacedStrategy is the round loop OptimizedStrategy and AdaptiveStrategy
-// share, with the continue/stop decision externalized to the fleet
-// coordinator: after launching every service once (one round), the shard
-// reports its footprint growth and blocks until the planner grants or
+// pacedStrategy runs the launchRounds loop OptimizedStrategy and
+// AdaptiveStrategy share, with the continue/stop decision externalized to
+// the fleet coordinator: after launching every service once (one round), the
+// shard reports its footprint growth and blocks until the planner grants or
 // denies the next round. A denied shard keeps its last waves resident and
-// holds them active, exactly like the final round of the legacy strategies;
-// a granted shard holds, disconnects, and waits out the launch interval.
-// The platform-visible operation sequence is identical to the legacy
-// strategies for the same grant pattern, which is what the R=1 identity
-// tests pin down.
+// holds them active; a granted shard holds, disconnects, and waits out the
+// launch interval. Because the loop is the built-in strategies' own, the
+// platform-visible operation sequence is identical to theirs for the same
+// grant pattern, which is what the R=1 identity tests pin down.
 type pacedStrategy struct {
 	name   string
 	prefix string
@@ -405,41 +404,12 @@ type pacedStrategy struct {
 
 // Name implements LaunchStrategy. The paced wrapper answers with the base
 // strategy's name so the campaign RNG derivation and the stats ledger are
-// indistinguishable from a legacy run.
+// indistinguishable from a single-region run.
 func (ps *pacedStrategy) Name() string { return ps.name }
 
 // Launch implements LaunchStrategy.
 func (ps *pacedStrategy) Launch(sink CampaignSink, acct *faas.Account, cfg Config, rng *randx.Source) error {
-	services := make([]*faas.Service, cfg.Services)
-	for i, name := range serviceNames(ps.prefix, cfg.Services) {
-		services[i] = sink.Deploy(name)
-	}
-	waves := make([][]*faas.Instance, 0, cfg.Services)
-	for round := 1; ; round++ {
-		before := sink.Footprint().Cumulative()
-		waves = waves[:0]
-		for _, svc := range services {
-			w, err := sink.LaunchWave(svc, round)
-			if err != nil {
-				return err
-			}
-			waves = append(waves, w.Instances)
-		}
-		if !ps.barrier(round, before, sink.Footprint().Cumulative()) {
-			for _, insts := range waves {
-				sink.Keep(insts)
-			}
-			sink.Hold(cfg.HoldActive)
-			return nil
-		}
-		sink.Hold(cfg.HoldActive)
-		for _, svc := range services {
-			svc.Disconnect()
-		}
-		if rest := cfg.Interval - cfg.HoldActive; rest > 0 {
-			sink.Hold(rest)
-		}
-	}
+	return launchRounds(sink, cfg, ps.prefix, ps.barrier)
 }
 
 // barrier reports one completed round and blocks for the planner's verdict.

@@ -78,6 +78,8 @@ func TestNoiseConfigValidate(t *testing.T) {
 		func(c *Config) { c.FallbackChannel = "hyperlane" },
 		func(c *Config) { c.CalibrationRounds = -1 },
 		func(c *Config) { c.CongestionBackoff = -time.Second },
+		func(c *Config) { c.QuarantineAfter = 1 },
+		func(c *Config) { c.MaxVoteBudget = 2 },
 	} {
 		cfg := DefaultConfig()
 		mod(&cfg)

@@ -96,33 +96,9 @@ func (OptimizedStrategy) Name() string { return "optimized" }
 
 // Launch implements LaunchStrategy.
 func (OptimizedStrategy) Launch(sink CampaignSink, acct *faas.Account, cfg Config, rng *randx.Source) error {
-	services := make([]*faas.Service, cfg.Services)
-	for i, name := range serviceNames("opt", cfg.Services) {
-		services[i] = sink.Deploy(name)
-	}
-	for launch := 1; launch <= cfg.Launches; launch++ {
-		last := launch == cfg.Launches
-		for _, svc := range services {
-			w, err := sink.LaunchWave(svc, launch)
-			if err != nil {
-				return err
-			}
-			if last {
-				sink.Keep(w.Instances)
-			}
-		}
-		sink.Hold(cfg.HoldActive)
-		if !last {
-			for _, svc := range services {
-				svc.Disconnect()
-			}
-			rest := cfg.Interval - cfg.HoldActive
-			if rest > 0 {
-				sink.Hold(rest)
-			}
-		}
-	}
-	return nil
+	return launchRounds(sink, cfg, "opt", func(round, _, _ int) bool {
+		return round < cfg.Launches
+	})
 }
 
 // DefaultAdaptiveMinYield is the marginal-yield floor AdaptiveStrategy stops
@@ -151,25 +127,39 @@ func (s AdaptiveStrategy) Launch(sink CampaignSink, acct *faas.Account, cfg Conf
 	if minYield <= 0 {
 		minYield = DefaultAdaptiveMinYield
 	}
+	return launchRounds(sink, cfg, "adaptive", func(round, before, cumulative int) bool {
+		return round < cfg.Launches &&
+			(round == 1 || float64(cumulative-before) >= minYield*float64(before))
+	})
+}
+
+// launchRounds is the §5.2 round loop shared by OptimizedStrategy,
+// AdaptiveStrategy and the fleet's paced shards. It deploys cfg.Services
+// services named after prefix and launches each of them once per round.
+// After every round, more decides from the round number and the footprint
+// before and after it whether another round follows. The final round's
+// waves stay connected as the resident footprint and are held active for
+// HoldActive; every other round is held, disconnected, and the rest of the
+// launch interval waited out, which keeps each service in a high-demand
+// state for the next round.
+func launchRounds(sink CampaignSink, cfg Config, prefix string,
+	more func(round, before, cumulative int) bool) error {
 	services := make([]*faas.Service, cfg.Services)
-	for i, name := range serviceNames("adaptive", cfg.Services) {
+	for i, name := range serviceNames(prefix, cfg.Services) {
 		services[i] = sink.Deploy(name)
 	}
 	waves := make([][]*faas.Instance, 0, cfg.Services)
-	for launch := 1; launch <= cfg.Launches; launch++ {
+	for round := 1; ; round++ {
 		before := sink.Footprint().Cumulative()
 		waves = waves[:0]
 		for _, svc := range services {
-			w, err := sink.LaunchWave(svc, launch)
+			w, err := sink.LaunchWave(svc, round)
 			if err != nil {
 				return err
 			}
 			waves = append(waves, w.Instances)
 		}
-		grown := sink.Footprint().Cumulative() - before
-		last := launch == cfg.Launches ||
-			(launch > 1 && float64(grown) < minYield*float64(before))
-		if last {
+		if !more(round, before, sink.Footprint().Cumulative()) {
 			for _, insts := range waves {
 				sink.Keep(insts)
 			}
@@ -180,12 +170,10 @@ func (s AdaptiveStrategy) Launch(sink CampaignSink, acct *faas.Account, cfg Conf
 		for _, svc := range services {
 			svc.Disconnect()
 		}
-		rest := cfg.Interval - cfg.HoldActive
-		if rest > 0 {
+		if rest := cfg.Interval - cfg.HoldActive; rest > 0 {
 			sink.Hold(rest)
 		}
 	}
-	return nil
 }
 
 // Strategies returns one instance of every built-in launch strategy, in

@@ -7,42 +7,19 @@ import (
 	"eaao/internal/faas"
 )
 
-// Calibrate empirically measures the background contention rate of a shared
-// resource from a probe instance (ideally one known to be alone on its host,
-// e.g. freshly launched in a quiet account) and derives a CTest
-// configuration whose vote threshold separates background noise from true
-// co-location with comfortable margin.
+// CalibrateChannel empirically measures the background contention rate of
+// a channel's shared resource from a probe instance (ideally one known to be
+// alone on its host, e.g. freshly launched in a quiet account) and derives,
+// from the channel's tuned base configuration, a CTest configuration whose
+// vote threshold separates background noise from true co-location with
+// comfortable margin. The background is sampled through the channel's own
+// round primitive.
 //
 // The derivation places the threshold midway (in standard deviations)
 // between the background distribution Binomial(rounds, bg) and the
 // co-located distribution (essentially Binomial(rounds, ≈1)): a co-located
 // instance sees its partner's pressure every round, a lone instance only the
 // background rate.
-func Calibrate(base Config, probe *faas.Instance, sampleRounds int) (Config, error) {
-	if sampleRounds <= 0 {
-		return Config{}, fmt.Errorf("covert: calibration needs sample rounds")
-	}
-	hits := 0
-	for i := 0; i < sampleRounds; i++ {
-		obs, err := faas.ContentionRoundOn(base.Resource, []*faas.Instance{probe})
-		if err != nil {
-			return Config{}, err
-		}
-		// A lone probe observes itself (1) plus background; ≥2 means a
-		// background event (or an actual co-resident pressurer, which the
-		// caller is responsible for excluding).
-		if obs[0] >= 2 {
-			hits++
-		}
-	}
-	return deriveThreshold(base, float64(hits)/float64(sampleRounds))
-}
-
-// CalibrateChannel is Calibrate for a pluggable channel primitive: the
-// background rate is sampled through the channel's own round primitive and
-// the threshold derived from the channel's tuned base configuration. For the
-// RNG channel this draws and derives identically to
-// Calibrate(DefaultConfig(), ...).
 func CalibrateChannel(ch Channel, probe *faas.Instance, sampleRounds int) (Config, error) {
 	if sampleRounds <= 0 {
 		return Config{}, fmt.Errorf("covert: calibration needs sample rounds")
@@ -56,6 +33,9 @@ func CalibrateChannel(ch Channel, probe *faas.Instance, sampleRounds int) (Confi
 		if err != nil {
 			return Config{}, err
 		}
+		// A lone probe observes itself (1) plus background; ≥2 means a
+		// background event (or an actual co-resident pressurer, which the
+		// caller is responsible for excluding).
 		if obs[0] >= 2 {
 			hits++
 		}
@@ -64,7 +44,7 @@ func CalibrateChannel(ch Channel, probe *faas.Instance, sampleRounds int) (Confi
 }
 
 // deriveThreshold turns a measured background rate into a calibrated
-// configuration (the math shared by Calibrate and CalibrateChannel).
+// configuration of base (CalibrateChannel's threshold math).
 func deriveThreshold(base Config, bg float64) (Config, error) {
 	if bg >= 0.9 {
 		return Config{}, fmt.Errorf("covert: background rate %.2f too high to calibrate — probe may not be alone", bg)

@@ -41,7 +41,7 @@ func quietProbe(t *testing.T, pl *faas.Platform, others []*faas.Instance) *faas.
 func TestCalibrateRNG(t *testing.T) {
 	pl, insts := testWorld(t, 20, 40)
 	probe := quietProbe(t, pl, insts)
-	cfg, err := Calibrate(DefaultConfig(), probe, 500)
+	cfg, err := CalibrateChannel(RNGChannel(), probe, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCalibrateMemBus(t *testing.T) {
 	probe := quietProbe(t, pl, insts)
 	base := MemBusConfig()
 	base.VoteThreshold = 1 // calibration must fix this up
-	cfg, err := Calibrate(base, probe, 800)
+	cfg, err := CalibrateChannel(resourceChannel{base.Resource, base}, probe, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,11 @@ func TestCalibrateMemBus(t *testing.T) {
 
 func TestCalibrateErrors(t *testing.T) {
 	_, insts := testWorld(t, 22, 5)
-	if _, err := Calibrate(DefaultConfig(), insts[0], 0); err == nil {
-		t.Error("zero sample rounds accepted")
+	base := MemBusConfig()
+	for _, rounds := range []int{0, -1} {
+		if _, err := CalibrateChannel(resourceChannel{base.Resource, base}, insts[0], rounds); err == nil {
+			t.Errorf("%d sample rounds accepted", rounds)
+		}
 	}
 }
 
@@ -144,28 +147,6 @@ func TestCalibrateChannelConverges(t *testing.T) {
 	}
 }
 
-// Calibrating through the pluggable RNG channel must reproduce the historical
-// Calibrate(DefaultConfig(), ...) result exactly — same draws, same threshold
-// — so existing calibrations are unchanged by the channel layer.
-func TestCalibrateChannelRNGIdentity(t *testing.T) {
-	plA, instsA := testWorld(t, 25, 40)
-	plB, instsB := testWorld(t, 25, 40)
-	// quietProbe is deterministic, so the twin world yields the twin probe.
-	probeA := quietProbe(t, plA, instsA)
-	probeB := quietProbe(t, plB, instsB)
-	legacy, err := Calibrate(DefaultConfig(), probeA, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pluggable, err := CalibrateChannel(RNGChannel(), probeB, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy != pluggable {
-		t.Errorf("RNG calibration changed under the channel layer:\n  legacy    %+v\n  pluggable %+v", legacy, pluggable)
-	}
-}
-
 func TestCalibrateChannelErrors(t *testing.T) {
 	_, insts := testWorld(t, 26, 5)
 	if _, err := CalibrateChannel(RNGChannel(), insts[0], 0); err == nil {
@@ -185,7 +166,7 @@ func TestCalibrateRejectsBusyProbe(t *testing.T) {
 	base := DefaultConfig()
 	base.Rounds = 1
 	base.VoteThreshold = 1
-	cfg, err := Calibrate(base, probe, 100)
+	cfg, err := CalibrateChannel(resourceChannel{base.Resource, base}, probe, 100)
 	if err != nil {
 		t.Fatalf("calibration with 1 round failed: %v", err)
 	}

@@ -29,6 +29,16 @@ func ablationProfile() faas.RegionProfile {
 	return p
 }
 
+// ablationConfig is the ablations' standard campaign: DefaultConfig with 2
+// services and n instances per launch, launched launches times.
+func ablationConfig(n, launches int) attack.Config {
+	cfg := attack.DefaultConfig()
+	cfg.Services = 2
+	cfg.InstancesPerLaunch = n
+	cfg.Launches = launches
+	return cfg
+}
+
 // ablationWorld launches n instances in a fresh ablation region. The
 // launched world — not just the empty region — rides the snapshot path: the
 // first (seed, n, gen) request builds and launches once, and every other
@@ -219,10 +229,7 @@ func runAblations(ctx Context) (*Result, error) {
 	iRows, err := runTrials(ctx, len(intervals), func(t Trial) (int, error) {
 		pl := forkPlatform(ctx.Seed+4, ablationProfile())
 		dc := pl.MustRegion("ablation")
-		cfg := attack.DefaultConfig()
-		cfg.Services = 2
-		cfg.InstancesPerLaunch = n
-		cfg.Launches = 4
+		cfg := ablationConfig(n, 4)
 		cfg.Interval = intervals[t.Index]
 		camp, err := launchCampaign(dc, "atk", cfg, attack.OptimizedStrategy{}, sandbox.Gen1)
 		if err != nil {
@@ -246,10 +253,8 @@ func runAblations(ctx Context) (*Result, error) {
 	sRows, err := runTrials(ctx, len(serviceCounts), func(t Trial) (int, error) {
 		pl := forkPlatform(ctx.Seed+5, ablationProfile())
 		dc := pl.MustRegion("ablation")
-		cfg := attack.DefaultConfig()
+		cfg := ablationConfig(n, 4)
 		cfg.Services = serviceCounts[t.Index]
-		cfg.InstancesPerLaunch = n
-		cfg.Launches = 4
 		camp, err := launchCampaign(dc, "atk", cfg, attack.OptimizedStrategy{}, sandbox.Gen1)
 		if err != nil {
 			return 0, err
@@ -276,25 +281,9 @@ func runAblations(ctx Context) (*Result, error) {
 			p.DynamicPlacement = true
 			p.DynamicResampleFrac = frac
 		}
-		pl := forkPlatform(ctx.Seed+11, p)
-		dc := pl.MustRegion("ablation")
-		cfg := attack.DefaultConfig()
-		cfg.Services = 2
-		cfg.InstancesPerLaunch = n
-		cfg.Launches = 4
-		camp, err := launchCampaign(dc, "attacker", cfg, attack.OptimizedStrategy{}, sandbox.Gen1)
-		if err != nil {
-			return 0, err
-		}
-		_, vic, err := coldVictim(dc, "victim", "v", faas.ServiceConfig{}, 60, 3)
-		if err != nil {
-			return 0, err
-		}
-		cov, _, err := camp.Verify(vic)
-		if err != nil {
-			return 0, err
-		}
-		return cov.Fraction(), nil
+		c, err := runCell(forkPlatform(ctx.Seed+11, p).MustRegion("ablation"),
+			ablationConfig(n, 4), attack.OptimizedStrategy{})
+		return c.coverage(), err
 	})
 	if err != nil {
 		return nil, err

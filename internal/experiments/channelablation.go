@@ -116,54 +116,26 @@ func runChannelAblation(ctx Context) (*Result, error) {
 	// faultsweep's hardened budgets, so the channels — not the recovery
 	// machinery — are what the cells compare.
 	regimes := ctx.channelRegimes()
-	type cell struct {
+	type unit struct {
 		channel string
 		regime  channelRegime
 	}
-	var units []cell
+	var units []unit
 	for _, reg := range regimes {
 		for _, ch := range channels {
-			units = append(units, cell{ch, reg})
+			units = append(units, unit{ch, reg})
 		}
 	}
-	type cRow struct {
-		st     attack.CampaignStats
-		cov    attack.Coverage
-		failed bool
-	}
-	cRows, err := runTrials(ctx, len(units), func(t Trial) (cRow, error) {
+	cRows, err := runTrials(ctx, len(units), func(t Trial) (cell, error) {
 		u := units[t.Index]
 		prof := ablationProfile()
 		prof.Faults = u.regime.plan
-		pl := forkPlatform(ctx.Seed+43, prof)
-		dc := pl.MustRegion("ablation")
-		cfg := attack.DefaultConfig()
-		cfg.Services = 2
-		cfg.InstancesPerLaunch = n
-		cfg.Launches = 4
+		cfg := ablationConfig(n, 4)
 		cfg.Channel = u.channel
 		if u.regime.plan.Enabled() {
 			hardenedBudgets(&cfg)
 		}
-		camp, err := launchCampaign(dc, "attacker", cfg, attack.OptimizedStrategy{}, sandbox.Gen1)
-		if err != nil {
-			if injectedFault(err) {
-				return cRow{failed: true}, nil
-			}
-			return cRow{}, err
-		}
-		_, vic, err := faultTolerantVictim(dc, "victim", "v", 60, 3)
-		if err != nil {
-			return cRow{}, err
-		}
-		cov, _, err := camp.Verify(vic)
-		if err != nil {
-			if injectedFault(err) {
-				return cRow{st: camp.Stats(), failed: true}, nil
-			}
-			return cRow{}, err
-		}
-		return cRow{st: camp.Stats(), cov: cov}, nil
+		return runCell(forkPlatform(ctx.Seed+43, prof).MustRegion("ablation"), cfg, attack.OptimizedStrategy{})
 	})
 	if err != nil {
 		return nil, err
@@ -172,18 +144,17 @@ func runChannelAblation(ctx Context) (*Result, error) {
 		"regime", "channel", "coverage", "CTests", "channel time", "re-votes", "USD")
 	for i, u := range units {
 		r := cRows[i]
-		cov := r.cov.Fraction()
+		cov := r.coverage()
 		status := ""
-		if r.failed {
-			cov = 0
+		if r.died {
 			status = " (died)"
 		}
-		cTbl.AddRow(u.regime.name+status, u.channel, cov, r.st.CTests,
-			r.st.CovertTime.String(), r.st.ReVotes, r.st.USD)
+		cTbl.AddRow(u.regime.name+status, u.channel, cov, r.stats.CTests,
+			r.stats.CovertTime.String(), r.stats.ReVotes, r.stats.USD)
 		key := fmt.Sprintf("%s_%s", u.channel, u.regime.key)
 		res.Metrics["cov_"+key] = cov
-		res.Metrics["ctests_"+key] = float64(r.st.CTests)
-		res.Metrics["covertmin_"+key] = r.st.CovertTime.Minutes()
+		res.Metrics["ctests_"+key] = float64(r.stats.CTests)
+		res.Metrics["covertmin_"+key] = r.stats.CovertTime.Minutes()
 	}
 	res.Tables = append(res.Tables, cTbl)
 

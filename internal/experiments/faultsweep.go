@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"eaao/internal/core/attack"
 	"eaao/internal/faas"
 	"eaao/internal/report"
-	"eaao/internal/sandbox"
 )
 
 // faultVariant is one curve of the fault sweep: a launch strategy plus a
@@ -78,47 +76,19 @@ func runFaultSweep(ctx Context) (*Result, error) {
 		}
 	}
 
-	type point struct {
-		st     attack.CampaignStats
-		cov    attack.Coverage
-		failed bool // campaign died to an unrecovered injected fault
-	}
 	// All units share one world seed: like the strategy ablation, the fault
 	// level and the hardening are the only variables (the trial sub-seed is
 	// deliberately unused).
-	rows, err := runTrials(ctx, len(units), func(t Trial) (point, error) {
+	rows, err := runTrials(ctx, len(units), func(t Trial) (cell, error) {
 		u := units[t.Index]
 		prof := ablationProfile()
 		prof.Faults = faas.UniformFaultPlan(u.level)
-		pl := forkPlatform(ctx.Seed+31, prof)
-		dc := pl.MustRegion("ablation")
-		cfg := attack.DefaultConfig()
-		cfg.Services = 2
-		cfg.InstancesPerLaunch = n
-		cfg.Launches = 6
+		cfg := ablationConfig(n, 6)
 		cfg.Channel = ctx.Channel
 		if u.variant.hardened {
 			hardenedBudgets(&cfg)
 		}
-		camp, err := launchCampaign(dc, "attacker", cfg, u.variant.strategy, sandbox.Gen1)
-		if err != nil {
-			if injectedFault(err) {
-				return point{failed: true}, nil
-			}
-			return point{}, err
-		}
-		_, vic, err := faultTolerantVictim(dc, "victim", "v", 60, 3)
-		if err != nil {
-			return point{}, err
-		}
-		cov, _, err := camp.Verify(vic)
-		if err != nil {
-			if injectedFault(err) {
-				return point{st: camp.Stats(), failed: true}, nil
-			}
-			return point{}, err
-		}
-		return point{st: camp.Stats(), cov: cov}, nil
+		return runCell(forkPlatform(ctx.Seed+31, prof).MustRegion("ablation"), cfg, u.variant.strategy)
 	})
 	if err != nil {
 		return nil, err
@@ -136,22 +106,21 @@ func runFaultSweep(ctx Context) (*Result, error) {
 	zeroCov := make(map[string]float64)
 	for i, u := range units {
 		p := rows[i]
-		cov := p.cov.Fraction()
+		cov := p.coverage()
 		status := ""
-		if p.failed {
-			cov = 0
+		if p.died {
 			status = " (died)"
 		}
 		if u.level == 0 {
 			zeroCov[u.variant.name] = cov
 		}
 		tbl.AddRow(fmt.Sprintf("%.0f%%%s", 100*u.level, status), u.variant.name, cov,
-			p.st.USD, p.st.LaunchRetries, p.st.ReVotes,
-			p.st.ProbeRetries+p.st.ProbeSkips, p.st.FaultUSD)
+			p.stats.USD, p.stats.LaunchRetries, p.stats.ReVotes,
+			p.stats.ProbeRetries+p.stats.ProbeSkips, p.stats.FaultUSD)
 		key := fmt.Sprintf("%s_f%.0f", u.variant.name, 100*u.level)
 		res.Metrics["cov_"+key] = cov
-		res.Metrics["usd_"+key] = p.st.USD
-		res.Metrics["faultusd_"+key] = p.st.FaultUSD
+		res.Metrics["usd_"+key] = p.stats.USD
+		res.Metrics["faultusd_"+key] = p.stats.FaultUSD
 		if base := zeroCov[u.variant.name]; base > 0 && u.level > 0 {
 			res.Metrics["retention_"+key] = cov / base
 		}
@@ -162,12 +131,8 @@ func runFaultSweep(ctx Context) (*Result, error) {
 			if u.variant.name != v.name {
 				continue
 			}
-			cov := rows[i].cov.Fraction()
-			if rows[i].failed {
-				cov = 0
-			}
 			xs = append(xs, u.level)
-			ys = append(ys, cov)
+			ys = append(ys, rows[i].coverage())
 		}
 		fig.AddSeries(v.name, xs, ys)
 	}
@@ -177,38 +142,4 @@ func runFaultSweep(ctx Context) (*Result, error) {
 	res.note("same world seed per cell; fault level and hardening are the only variables")
 	res.note("hardened budgets: %d launch retries (30s backoff), vote budget 3, probe retry budget 3; optimized-raw zeroes all of them, so its first unrecovered fault kills the campaign", 4)
 	return res, nil
-}
-
-// injectedFault reports whether an error chain bottoms out in one of the
-// fault plane's injected failures (as opposed to a programming error, which
-// must fail the experiment).
-func injectedFault(err error) bool {
-	return errors.Is(err, faas.ErrLaunchFault) || errors.Is(err, sandbox.ErrProbeFault)
-}
-
-// faultTolerantVictim is coldVictim for a faulted world: the victim tenant's
-// deploy tooling retries transient launch rejections like any production
-// pipeline, so victim existence is part of the environment rather than a
-// casualty of the sweep. Retries advance the clock by the same backoff a
-// real control plane would impose.
-func faultTolerantVictim(dc *faas.DataCenter, account, service string,
-	n, launches int) (*faas.Service, []*faas.Instance, error) {
-	svc := dc.Account(account).DeployService(service, faas.ServiceConfig{})
-	var vic []*faas.Instance
-	for l := 0; l < launches; l++ {
-		var err error
-		vic, err = svc.Launch(n)
-		for tries := 0; err != nil && errors.Is(err, faas.ErrLaunchFault) && tries < 8; tries++ {
-			dc.Scheduler().Advance(15 * time.Second)
-			vic, err = svc.Launch(n)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		if l < launches-1 {
-			svc.Disconnect()
-			dc.Scheduler().Advance(45 * time.Minute)
-		}
-	}
-	return svc, vic, nil
 }

@@ -10,7 +10,6 @@ import (
 	"eaao/internal/core/fingerprint"
 	"eaao/internal/faas"
 	"eaao/internal/report"
-	"eaao/internal/sandbox"
 )
 
 // The noisesweep experiment is the robustness story of the background-traffic
@@ -87,7 +86,7 @@ func noiseProbeWorld(seed uint64, n int, util float64) (*faas.Platform, []*faas.
 	w.once.Do(func() {
 		pl := forkPlatform(seed, noiseProfile(util))
 		pl.Scheduler().Advance(noiseWarmup)
-		if _, _, err := faultTolerantVictim(pl.MustRegion("ablation"), "a", "s", n, 1); err != nil {
+		if _, _, err := coldVictim(pl.MustRegion("ablation"), "a", "s", faas.ServiceConfig{}, n, 1); err != nil {
 			w.err = err
 			return
 		}
@@ -364,49 +363,20 @@ func runNoiseSweep(ctx Context) (*Result, error) {
 			cUnits = append(cUnits, cCell{tier, ch, false}, cCell{tier, ch, true})
 		}
 	}
-	type cRow struct {
-		st      attack.CampaignStats
-		cov     attack.Coverage
-		trueCov float64
-		failed  bool
-	}
-	cRows, err := runTrials(ctx, len(cUnits), func(t Trial) (cRow, error) {
+	cRows, err := runTrials(ctx, len(cUnits), func(t Trial) (cell, error) {
 		u := cUnits[t.Index]
 		pl, err := noiseCampaignWorld(ctx.Seed+47, u.tier.util)
 		if err != nil {
-			return cRow{}, err
+			return cell{}, err
 		}
-		dc := pl.MustRegion("ablation")
-		cfg := attack.DefaultConfig()
-		cfg.Services = 2
-		cfg.InstancesPerLaunch = n
-		cfg.Launches = 4
+		cfg := ablationConfig(n, 4)
 		cfg.Channel = u.ch
 		hardenedBudgets(&cfg)
 		cfg.LaunchRetries = 6
 		if u.hardened {
 			applyNoiseHardening(&cfg)
 		}
-		camp, err := launchCampaign(dc, "attacker", cfg, attack.OptimizedStrategy{}, sandbox.Gen1)
-		if err != nil {
-			if injectedFault(err) {
-				return cRow{failed: true}, nil
-			}
-			return cRow{}, err
-		}
-		_, vic, err := faultTolerantVictim(dc, "victim", "v", 60, 3)
-		if err != nil {
-			return cRow{}, err
-		}
-		cov, spies, err := camp.Verify(vic)
-		if err != nil {
-			if injectedFault(err) {
-				return cRow{st: camp.Stats(), failed: true}, nil
-			}
-			return cRow{}, err
-		}
-		return cRow{st: camp.Stats(), cov: cov,
-			trueCov: groundTruthCoverage(vic, spies)}, nil
+		return runCell(pl.MustRegion("ablation"), cfg, attack.OptimizedStrategy{})
 	})
 	if err != nil {
 		return nil, err
@@ -419,23 +389,23 @@ func runNoiseSweep(ctx Context) (*Result, error) {
 		if u.hardened {
 			variant = "hard"
 		}
-		covFrac := r.cov.Fraction()
-		status := ""
-		if r.failed {
-			covFrac, r.trueCov = 0, 0
+		covFrac, trueCov, status := r.coverage(), 0.0, ""
+		if r.died {
 			status = " (died)"
+		} else {
+			trueCov = groundTruthCoverage(r.victims, r.spies)
 		}
-		ladder := fmt.Sprintf("%dc/%de/%df/%dq", r.st.Calibrations,
-			r.st.NoiseEscalations, r.st.ChannelFallbacks, r.st.Quarantined)
-		cTbl.AddRow(u.tier.name+status, u.ch, variant, covFrac, r.trueCov,
-			r.st.LowMarginTests, ladder, r.st.USD, r.st.NoiseUSD, r.st.CostPerVictim())
+		ladder := fmt.Sprintf("%dc/%de/%df/%dq", r.stats.Calibrations,
+			r.stats.NoiseEscalations, r.stats.ChannelFallbacks, r.stats.Quarantined)
+		cTbl.AddRow(u.tier.name+status, u.ch, variant, covFrac, trueCov,
+			r.stats.LowMarginTests, ladder, r.stats.USD, r.stats.NoiseUSD, r.stats.CostPerVictim())
 		key := fmt.Sprintf("%s_%s_%s", u.ch, u.tier.key, variant)
 		res.Metrics["cov_"+key] = covFrac
-		res.Metrics["truecov_"+key] = r.trueCov
-		res.Metrics["usd_"+key] = r.st.USD
-		res.Metrics["cpv_"+key] = r.st.CostPerVictim()
-		res.Metrics["noiseusd_"+key] = r.st.NoiseUSD
-		res.Metrics["lowmargin_"+key] = float64(r.st.LowMarginTests)
+		res.Metrics["truecov_"+key] = trueCov
+		res.Metrics["usd_"+key] = r.stats.USD
+		res.Metrics["cpv_"+key] = r.stats.CostPerVictim()
+		res.Metrics["noiseusd_"+key] = r.stats.NoiseUSD
+		res.Metrics["lowmargin_"+key] = float64(r.stats.LowMarginTests)
 	}
 	res.Tables = append(res.Tables, cTbl)
 

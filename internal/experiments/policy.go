@@ -6,7 +6,6 @@ import (
 	"eaao/internal/core/attack"
 	"eaao/internal/faas"
 	"eaao/internal/report"
-	"eaao/internal/sandbox"
 )
 
 // runPolicyAblation reruns the optimized attack of §5.2 under each built-in
@@ -46,21 +45,7 @@ func runPolicyAblation(ctx Context) (*Result, error) {
 		ring := faas.NewTraceRing(4096)
 		dc.SetPlacementTracer(ring)
 
-		cfg := attack.DefaultConfig()
-		cfg.Services = 2
-		cfg.InstancesPerLaunch = n
-		cfg.Launches = 4
-		camp, err := launchCampaign(dc, "attacker", cfg, attack.OptimizedStrategy{}, sandbox.Gen1)
-		if err != nil {
-			return row{}, err
-		}
-
-		vicSvc, vic, err := coldVictim(dc, "victim", "v", faas.ServiceConfig{}, 60, 3)
-		if err != nil {
-			return row{}, err
-		}
-
-		cov, _, err := camp.Verify(vic)
+		c, err := runCell(dc, ablationConfig(n, 4), attack.OptimizedStrategy{})
 		if err != nil {
 			return row{}, err
 		}
@@ -77,9 +62,9 @@ func runPolicyAblation(ctx Context) (*Result, error) {
 			meanHosts = float64(hostSum) / float64(batches)
 		}
 		return row{
-			footprint:   camp.Stats().ApparentHosts,
-			cov:         cov,
-			coldFrac:    vicSvc.ColdHostFraction(),
+			footprint:   c.stats.ApparentHosts,
+			cov:         c.cov,
+			coldFrac:    c.vicSvc.ColdHostFraction(),
 			traceBatch:  batches,
 			traceHosts:  meanHosts,
 			traceDrop:   ring.Dropped(),

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"eaao/internal/core/attack"
-	"eaao/internal/faas"
 	"eaao/internal/report"
-	"eaao/internal/sandbox"
 )
 
 // runStrategyAblation reruns the §5.2 campaign under every built-in launch
@@ -22,33 +20,12 @@ func runStrategyAblation(ctx Context) (*Result, error) {
 	}
 
 	strategies := attack.Strategies()
-	type row struct {
-		st  attack.CampaignStats
-		cov attack.Coverage
-	}
 	// All rows share one world seed so the comparison is controlled: the
 	// launch strategy is the only difference (the trial sub-seed is
 	// deliberately unused).
-	rows, err := runTrials(ctx, len(strategies), func(t Trial) (row, error) {
-		pl := forkPlatform(ctx.Seed+31, ablationProfile())
-		dc := pl.MustRegion("ablation")
-		cfg := attack.DefaultConfig()
-		cfg.Services = 2
-		cfg.InstancesPerLaunch = n
-		cfg.Launches = 6
-		camp, err := launchCampaign(dc, "attacker", cfg, strategies[t.Index], sandbox.Gen1)
-		if err != nil {
-			return row{}, err
-		}
-		_, vic, err := coldVictim(dc, "victim", "v", faas.ServiceConfig{}, 60, 3)
-		if err != nil {
-			return row{}, err
-		}
-		cov, _, err := camp.Verify(vic)
-		if err != nil {
-			return row{}, err
-		}
-		return row{camp.Stats(), cov}, nil
+	rows, err := runTrials(ctx, len(strategies), func(t Trial) (cell, error) {
+		return runCell(forkPlatform(ctx.Seed+31, ablationProfile()).MustRegion("ablation"),
+			ablationConfig(n, 6), strategies[t.Index])
 	})
 	if err != nil {
 		return nil, err
@@ -59,13 +36,13 @@ func runStrategyAblation(ctx Context) (*Result, error) {
 	for i, s := range strategies {
 		r := rows[i]
 		name := s.Name()
-		tbl.AddRow(name, r.st.Waves, r.st.InstancesLaunched, r.st.ApparentHosts,
-			r.cov.Fraction(), r.st.USD, r.st.CTests)
-		res.Metrics["coverage_"+name] = r.cov.Fraction()
-		res.Metrics["usd_"+name] = r.st.USD
-		res.Metrics["waves_"+name] = float64(r.st.Waves)
-		res.Metrics["footprint_"+name] = float64(r.st.ApparentHosts)
-		res.Metrics["ctests_"+name] = float64(r.st.CTests)
+		tbl.AddRow(name, r.stats.Waves, r.stats.InstancesLaunched, r.stats.ApparentHosts,
+			r.coverage(), r.stats.USD, r.stats.CTests)
+		res.Metrics["coverage_"+name] = r.coverage()
+		res.Metrics["usd_"+name] = r.stats.USD
+		res.Metrics["waves_"+name] = float64(r.stats.Waves)
+		res.Metrics["footprint_"+name] = float64(r.stats.ApparentHosts)
+		res.Metrics["ctests_"+name] = float64(r.stats.CTests)
 	}
 	res.Tables = append(res.Tables, tbl)
 

@@ -56,8 +56,7 @@ func MustFleet(seed uint64, profiles ...RegionProfile) *Fleet {
 // Regions must be distinct, and with two or more shards each must live on
 // its own Platform: shards sharing a scheduler cannot advance independently,
 // which would break both shard isolation and deterministic merging. A
-// single-shard fleet may wrap a region of any platform — that is the
-// compatibility path existing single-region experiments ride on.
+// single-shard fleet may wrap a region of any platform.
 func FleetOf(dcs ...*DataCenter) (*Fleet, error) {
 	if len(dcs) == 0 {
 		return nil, fmt.Errorf("faas: fleet needs at least one region")
@@ -71,7 +70,7 @@ func FleetOf(dcs ...*DataCenter) (*Fleet, error) {
 			return nil, fmt.Errorf("faas: duplicate region %s in fleet", dc.Region())
 		}
 		for _, prev := range dcs[:i] {
-			if len(dcs) > 1 && prev.Platform() == dc.Platform() {
+			if prev.Platform() == dc.Platform() {
 				return nil, fmt.Errorf("faas: fleet shards %s and %s share a platform (each shard needs its own clock)",
 					prev.Region(), dc.Region())
 			}
