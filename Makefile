@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint race bench bench-scale bench-json bench-diff bench-gate run-all
+.PHONY: check lint race bench bench-scale bench-json bench-diff bench-gate run-all loc
 
 # Tier-1 gate: lint (gofmt + vet), build, test, a build + vet + test of the
 # nested perfbench module (which `./...` never reaches; its tests are the
@@ -76,3 +76,8 @@ bench-gate:
 
 run-all:
 	$(GO) run ./cmd/eaao run all
+
+# Line count of the tracked non-test Go outside the benchmark module: the
+# size the design aim "the same behaviour from less code" is measured by.
+loc:
+	@git ls-files -z '*.go' ':!:*_test.go' ':!:perfbench/**' | xargs -0 cat | wc -l

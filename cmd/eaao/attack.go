@@ -35,36 +35,11 @@ func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPoli
 		return err
 	}
 
-	profiles := eaao.DefaultProfiles()
-	if quick {
-		// Match the experiment harness's reduced scale.
-		for i := range profiles {
-			profiles[i].NumHosts /= 4
-			profiles[i].BasePoolSize /= 4
-			profiles[i].AccountHelperPool /= 4
-			profiles[i].ServiceHelperSize /= 4
-			if profiles[i].ServiceHelperFresh > 4 {
-				profiles[i].ServiceHelperFresh /= 4
-			}
-		}
-		if *perLaunch == 800 {
-			*perLaunch = 200
-		}
-	}
-	if policy != nil {
-		for i := range profiles {
-			profiles[i].Policy = policy
-		}
-	}
-	if faults.Enabled() {
-		for i := range profiles {
-			profiles[i].Faults = faults
-		}
-	}
-	if load > 0 {
-		for i := range profiles {
-			profiles[i].Traffic = eaao.DefaultTrafficModel(profiles[i].NumHosts, load)
-		}
+	// The experiments' region set: quick scale, policy, faults and load
+	// applied exactly as `eaao run` applies them.
+	profiles := eaao.ExperimentContext{Quick: quick, Policy: policy, Faults: faults, Load: load}.Profiles()
+	if quick && *perLaunch == 800 {
+		*perLaunch = 200
 	}
 	gen := eaao.Gen1
 	if *gen2 {

@@ -112,7 +112,8 @@ type Config struct {
 	// footprint instances: one whose solo background (or dead-read) rate is
 	// at least NoisyHostBar on QuarantineAfter consecutive unhealthy passes
 	// is excluded from verification. 0 disables quarantine; enabling it
-	// needs a positive NoisyHostBar, since a zero bar strikes every instance.
+	// needs a positive NoisyHostBar, since a zero bar strikes every instance,
+	// and a single-channel Channel, since the solo sampling reads one channel.
 	QuarantineAfter int
 	NoisyHostBar    float64
 	// CongestionBackoff, when positive, adds a noise-ledger hold before each
@@ -158,6 +159,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("attack: NoisyHostBar must be in [0, 1]")
 	case c.QuarantineAfter > 0 && c.NoisyHostBar == 0:
 		return fmt.Errorf("attack: QuarantineAfter needs a positive NoisyHostBar")
+	case c.QuarantineAfter > 0 && c.Channel == covert.CombinedChannelName:
+		return fmt.Errorf("attack: QuarantineAfter needs a single channel, not %q", c.Channel)
 	case c.MaxVoteBudget == 1 || c.MaxVoteBudget == 2:
 		return fmt.Errorf("attack: MaxVoteBudget must be 0 or at least 3")
 	case c.FallbackChannel != "" && !covert.ValidChannel(c.FallbackChannel):

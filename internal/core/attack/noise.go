@@ -20,7 +20,7 @@ import (
 //
 //  1. Calibrate once: a footprint probe samples each channel's background
 //     rate in the live world and re-derives the vote thresholds
-//     (covert.CalibratedRunnerFor).
+//     (covert.Tester.Calibrated).
 //  2. Measure, watching margin health: a pass where too many CTest verdicts
 //     hover near the threshold (TestEvent.MinMargin < MarginFloor) is
 //     unhealthy.
@@ -108,8 +108,8 @@ func (c *Campaign) escalate() bool {
 	if next < 3 {
 		next = 3
 	}
-	if rb, ok := c.tester.(covert.Rebudgeter); ok && next <= c.cfg.MaxVoteBudget {
-		c.SetTester(rb.Rebudget(next))
+	if t, ok := c.tester.(*covert.Tester); ok && next <= c.cfg.MaxVoteBudget {
+		c.SetTester(t.Rebudget(next))
 		c.stats.NoiseEscalations++
 		return true
 	}
@@ -161,12 +161,15 @@ func (c *Campaign) noiseRunner(name string) covert.Runner {
 	return r
 }
 
-// tryCalibrate runs covert.CalibratedRunnerFor on the campaign's probe (the
-// first live footprint instance) and returns the runner plus the virtual
-// wall the sampling is worth — sampleRounds at the channel's per-round pace.
+// tryCalibrate calibrates the named channel's tester on the campaign's probe
+// (the first live footprint instance) and returns it plus the virtual wall
+// the sampling is worth — sampleRounds at the channel's per-round pace.
 func (c *Campaign) tryCalibrate(name string) (covert.Runner, time.Duration, bool) {
-	probe := c.res.Live[0]
-	r, err := covert.CalibratedRunnerFor(name, c.sched, probe, c.cfg.CalibrationRounds, c.cfg.VoteBudget)
+	t, err := covert.RunnerFor(name, c.sched, c.cfg.VoteBudget)
+	if err != nil {
+		return nil, 0, false
+	}
+	r, err := t.Calibrated(c.res.Live[0], c.cfg.CalibrationRounds)
 	if err != nil {
 		return nil, 0, false
 	}
@@ -180,13 +183,15 @@ func (c *Campaign) tryCalibrate(name string) (covert.Runner, time.Duration, bool
 // pressuring every round) or dead-read (the channel dropping the instance's
 // own unit) rate clears NoisyHostBar. QuarantineAfter consecutive strikes
 // exclude the instance from verification: its host's channel is unreliable
-// enough that its verdicts are spending budget to produce noise.
+// enough that its verdicts are spending budget to produce noise. The solo
+// sampling reads one channel, so it runs only on a single-channel tester
+// (Validate rejects quarantine on the combined channel).
 func (c *Campaign) quarantineNoisy() {
-	cg, ok := c.tester.(interface{ Channel() covert.Channel })
-	if !ok {
+	t, ok := c.tester.(*covert.Tester)
+	if !ok || len(t.Channels()) != 1 {
 		return
 	}
-	ch := cg.Channel()
+	res := t.Config().Resource
 	if c.strikes == nil {
 		c.strikes = make(map[*faas.Instance]int)
 		c.quarantined = make(map[*faas.Instance]bool)
@@ -203,7 +208,7 @@ func (c *Campaign) quarantineNoisy() {
 		for r := 0; r < quarantineSampleRounds; r++ {
 			single[0] = inst
 			var err error
-			obs, err = ch.Round(single, obs)
+			obs, err = faas.ContentionRoundOnInto(res, single, obs)
 			if err != nil {
 				sampled = false
 				break

@@ -80,6 +80,7 @@ func TestNoiseConfigValidate(t *testing.T) {
 		func(c *Config) { c.CongestionBackoff = -time.Second },
 		func(c *Config) { c.QuarantineAfter = 1 },
 		func(c *Config) { c.MaxVoteBudget = 2 },
+		func(c *Config) { c.Channel, c.QuarantineAfter, c.NoisyHostBar = "combined", 1, 0.5 },
 	} {
 		cfg := DefaultConfig()
 		mod(&cfg)

@@ -99,6 +99,9 @@ type verifier struct {
 	// instBuf is the scratch instance slice handed to CTest; reused across
 	// every small-group test of the run (CTest never retains it).
 	instBuf []*faas.Instance
+	// testsBefore is the tester's test count on entry: a tester shared
+	// across runs keeps counting, and Result.Tests reports this run's share.
+	testsBefore int
 }
 
 // Verify runs the scalable methodology over the items.
@@ -106,7 +109,7 @@ func Verify(tester Tester, items []Item, opt Options) (*Result, error) {
 	if opt.M < 2 {
 		return nil, fmt.Errorf("coloc: threshold M=%d, need at least 2", opt.M)
 	}
-	v := &verifier{tester: tester, opt: opt, res: &Result{}}
+	v := &verifier{tester: tester, opt: opt, res: &Result{}, testsBefore: tester.Stats().Tests}
 
 	// Step 1: group by fingerprint, preserving first-seen order.
 	groupOf := make(map[fingerprint.Key][]int)
@@ -357,7 +360,7 @@ func (v *verifier) finish(items []Item, clusters [][]int, wallTests int) {
 		v.res.Clusters = append(v.res.Clusters, insts)
 	}
 	dur := v.tester.Config().TestDuration
-	v.res.Tests = v.tester.Stats().Tests
+	v.res.Tests = v.tester.Stats().Tests - v.testsBefore
 	v.res.SerializedTime = time.Duration(v.res.Tests) * dur
 	v.res.WallTime = time.Duration(wallTests) * dur
 }

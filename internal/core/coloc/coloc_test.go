@@ -76,6 +76,29 @@ func TestVerifyMatchesGroundTruth(t *testing.T) {
 	}
 }
 
+// A tester shared across runs keeps counting, but each Result reports only
+// its own run's tests: verifying the same items twice costs the same twice.
+func TestVerifyReportsPerRunTests(t *testing.T) {
+	pl, insts := testWorld(t, 1, 200, sandbox.Gen1)
+	tester := covert.NewTester(pl.Scheduler(), covert.DefaultConfig())
+	items := itemsGen1(t, insts, fingerprint.DefaultPrecision)
+	first, err := Verify(tester, items, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Verify(tester, items, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Tests == 0 || second.Tests != first.Tests || second.SerializedTime != first.SerializedTime {
+		t.Errorf("second run reported %d tests (%v), first %d (%v)",
+			second.Tests, second.SerializedTime, first.Tests, first.SerializedTime)
+	}
+	if got := tester.Stats().Tests; got != first.Tests+second.Tests {
+		t.Errorf("tester counted %d tests, runs reported %d", got, first.Tests+second.Tests)
+	}
+}
+
 func TestVerifyIsCheapWithGoodFingerprints(t *testing.T) {
 	pl, insts := testWorld(t, 2, 200, sandbox.Gen1)
 	tester := covert.NewTester(pl.Scheduler(), covert.DefaultConfig())

@@ -3,22 +3,28 @@ package covert
 import "testing"
 
 // CTest runs once per candidate group in every verification sweep, and each
-// test spins Rounds contention rounds. The vote and observation scratch is
-// reused across calls, so a steady-state CTest allocates only its returned
-// result slice.
+// test spins Rounds contention rounds per channel and repetition. The vote,
+// observation and majority scratch is reused across calls, so a
+// steady-state CTest allocates only its returned result slice, whatever the
+// channel count.
 func TestCTestAllocs(t *testing.T) {
-	pl, insts := testWorld(t, 5, 30)
-	tester := NewTester(pl.Scheduler(), DefaultConfig())
-	group := insts[:3]
-	if _, err := tester.CTest(group, 2); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	for _, name := range []string{"rng", CombinedChannelName} {
+		pl, insts := testWorld(t, 5, 30)
+		tester, err := RunnerFor(name, pl.Scheduler(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		group := insts[:3]
 		if _, err := tester.CTest(group, 2); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 1 {
-		t.Errorf("CTest allocates %.1f per run, budget 1 (the result slice)", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := tester.CTest(group, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%s CTest allocates %.1f per run, budget 1 (the result slice)", name, allocs)
+		}
 	}
 }

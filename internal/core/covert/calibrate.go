@@ -8,19 +8,17 @@ import (
 )
 
 // CalibrateChannel empirically measures the background contention rate of
-// a channel's shared resource from a probe instance (ideally one known to be
+// base's shared resource from a probe instance (ideally one known to be
 // alone on its host, e.g. freshly launched in a quiet account) and derives,
-// from the channel's tuned base configuration, a CTest configuration whose
-// vote threshold separates background noise from true co-location with
-// comfortable margin. The background is sampled through the channel's own
-// round primitive.
+// from base, a CTest configuration whose vote threshold separates
+// background noise from true co-location with comfortable margin.
 //
 // The derivation places the threshold midway (in standard deviations)
 // between the background distribution Binomial(rounds, bg) and the
 // co-located distribution (essentially Binomial(rounds, ≈1)): a co-located
 // instance sees its partner's pressure every round, a lone instance only the
 // background rate.
-func CalibrateChannel(ch Channel, probe *faas.Instance, sampleRounds int) (Config, error) {
+func CalibrateChannel(base Config, probe *faas.Instance, sampleRounds int) (Config, error) {
 	if sampleRounds <= 0 {
 		return Config{}, fmt.Errorf("covert: calibration needs sample rounds")
 	}
@@ -29,7 +27,7 @@ func CalibrateChannel(ch Channel, probe *faas.Instance, sampleRounds int) (Confi
 	single := []*faas.Instance{probe}
 	for i := 0; i < sampleRounds; i++ {
 		var err error
-		obs, err = ch.Round(single, obs)
+		obs, err = faas.ContentionRoundOnInto(base.Resource, single, obs)
 		if err != nil {
 			return Config{}, err
 		}
@@ -40,7 +38,7 @@ func CalibrateChannel(ch Channel, probe *faas.Instance, sampleRounds int) (Confi
 			hits++
 		}
 	}
-	return deriveThreshold(ch.Config(), float64(hits)/float64(sampleRounds))
+	return deriveThreshold(base, float64(hits)/float64(sampleRounds))
 }
 
 // deriveThreshold turns a measured background rate into a calibrated

@@ -41,7 +41,7 @@ func quietProbe(t *testing.T, pl *faas.Platform, others []*faas.Instance) *faas.
 func TestCalibrateRNG(t *testing.T) {
 	pl, insts := testWorld(t, 20, 40)
 	probe := quietProbe(t, pl, insts)
-	cfg, err := CalibrateChannel(RNGChannel(), probe, 500)
+	cfg, err := CalibrateChannel(DefaultConfig(), probe, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestCalibrateMemBus(t *testing.T) {
 	probe := quietProbe(t, pl, insts)
 	base := MemBusConfig()
 	base.VoteThreshold = 1 // calibration must fix this up
-	cfg, err := CalibrateChannel(resourceChannel{base.Resource, base}, probe, 800)
+	cfg, err := CalibrateChannel(base, probe, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestCalibrateErrors(t *testing.T) {
 	_, insts := testWorld(t, 22, 5)
 	base := MemBusConfig()
 	for _, rounds := range []int{0, -1} {
-		if _, err := CalibrateChannel(resourceChannel{base.Resource, base}, insts[0], rounds); err == nil {
+		if _, err := CalibrateChannel(base, insts[0], rounds); err == nil {
 			t.Errorf("%d sample rounds accepted", rounds)
 		}
 	}
@@ -105,20 +105,20 @@ func TestCalibrateErrors(t *testing.T) {
 func TestCalibrateChannelConverges(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
-		ch           Channel
+		base         Config
 		minThreshold int
 	}{
-		{"llc", LLCChannel(), 2},
-		{"membus", MemBusChannel(), 15},
+		{"llc", LLCConfig(), 2},
+		{"membus", MemBusConfig(), 15},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl, insts := testWorld(t, 24, 120)
 			probe := quietProbe(t, pl, insts)
-			cfg, err := CalibrateChannel(tc.ch, probe, 800)
+			cfg, err := CalibrateChannel(tc.base, probe, 800)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Resource != tc.ch.Config().Resource {
+			if cfg.Resource != tc.base.Resource {
 				t.Errorf("calibrated config drives %v, want the channel's resource", cfg.Resource)
 			}
 			if cfg.VoteThreshold <= tc.minThreshold {
@@ -127,7 +127,7 @@ func TestCalibrateChannelConverges(t *testing.T) {
 			if cfg.VoteThreshold > cfg.Rounds {
 				t.Errorf("threshold %d of %d rounds unreachable", cfg.VoteThreshold, cfg.Rounds)
 			}
-			tester := NewChannelTester(pl.Scheduler(), tc.ch, cfg)
+			tester := NewTester(pl.Scheduler(), cfg)
 			coA, coB, farA, farB := findPairs(t, insts)
 			pos, err := tester.PairTest(insts[coA], insts[coB])
 			if err != nil {
@@ -149,7 +149,7 @@ func TestCalibrateChannelConverges(t *testing.T) {
 
 func TestCalibrateChannelErrors(t *testing.T) {
 	_, insts := testWorld(t, 26, 5)
-	if _, err := CalibrateChannel(RNGChannel(), insts[0], 0); err == nil {
+	if _, err := CalibrateChannel(DefaultConfig(), insts[0], 0); err == nil {
 		t.Error("zero sample rounds accepted")
 	}
 }
@@ -166,7 +166,7 @@ func TestCalibrateRejectsBusyProbe(t *testing.T) {
 	base := DefaultConfig()
 	base.Rounds = 1
 	base.VoteThreshold = 1
-	cfg, err := CalibrateChannel(resourceChannel{base.Resource, base}, probe, 100)
+	cfg, err := CalibrateChannel(base, probe, 100)
 	if err != nil {
 		t.Fatalf("calibration with 1 round failed: %v", err)
 	}

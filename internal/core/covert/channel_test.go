@@ -1,55 +1,20 @@
 package covert
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"eaao/internal/faas"
 )
 
-// A plain Tester drives its config's resource channel, so it must be
-// indistinguishable from NewChannelTester(RNGChannel()): two same-seed
-// worlds, one per constructor, produce identical verdicts round for round
-// and both label their channel "rng".
-func TestRNGChannelMatchesDirectPath(t *testing.T) {
-	plA, instsA := testWorld(t, 31, 80)
-	plB, instsB := testWorld(t, 31, 80)
-	direct := NewTester(plA.Scheduler(), DefaultConfig())
-	channel := NewChannelTester(plB.Scheduler(), RNGChannel(), DefaultConfig())
-	if direct.Channel().Name() != "rng" || channel.Channel().Name() != "rng" {
-		t.Fatalf("channels %q / %q, want rng for both",
-			direct.Channel().Name(), channel.Channel().Name())
-	}
-	for trial := 0; trial < 12; trial++ {
-		lo := (trial * 7) % (len(instsA) - 3)
-		a, err := direct.CTest(instsA[lo:lo+3], 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := channel.CTest(instsB[lo:lo+3], 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d instance %d: direct=%v channel=%v", trial, i, a[i], b[i])
-			}
-		}
-	}
-	if plA.Now() != plB.Now() {
-		t.Errorf("clocks diverged: %v vs %v", plA.Now(), plB.Now())
-	}
-	if direct.Stats() != channel.Stats() {
-		t.Errorf("stats diverged: %+v vs %+v", direct.Stats(), channel.Stats())
-	}
-}
-
 func TestLLCChannelClassifiesPairs(t *testing.T) {
 	pl, insts := testWorld(t, 32, 60)
 	if err := LLCConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tester := NewChannelTester(pl.Scheduler(), LLCChannel(), LLCConfig())
+	tester := NewTester(pl.Scheduler(), LLCConfig())
 	coA, coB, farA, farB := findPairs(t, insts)
 	pos, err := tester.PairTest(insts[coA], insts[coB])
 	if err != nil {
@@ -71,68 +36,10 @@ func TestLLCChannelClassifiesPairs(t *testing.T) {
 	}
 }
 
-func TestMultiTesterMajority(t *testing.T) {
-	pl, insts := testWorld(t, 33, 60)
-	mt := NewMultiTester(pl.Scheduler(), 0, RNGChannel(), LLCChannel(), MemBusChannel())
-	coA, coB, farA, farB := findPairs(t, insts)
-
-	wantDur := DefaultConfig().TestDuration + LLCConfig().TestDuration + MemBusConfig().TestDuration
-	if got := mt.Config().TestDuration; got != wantDur {
-		t.Errorf("combined TestDuration = %v, want %v", got, wantDur)
-	}
-
-	sink := &recordingSink{}
-	mt.SetSink(sink)
-	before := pl.Now()
-	pos, err := mt.PairTest(insts[coA], insts[coB])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pos {
-		t.Error("co-located pair negative on the combined tester")
-	}
-	if got := pl.Now().Sub(before); got != wantDur {
-		t.Errorf("combined test advanced the clock %v, want %v", got, wantDur)
-	}
-	// One combined invocation, three per-channel executions with distinct
-	// labels.
-	if mt.Stats().Tests != 1 {
-		t.Errorf("combined Tests = %d, want 1", mt.Stats().Tests)
-	}
-	if len(sink.events) != 3 {
-		t.Fatalf("sink saw %d events, want one per member channel", len(sink.events))
-	}
-	seen := map[string]bool{}
-	for _, ev := range sink.events {
-		seen[ev.Channel] = true
-	}
-	if !seen["rng"] || !seen["llc"] || !seen["membus"] {
-		t.Errorf("channel labels = %v", seen)
-	}
-	for _, child := range mt.Children() {
-		if child.Stats().Tests != 1 {
-			t.Errorf("child %v ran %d tests, want 1", child.Config().Resource, child.Stats().Tests)
-		}
-	}
-
-	neg, err := mt.PairTest(insts[farA], insts[farB])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if neg {
-		t.Error("separated pair positive on the combined tester")
-	}
-
-	mt.ResetStats()
-	if mt.Stats().Tests != 0 || mt.Children()[0].Stats().Tests != 0 {
-		t.Error("ResetStats did not clear combined and child counters")
-	}
-}
-
 // A majority across channels outvotes corruption confined to one family: with
 // the RNG channel under a certain false-negative storm, the single-channel
 // RNG tester misses a co-located pair but the combined tester still finds it.
-func TestMultiTesterOutvotesTargetedCorruption(t *testing.T) {
+func TestCombinedOutvotesTargetedCorruption(t *testing.T) {
 	p := faas.USEast1Profile()
 	p.Name = "t"
 	p.NumHosts = 120
@@ -158,8 +65,11 @@ func TestMultiTesterOutvotesTargetedCorruption(t *testing.T) {
 		t.Fatal("RNG tester found the pair through a certain false-negative storm")
 	}
 
-	mt := NewMultiTester(pl.Scheduler(), 0, RNGChannel(), LLCChannel(), MemBusChannel())
-	pos, err = mt.PairTest(insts[coA], insts[coB])
+	combined, err := RunnerFor(CombinedChannelName, pl.Scheduler(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos, err = combined.PairTest(insts[coA], insts[coB])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,15 +81,11 @@ func TestMultiTesterOutvotesTargetedCorruption(t *testing.T) {
 func TestRunnerFor(t *testing.T) {
 	pl, _ := testWorld(t, 35, 1)
 	for _, name := range []string{"", "rng", "llc", "membus"} {
-		r, err := RunnerFor(name, pl.Scheduler(), 3)
+		tester, err := RunnerFor(name, pl.Scheduler(), 3)
 		if err != nil {
 			t.Fatalf("RunnerFor(%q): %v", name, err)
 		}
-		tester, ok := r.(*Tester)
-		if !ok {
-			t.Fatalf("RunnerFor(%q) returned %T, want *Tester", name, r)
-		}
-		if tester.Config().VoteBudget != 3 {
+		if len(tester.Channels()) != 1 || tester.Config().VoteBudget != 3 {
 			t.Errorf("RunnerFor(%q) lost the vote budget", name)
 		}
 		wantRes := faas.ResourceRNG
@@ -193,21 +99,22 @@ func TestRunnerFor(t *testing.T) {
 			t.Errorf("RunnerFor(%q) drives %v", name, tester.Config().Resource)
 		}
 	}
-	r, err := RunnerFor("combined", pl.Scheduler(), 2)
+	combined, err := RunnerFor("combined", pl.Scheduler(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt, ok := r.(*MultiTester)
-	if !ok {
-		t.Fatalf("RunnerFor(combined) returned %T", r)
+	want := []faas.Resource{faas.ResourceRNG, faas.ResourceLLC, faas.ResourceMemBus}
+	if got := combined.Channels(); len(got) != len(want) {
+		t.Fatalf("combined runner has %d channels, want %d", len(got), len(want))
 	}
-	if len(mt.Children()) != 3 {
-		t.Errorf("combined runner has %d channels", len(mt.Children()))
-	}
-	for _, c := range mt.Children() {
-		if c.Config().VoteBudget != 2 {
-			t.Errorf("combined child %v lost the vote budget", c.Config().Resource)
+	for i, c := range combined.Channels() {
+		if c.Resource != want[i] || c.VoteBudget != 2 {
+			t.Errorf("combined channel %d = %v budget %d, want %v budget 2", i, c.Resource, c.VoteBudget, want[i])
 		}
+	}
+	wantDur := DefaultConfig().TestDuration + LLCConfig().TestDuration + MemBusConfig().TestDuration
+	if got := combined.Config().TestDuration; got != wantDur {
+		t.Errorf("combined TestDuration = %v, want %v", got, wantDur)
 	}
 	if _, err := RunnerFor("hyperlane", pl.Scheduler(), 0); err == nil {
 		t.Error("unknown channel accepted")
@@ -220,30 +127,6 @@ func TestRunnerFor(t *testing.T) {
 	}
 	if !ValidChannel("") || ValidChannel("hyperlane") {
 		t.Error("ValidChannel wrong on edge cases")
-	}
-}
-
-func TestChannelByName(t *testing.T) {
-	for name, want := range map[string]faas.Resource{
-		"":       faas.ResourceRNG,
-		"rng":    faas.ResourceRNG,
-		"llc":    faas.ResourceLLC,
-		"membus": faas.ResourceMemBus,
-	} {
-		ch, err := ChannelByName(name)
-		if err != nil {
-			t.Fatalf("ChannelByName(%q): %v", name, err)
-		}
-		if ch.Config().Resource != want {
-			t.Errorf("ChannelByName(%q) = %v", name, ch.Config().Resource)
-		}
-		if err := ch.Config().Validate(); err != nil {
-			t.Errorf("channel %q config invalid: %v", name, err)
-		}
-	}
-	// "combined" is a Runner, not a Channel.
-	if _, err := ChannelByName("combined"); err == nil {
-		t.Error("ChannelByName accepted the combined selector")
 	}
 }
 
@@ -270,5 +153,108 @@ func TestPlainTesterLabelsEvents(t *testing.T) {
 	}
 	if sink.events[0].Duration != 3*time.Second {
 		t.Errorf("membus event duration = %v", sink.events[0].Duration)
+	}
+}
+
+// TestChannelTable runs every channel RunnerFor resolves, single-shot and
+// under a vote budget, through the properties every Tester must keep:
+// same-seed worlds replay identically; each CTest advances the clock by
+// reps·TestDuration, counts reps tests and emits one channel-labelled event
+// per channel and repetition; Rebudget and Calibrated keep the channels in
+// order.
+func TestChannelTable(t *testing.T) {
+	for _, name := range ChannelNames() {
+		for _, budget := range []int{0, 3} {
+			t.Run(fmt.Sprintf("%s/%d", name, budget), func(t *testing.T) {
+				type world struct {
+					pl     *faas.Platform
+					insts  []*faas.Instance
+					tester *Tester
+					sink   *recordingSink
+				}
+				worlds := make([]world, 2)
+				for w := range worlds {
+					pl, insts := testWorld(t, 37, 40)
+					tester, err := RunnerFor(name, pl.Scheduler(), budget)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sink := &recordingSink{}
+					tester.SetSink(sink)
+					worlds[w] = world{pl, insts, tester, sink}
+				}
+				reps := max(budget, 1)
+				a, b := worlds[0], worlds[1]
+				chans := a.tester.Channels()
+				dur := a.tester.Config().TestDuration
+				for trial := 0; trial < 6; trial++ {
+					group := a.insts[trial*3 : trial*3+3]
+					beforeNow, beforeStats, beforeEvents := a.pl.Now(), a.tester.Stats(), len(a.sink.events)
+					got, err := a.tester.CTest(group, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := a.pl.Now().Sub(beforeNow); d != time.Duration(reps)*dur {
+						t.Errorf("trial %d advanced the clock %v, want %d×%v", trial, d, reps, dur)
+					}
+					st := a.tester.Stats()
+					if st.Tests-beforeStats.Tests != reps || st.PairsTested-beforeStats.PairsTested != 3*reps ||
+						st.InstanceTime-beforeStats.InstanceTime != time.Duration(3*reps)*dur {
+						t.Errorf("trial %d stats %+v → %+v, want %d tests", trial, beforeStats, st, reps)
+					}
+					events := a.sink.events[beforeEvents:]
+					if len(events) != reps*len(chans) {
+						t.Fatalf("trial %d emitted %d events, want %d", trial, len(events), reps*len(chans))
+					}
+					for i, ev := range events {
+						if ev.Channel != chans[i/reps].Resource.String() || ev.Repetition != i%reps {
+							t.Errorf("trial %d event %d = %s rep %d", trial, i, ev.Channel, ev.Repetition)
+						}
+					}
+					replay, err := b.tester.CTest(b.insts[trial*3:trial*3+3], 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, replay) {
+						t.Errorf("trial %d verdicts %v, replay %v", trial, got, replay)
+					}
+				}
+				if a.pl.Now() != b.pl.Now() || a.tester.Stats() != b.tester.Stats() ||
+					!slices.Equal(a.sink.events, b.sink.events) {
+					t.Error("same-seed worlds diverged")
+				}
+
+				rebudgeted := a.tester.Rebudget(5)
+				for i, c := range rebudgeted.Channels() {
+					want := chans[i]
+					want.VoteBudget = 5
+					if c != want {
+						t.Errorf("rebudgeted channel %d = %+v, want %+v", i, c, want)
+					}
+				}
+				if rebudgeted.Config().TestDuration != dur {
+					t.Errorf("rebudgeted TestDuration = %v, want %v", rebudgeted.Config().TestDuration, dur)
+				}
+
+				calA, err := a.tester.Calibrated(a.insts[0], 100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				calB, err := b.tester.Calibrated(b.insts[0], 100)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(calA.Channels(), calB.Channels()) {
+					t.Error("same-seed calibrations diverged")
+				}
+				for i, c := range calA.Channels() {
+					want := chans[i]
+					want.VoteThreshold = c.VoteThreshold
+					if c != want || c.VoteThreshold < 1 || c.VoteThreshold > c.Rounds {
+						t.Errorf("calibrated channel %d = %+v, want %+v with a threshold in [1, Rounds]", i, c, chans[i])
+					}
+				}
+			})
+		}
 	}
 }

@@ -19,6 +19,7 @@ package covert
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"eaao/internal/faas"
@@ -132,37 +133,61 @@ type Sink interface {
 }
 
 // Tester executes CTest invocations against the simulated platform,
-// advancing the virtual clock for each test and accounting costs.
+// advancing the virtual clock for each test and accounting costs. It drives
+// one or more channel configs: with several, every CTest runs once per
+// channel and each instance's final verdict is the majority of the
+// per-channel verdicts, so corruption confined to one resource family — a
+// targeted misfire storm, a busy LLC — is outvoted by the healthy channels,
+// at the cost of paying every channel's test duration.
 type Tester struct {
+	cfgs []Config
+	// cfg is what Config reports: the first channel's config with
+	// TestDuration summed over every channel (the wall cost of one test).
 	cfg   Config
 	sched *simtime.Scheduler
 	stats Stats
 	sink  Sink
-	// ch is the channel primitive every round goes through: the one given
-	// to NewChannelTester, or cfg.Resource's for NewTester.
-	ch Channel
 
 	// votes and obs are per-test scratch reused across CTests (a test runs
 	// Rounds contention rounds; without reuse each round allocated a fresh
 	// observation slice). pair backs PairTest's two-instance participant
-	// list; wins is majority-vote scratch for VoteBudget > 1.
-	votes []int
-	obs   []int
-	pair  [2]*faas.Instance
-	wins  []int
+	// list; repWins and chWins count the majority votes across repetitions
+	// and across channels.
+	votes   []int
+	obs     []int
+	pair    [2]*faas.Instance
+	repWins []int
+	chWins  []int
 }
 
-// NewTester builds a Tester on cfg.Resource's channel. It panics on an
-// invalid config, which is always a programming error at this layer.
-func NewTester(sched *simtime.Scheduler, cfg Config) *Tester {
-	return NewChannelTester(sched, resourceChannel{cfg.Resource, cfg}, cfg)
+// NewTester builds a Tester over the given channel configs, in order. It
+// panics on no configs, an invalid one, or configs disagreeing on
+// VoteBudget, which are always programming errors at this layer.
+func NewTester(sched *simtime.Scheduler, cfgs ...Config) *Tester {
+	if len(cfgs) == 0 {
+		panic("covert: NewTester needs at least one channel config")
+	}
+	t := &Tester{cfgs: slices.Clone(cfgs), cfg: cfgs[0], sched: sched}
+	t.cfg.TestDuration = 0
+	for _, c := range cfgs {
+		if err := c.Validate(); err != nil {
+			panic(err)
+		}
+		if c.VoteBudget != cfgs[0].VoteBudget {
+			panic("covert: channel configs disagree on VoteBudget")
+		}
+		t.cfg.TestDuration += c.TestDuration
+	}
+	return t
 }
 
-// Config returns the tester's configuration.
+// Config returns the first channel's configuration with TestDuration summed
+// over every channel: verification layers read TestDuration as the wall
+// cost of one CTest.
 func (t *Tester) Config() Config { return t.cfg }
 
-// Channel returns the channel primitive the tester drives.
-func (t *Tester) Channel() Channel { return t.ch }
+// Channels returns the per-channel configurations, in test order.
+func (t *Tester) Channels() []Config { return slices.Clone(t.cfgs) }
 
 // Stats returns the accumulated cost counters.
 func (t *Tester) Stats() Stats { return t.stats }
@@ -171,107 +196,111 @@ func (t *Tester) Stats() Stats { return t.stats }
 func (t *Tester) ResetStats() { t.stats = Stats{} }
 
 // SetSink installs (or, with nil, removes) an observer notified after every
-// CTest. Observation is free of platform side effects: the sink sees an event
-// after the clock already advanced and the stats already accumulated.
+// channel execution of a CTest. Observation is free of platform side
+// effects: the sink sees an event after the clock already advanced.
 func (t *Tester) SetSink(s Sink) { t.sink = s }
 
 // CTest runs one n-way covert-channel test with contention threshold m.
-// Instance i tests positive when it observed at least m units of contention
-// in at least VoteThreshold rounds. The virtual clock advances by
-// TestDuration. m must be at least 2: an instance always observes its own
-// unit, so m = 1 would make every test positive.
+// On each channel, instance i tests positive when it observed at least m
+// units of contention in at least VoteThreshold rounds; every execution
+// advances the virtual clock by the channel's TestDuration. m must be at
+// least 2: an instance always observes its own unit, so m = 1 would make
+// every test positive.
 //
-// With VoteBudget > 1 the whole test is repeated that many times, one
-// TestDuration apart, and each instance's final verdict is the majority of
+// With VoteBudget > 1 each channel's test is repeated that many times, one
+// TestDuration apart, and an instance's channel verdict is the majority of
 // its per-repetition verdicts. Repetition is what recovers from
 // time-correlated channel corruption: a misfire window flips at most one
-// repetition, not the majority.
+// repetition, not the majority. The final verdict is the majority across
+// channels.
 func (t *Tester) CTest(instances []*faas.Instance, m int) ([]bool, error) {
-	budget := t.cfg.VoteBudget
-	if budget <= 1 {
-		return t.singleCTest(instances, m, 0)
+	if m < 2 {
+		return nil, fmt.Errorf("covert: contention threshold m=%d, need m >= 2", m)
 	}
-	if cap(t.wins) < len(instances) {
-		t.wins = make([]int, len(instances))
+	n := len(instances)
+	if n == 0 {
+		return nil, fmt.Errorf("covert: CTest of zero instances")
 	}
-	wins := t.wins[:len(instances)]
-	for i := range wins {
-		wins[i] = 0
-	}
-	for rep := 0; rep < budget; rep++ {
-		res, err := t.singleCTest(instances, m, rep)
-		if err != nil {
-			return nil, err
+	t.votes = resetScratch(t.votes, n)
+	t.repWins = resetScratch(t.repWins, n)
+	t.chWins = resetScratch(t.chWins, n)
+	reps := max(t.cfg.VoteBudget, 1)
+	for _, cfg := range t.cfgs {
+		clear(t.repWins)
+		for rep := 0; rep < reps; rep++ {
+			if err := t.run(cfg, instances, m, rep); err != nil {
+				return nil, err
+			}
 		}
-		for i, positive := range res {
-			if positive {
-				wins[i]++
+		for i, w := range t.repWins {
+			if 2*w > reps {
+				t.chWins[i]++
 			}
 		}
 	}
-	out := make([]bool, len(instances))
-	for i, w := range wins {
-		out[i] = w > budget/2
+	t.stats.Tests += reps
+	t.stats.PairsTested += reps * n * (n - 1) / 2
+	t.stats.InstanceTime += time.Duration(reps*n) * t.cfg.TestDuration
+
+	out := make([]bool, n)
+	for i, w := range t.chWins {
+		out[i] = 2*w > len(t.cfgs)
 	}
 	return out, nil
 }
 
-// singleCTest is one un-voted CTest execution; rep labels the majority-vote
-// repetition for observers.
-func (t *Tester) singleCTest(instances []*faas.Instance, m, rep int) ([]bool, error) {
-	if m < 2 {
-		return nil, fmt.Errorf("covert: contention threshold m=%d, need m >= 2", m)
-	}
-	if len(instances) == 0 {
-		return nil, fmt.Errorf("covert: CTest of zero instances")
-	}
-	if cap(t.votes) < len(instances) {
-		t.votes = make([]int, len(instances))
-	}
-	votes := t.votes[:len(instances)]
-	for i := range votes {
-		votes[i] = 0
-	}
-	for r := 0; r < t.cfg.Rounds; r++ {
-		obs, err := t.ch.Round(instances, t.obs)
+// run is one un-voted test execution on one channel: it adds the
+// repetition's positive verdicts to repWins and reports the execution to
+// the sink, labelled with its channel and repetition index.
+func (t *Tester) run(cfg Config, instances []*faas.Instance, m, rep int) error {
+	clear(t.votes)
+	for r := 0; r < cfg.Rounds; r++ {
+		obs, err := faas.ContentionRoundOnInto(cfg.Resource, instances, t.obs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.obs = obs
 		for i, units := range obs {
 			if units >= m {
-				votes[i]++
+				t.votes[i]++
 			}
 		}
 	}
-	t.sched.Advance(t.cfg.TestDuration)
-	t.stats.Tests++
-	t.stats.PairsTested += len(instances) * (len(instances) - 1) / 2
-	t.stats.InstanceTime += time.Duration(len(instances)) * t.cfg.TestDuration
+	t.sched.Advance(cfg.TestDuration)
 
-	out := make([]bool, len(instances))
 	positives := 0
 	minMargin := 1.0
-	for i, v := range votes {
-		out[i] = t.cfg.Verdict(v)
-		if out[i] {
+	for i, v := range t.votes {
+		if cfg.Verdict(v) {
+			t.repWins[i]++
 			positives++
 		}
-		if m := math.Abs(float64(v)-float64(t.cfg.VoteThreshold)) / float64(t.cfg.Rounds); m < minMargin {
-			minMargin = m
+		if margin := math.Abs(float64(v)-float64(cfg.VoteThreshold)) / float64(cfg.Rounds); margin < minMargin {
+			minMargin = margin
 		}
 	}
 	if t.sink != nil {
 		t.sink.ObserveTest(TestEvent{
-			Channel:      t.ch.Name(),
+			Channel:      cfg.Resource.String(),
 			Participants: len(instances),
 			Positives:    positives,
-			Duration:     t.cfg.TestDuration,
+			Duration:     cfg.TestDuration,
 			Repetition:   rep,
 			MinMargin:    minMargin,
 		})
 	}
-	return out, nil
+	return nil
+}
+
+// resetScratch returns buf resized to n zeroed entries, growing it only
+// when its capacity is short.
+func resetScratch(buf []int, n int) []int {
+	if cap(buf) < n {
+		return make([]int, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // PairTest is the conventional pairwise covert-channel test: it reports

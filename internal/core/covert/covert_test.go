@@ -201,12 +201,23 @@ func TestConfigValidation(t *testing.T) {
 
 func TestNewTesterPanicsOnBadConfig(t *testing.T) {
 	pl, _ := testWorld(t, 7, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	NewTester(pl.Scheduler(), Config{})
+	voted := LLCConfig()
+	voted.VoteBudget = 3
+	for name, cfgs := range map[string][]Config{
+		"invalid":            {Config{}},
+		"none":               nil,
+		"budgets disagree":   {DefaultConfig(), voted},
+		"one invalid of two": {DefaultConfig(), {}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			NewTester(pl.Scheduler(), cfgs...)
+		}()
+	}
 }
 
 func TestMaxGroupSize(t *testing.T) {

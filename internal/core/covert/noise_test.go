@@ -29,91 +29,31 @@ func TestMinMarginReported(t *testing.T) {
 	}
 }
 
-// TestCalibratedRunnerFor checks the calibrated construction path: each
-// resolved runner carries a live-derived threshold and the requested vote
-// budget, and "combined" calibrates every member channel.
-func TestCalibratedRunnerFor(t *testing.T) {
-	pl, insts := testWorld(t, 5, 1)
-	probe := insts[0]
-
-	r, err := CalibratedRunnerFor("llc", pl.Scheduler(), probe, 200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tester, ok := r.(*Tester)
-	if !ok {
-		t.Fatalf("llc runner is %T", r)
-	}
-	cfg := tester.Config()
-	if cfg.VoteBudget != 3 {
-		t.Errorf("VoteBudget = %d", cfg.VoteBudget)
-	}
-	if tester.Channel() == nil || tester.Channel().Name() != "llc" {
-		t.Errorf("channel = %v", tester.Channel())
-	}
-	if cfg.VoteThreshold < 1 || cfg.VoteThreshold > cfg.Rounds {
-		t.Errorf("calibrated threshold %d out of range", cfg.VoteThreshold)
-	}
-
-	m, err := CalibratedRunnerFor(CombinedChannelName, pl.Scheduler(), probe, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, ok := m.(*MultiTester)
-	if !ok {
-		t.Fatalf("combined runner is %T", m)
-	}
-	if len(mt.Children()) != 3 {
-		t.Fatalf("combined has %d children", len(mt.Children()))
-	}
-
-	if _, err := CalibratedRunnerFor("hyperlane", pl.Scheduler(), probe, 100, 1); err == nil {
-		t.Error("unknown channel calibrated")
-	}
-}
-
-// TestRebudget checks the escalation hook: the clone carries the new vote
-// budget while preserving channel and thresholds, and the original is
-// untouched.
+// TestRebudget checks the escalation hook: the clone starts with fresh stats
+// and no sink, and the original keeps its budget, counters and observer.
+// (That the clone keeps channels and thresholds is TestChannelTable's.)
 func TestRebudget(t *testing.T) {
-	pl, _ := testWorld(t, 6, 1)
-	r, err := RunnerFor("llc", pl.Scheduler(), 1)
+	pl, insts := testWorld(t, 6, 3)
+	orig, err := RunnerFor("llc", pl.Scheduler(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := r.(*Tester)
-	clone := orig.Rebudget(5).(*Tester)
+	sink := &recordingSink{}
+	orig.SetSink(sink)
+	if _, err := orig.CTest(insts, 2); err != nil {
+		t.Fatal(err)
+	}
+	clone := orig.Rebudget(5)
 	if clone.Config().VoteBudget != 5 || orig.Config().VoteBudget != 1 {
 		t.Errorf("budgets = %d/%d", clone.Config().VoteBudget, orig.Config().VoteBudget)
 	}
-	if clone.Channel() != orig.Channel() {
-		t.Error("channel not preserved")
+	if clone.Stats() != (Stats{}) || orig.Stats().Tests != 1 {
+		t.Errorf("stats: clone %+v, original %+v", clone.Stats(), orig.Stats())
 	}
-	if clone.Config().VoteThreshold != orig.Config().VoteThreshold {
-		t.Error("threshold not preserved")
-	}
-
-	m, err := RunnerFor(CombinedChannelName, pl.Scheduler(), 1)
-	if err != nil {
+	if _, err := clone.CTest(insts, 2); err != nil {
 		t.Fatal(err)
 	}
-	mc := m.(*MultiTester).Rebudget(3).(*MultiTester)
-	if len(mc.Children()) != 3 {
-		t.Fatalf("rebudgeted combined has %d children", len(mc.Children()))
-	}
-	for _, c := range mc.Children() {
-		if c.Config().VoteBudget != 3 {
-			t.Errorf("child budget = %d", c.Config().VoteBudget)
-		}
-	}
-	if mc.Config().TestDuration != m.Config().TestDuration {
-		t.Error("combined test duration changed")
-	}
-
-	// Both runner kinds satisfy the escalation interface.
-	for _, run := range []Runner{orig, m} {
-		if _, ok := run.(Rebudgeter); !ok {
-			t.Errorf("%T is not a Rebudgeter", run)
-		}
+	if len(sink.events) != 1 {
+		t.Errorf("the original's sink saw %d events, want only its own 1", len(sink.events))
 	}
 }

@@ -201,10 +201,11 @@ func Run(id string, ctx Context) (*Result, error) {
 
 // --- scale helpers -------------------------------------------------------
 
-// profiles returns the region set for this context, scaled down in Quick
+// Profiles returns the region set for this context, scaled down in Quick
 // mode while preserving every ratio that matters (instances per host, base
-// pool vs group size, helper pool vs fleet).
-func (c Context) profiles() []faas.RegionProfile {
+// pool vs group size, helper pool vs fleet), with the Policy, Faults and
+// Load overrides applied.
+func (c Context) Profiles() []faas.RegionProfile {
 	profs := c.baseProfiles()
 	if c.Policy != nil {
 		for i := range profs {
@@ -261,13 +262,13 @@ func (c Context) baseProfiles() []faas.RegionProfile {
 // experiments sharing the context's default world don't replay its
 // construction.
 func (c Context) platform() *faas.Platform {
-	return forkPlatform(c.Seed, c.profiles()...)
+	return forkPlatform(c.Seed, c.Profiles()...)
 }
 
 // regions lists the region names of this context's profile set without
 // building a platform (trial jobs build their own single-region worlds).
 func (c Context) regions() []faas.Region {
-	profs := c.profiles()
+	profs := c.Profiles()
 	out := make([]faas.Region, len(profs))
 	for i, p := range profs {
 		out[i] = p.Name
@@ -277,7 +278,7 @@ func (c Context) regions() []faas.Region {
 
 // regionProfile returns the profile of one region of this context's set.
 func (c Context) regionProfile(r faas.Region) faas.RegionProfile {
-	for _, p := range c.profiles() {
+	for _, p := range c.Profiles() {
 		if p.Name == r {
 			return p
 		}

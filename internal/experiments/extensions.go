@@ -17,7 +17,7 @@ import (
 
 // mitigatedProfiles enables the §6 defenses fleet-wide.
 func (c Context) mitigatedProfiles() []faas.RegionProfile {
-	profs := c.profiles()
+	profs := c.Profiles()
 	for i := range profs {
 		profs[i].Mitigations = sandbox.Mitigations{
 			TrapAndEmulateTSC: true,
@@ -75,7 +75,7 @@ func runMitigation(ctx Context) (*Result, error) {
 		name     string
 		profiles []faas.RegionProfile
 	}{
-		{"baseline", ctx.profiles()},
+		{"baseline", ctx.Profiles()},
 		{"mitigated", ctx.mitigatedProfiles()},
 	}
 	rows, err := runTrials(ctx, len(worlds), func(t Trial) (worldRow, error) {
@@ -138,7 +138,7 @@ func runMitigation(ctx Context) (*Result, error) {
 	type schedRow struct{ coverage, coldFrac float64 }
 	schedRows, err := runTrials(ctx, 2, func(t Trial) (schedRow, error) {
 		defended := t.Index == 1
-		profs := ctx.profiles()
+		profs := ctx.Profiles()
 		if defended {
 			for i := range profs {
 				profs[i].Policy = faas.RandomUniformPolicy{}

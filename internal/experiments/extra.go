@@ -159,7 +159,7 @@ func runVerifyCost(ctx Context) (*Result, error) {
 func runGen2Accuracy(ctx Context) (*Result, error) {
 	d, _ := ByID("gen2")
 	res := newResult(d)
-	profiles := ctx.profiles()
+	profiles := ctx.Profiles()
 	reps := ctx.reps()
 
 	// One trial per (region × repetition); each measurement runs against
@@ -242,7 +242,7 @@ func runGen2Accuracy(ctx Context) (*Result, error) {
 func runNaive(ctx Context) (*Result, error) {
 	d, _ := ByID("naive")
 	res := newResult(d)
-	profiles := ctx.profiles()
+	profiles := ctx.Profiles()
 	attacker, victims := accounts()
 
 	// One trial per region: each naive campaign runs against its own world.

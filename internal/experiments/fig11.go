@@ -46,7 +46,7 @@ type victimConfig struct {
 // victim count, as in the paper).
 func runCoverageStudy(ctx Context, gen sandbox.Gen, configs []victimConfig, defaultLabel string) (map[coverageKey][]float64, map[faas.Region]bool, error) {
 	_, victims := accounts()
-	profiles := ctx.profiles()
+	profiles := ctx.Profiles()
 	reps := ctx.reps()
 
 	// One trial per (repetition × region). A fresh world per trial models
@@ -246,7 +246,7 @@ func runGen2Coverage(ctx Context) (*Result, error) {
 func runAttackCost(ctx Context) (*Result, error) {
 	d, _ := ByID("cost")
 	res := newResult(d)
-	profiles := ctx.profiles()
+	profiles := ctx.Profiles()
 
 	// One trial per region: each campaign is billed against its own world.
 	// The campaign's ledger meters the launch stage (billing deltas priced at

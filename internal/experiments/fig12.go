@@ -10,7 +10,7 @@ import (
 func runFig12(ctx Context) (*Result, error) {
 	d, _ := ByID("fig12")
 	res := newResult(d)
-	profiles := ctx.profiles()
+	profiles := ctx.Profiles()
 	attacker, victims := accounts()
 	allAccounts := append([]string{attacker}, victims...)
 

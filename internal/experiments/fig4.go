@@ -79,7 +79,7 @@ type fig4Run struct {
 func runFig4(ctx Context) (*Result, error) {
 	d, _ := ByID("fig4")
 	res := newResult(d)
-	profiles := ctx.profiles()
+	profiles := ctx.Profiles()
 	reps := ctx.reps()
 
 	// One trial per (region × repetition). Each builds its own

@@ -21,7 +21,7 @@ type fig5Region struct {
 func runFig5(ctx Context) (*Result, error) {
 	d, _ := ByID("fig5")
 	res := newResult(d)
-	profiles := ctx.profiles()
+	profiles := ctx.Profiles()
 
 	// One trial per region, each tracking its own single-region world from
 	// the trial sub-seed.

@@ -55,7 +55,7 @@ func runMultiRegion(ctx Context) (*Result, error) {
 	// unused).
 	cells, err := runTrials(ctx, len(jobs), func(t Trial) (cell, error) {
 		jb := jobs[t.Index]
-		profs := ctx.profiles()[:jb.regions]
+		profs := ctx.Profiles()[:jb.regions]
 		fleet, err := forkFleet(ctx.Seed, profs...)
 		if err != nil {
 			return cell{}, err

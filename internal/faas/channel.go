@@ -28,7 +28,8 @@ type ChannelModel struct {
 	// Name is the family's CLI/ledger name ("rng", "membus", "llc").
 	Name string
 	// TestTime is the virtual wall-clock one standard 60-round CTest costs
-	// on this channel (covert configs use it as TestDuration).
+	// on this channel; the covert configs' TestDuration carries the same
+	// value as its own constant.
 	TestTime time.Duration
 	// BitsPerSecond is the channel's nominal covert bandwidth, for the cost
 	// comparisons of §4.3 and the related-work channels.

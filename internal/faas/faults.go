@@ -34,7 +34,8 @@ var ErrProbeFault = sandbox.ErrProbeFault
 // spaced one TestDuration apart and re-draw the misfire state independently.
 // The window is deliberately channel-agnostic: on the faster LLC channel it
 // spans several 20 ms tests, so vote repetition alone absorbs less there and
-// cross-channel majority (covert.MultiTester) is the stronger recovery.
+// cross-channel majority (the combined covert tester) is the stronger
+// recovery.
 const ChannelMisfireWindow = 100 * time.Millisecond
 
 // FaultPlan parameterizes the injected failures of one region. The zero
