@@ -1,18 +1,22 @@
 GO ?= go
 
-.PHONY: check lint race bench bench-scale bench-json bench-diff bench-gate run-all loc
+.PHONY: check lint race bench run-all loc
 
-# Tier-1 gate: lint (gofmt + vet), build, test, a build + vet + test of the
-# nested perfbench module (which `./...` never reaches; its tests are the
-# determinism check on the benchmark's campaign workloads), a race pass over
-# the fault plane and its attack-side recovery paths, quick fault-sweep/multiregion/
-# channel-ablation and event-kernel smoke runs, and a smoke run of the
-# benchmark record tooling against the checked-in fixture.
-check: lint bench-scale bench-gate
+# Tier-1 gate: lint (gofmt + vet), build, test (including the scale kernel's
+# allocs-per-event ceiling), a build + vet + test of the nested perfbench
+# module (which `./...` never reaches; its tests are the determinism check on
+# the benchmark's campaign workloads), one iteration of every layer
+# microbenchmark so a broken bench fails here (only the packages that hold
+# one are linked, and lint has already vetted them), a race pass over the
+# fault plane and its attack-side recovery paths, and quick fault-sweep/
+# multiregion/channel-ablation/noise-sweep smoke runs.
+check: lint
 	$(GO) build ./...
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	cd perfbench && $(GO) test ./...
 	$(GO) test ./...
+	$(GO) test -vet=off -run '^$$' -bench . -benchtime 1x \
+		$$(grep -rl --include='*_test.go' '^func Benchmark' internal | xargs dirname | sort -u | sed 's|^|./|')
 	$(GO) test -race ./internal/core/... ./internal/faas/...
 	@$(GO) run ./cmd/eaao -quick run faultsweep >/dev/null
 	@echo "faultsweep smoke OK"
@@ -22,11 +26,6 @@ check: lint bench-scale bench-gate
 	@echo "channelablation smoke OK"
 	@$(GO) run ./cmd/eaao -quick run noisesweep >/dev/null
 	@echo "noisesweep smoke OK"
-	@$(GO) run ./internal/tools/benchjson -label smoke \
-		-in internal/tools/benchfmt/testdata/sample_bench.txt -out /tmp/BENCH_smoke.json
-	@$(GO) run ./internal/tools/benchdiff /tmp/BENCH_smoke.json /tmp/BENCH_smoke.json >/dev/null
-	@rm -f /tmp/BENCH_smoke.json
-	@echo "bench tooling smoke OK"
 
 # Fails if any file needs gofmt, then runs vet.
 lint:
@@ -42,37 +41,11 @@ lint:
 race:
 	$(GO) test -race ./...
 
+# Layer microbenchmarks where perfbench has no boundary (placement, the
+# simtime heap, randx hashing, fingerprint collection). End-to-end and
+# per-layer campaign numbers come from perfbench (see perfbench/README.md).
 bench:
-	$(GO) test -bench=. -benchmem
-
-# Event-kernel throughput smoke: one iteration of the scale benchmark, so the
-# tier-1 gate notices if the kernel's events/sec or allocs/event fall off a
-# cliff (the BENCH_*.json trajectory records the exact numbers).
-bench-scale:
-	@$(GO) test -run '^$$' -bench BenchmarkScaleKernel -benchtime 1x -benchmem
-	@echo "scale kernel smoke OK"
-
-# Snapshot the benchmark suite into BENCH_<git-short-sha>.json. Run on a
-# quiet machine; the record is meant to be checked in.
-bench-json:
-	$(GO) test -bench=. -benchmem | \
-		$(GO) run ./internal/tools/benchjson -label $$(git rev-parse --short HEAD) \
-		-out BENCH_$$(git rev-parse --short HEAD).json
-
-# Compare two records: make bench-diff BASE=BENCH_baseline.json HEAD=BENCH_pr3.json
-bench-diff:
-	$(GO) run ./internal/tools/benchdiff $(BASE) $(HEAD)
-
-# Regression gate over the two most recent checked-in records: fails on any
-# >25% movement in the guarded budgets (ns/op, B/op, allocs/op growth;
-# events/sec drop; allocs/event growth). Records are snapshots from a quiet
-# machine, so the gate is deterministic — it audits the trajectory, it does
-# not re-run benchmarks.
-GATE_BASE ?= BENCH_pr9.json
-GATE_HEAD ?= BENCH_pr10.json
-bench-gate:
-	@$(GO) run ./internal/tools/benchdiff -gate 25 $(GATE_BASE) $(GATE_HEAD)
-	@echo "bench gate OK"
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/...
 
 run-all:
 	$(GO) run ./cmd/eaao run all

@@ -153,12 +153,8 @@ type (
 	// FleetCampaign shards one campaign across every region of a Fleet,
 	// with a Planner reallocating the launch-round budget between regions.
 	FleetCampaign = attack.FleetCampaign
-	// FleetStats is the merged per-region ledger of a fleet campaign.
-	FleetStats = attack.FleetStats
 	// Planner decides which region shards get another launch round.
 	Planner = attack.Planner
-	// CrossRegionPlanner drains saturated regions and re-funds yielding ones.
-	CrossRegionPlanner = attack.CrossRegionPlanner
 )
 
 // NewFleet builds one independent region world per profile from a shared
@@ -220,7 +216,7 @@ const (
 	Gen2 = sandbox.Gen2
 )
 
-// Names of studied Cloud Run regions (DefaultProfiles builds all three).
+// Names of studied Cloud Run regions.
 const (
 	USEast1 = faas.USEast1
 	USWest1 = faas.USWest1
@@ -228,9 +224,6 @@ const (
 
 // DefaultPrecision is the paper's default fingerprint rounding (1 s).
 const DefaultPrecision = fingerprint.DefaultPrecision
-
-// PlacementPolicies returns one instance of every built-in placement policy.
-func PlacementPolicies() []PlacementPolicy { return faas.Policies() }
 
 // PlacementPolicyByName resolves a built-in policy from its name
 // ("cloudrun", "random-uniform", "least-loaded", plus short aliases).
@@ -247,9 +240,6 @@ var SizeSmall = faas.SizeSmall
 func NewPlatform(seed uint64, profiles ...RegionProfile) *Platform {
 	return faas.MustPlatform(seed, profiles...)
 }
-
-// DefaultProfiles returns the three studied data centers at full scale.
-func DefaultProfiles() []RegionProfile { return faas.DefaultProfiles() }
 
 // USEast1Profile returns the default us-east1 data center profile.
 func USEast1Profile() RegionProfile { return faas.USEast1Profile() }

@@ -122,14 +122,14 @@ func TestExperimentRegistryThroughFacade(t *testing.T) {
 	if len(exps) != 28 {
 		t.Fatalf("registry has %d experiments, want 28", len(exps))
 	}
-	res, err := RunExperiment("table1", benchCtx())
+	res, err := RunExperiment("table1", ExperimentContext{Seed: 42, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ID != "table1" {
 		t.Errorf("ran %q", res.ID)
 	}
-	if _, err := RunExperiment("nope", benchCtx()); err == nil {
+	if _, err := RunExperiment("nope", ExperimentContext{Seed: 42, Quick: true}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // testWorld builds a small data center and launches instances, returning
 // the live instances plus the platform for time control.
-func testWorld(t *testing.T, seed uint64, n int) (*faas.Platform, []*faas.Instance) {
+func testWorld(t testing.TB, seed uint64, n int) (*faas.Platform, []*faas.Instance) {
 	t.Helper()
 	p := faas.USEast1Profile()
 	p.Name = "t"
@@ -375,5 +375,32 @@ func TestStringRenderings(t *testing.T) {
 	g2 := Gen2{Model: "M", FreqKHz: 2000001}
 	if g2.String() == "" {
 		t.Error("empty Gen2 string")
+	}
+}
+
+func BenchmarkCollectGen1(b *testing.B) {
+	_, insts := testWorld(b, 1, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CollectGen1(insts[i%len(insts)].MustGuest()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCollectGen2(b *testing.B) {
+	pl, _ := testWorld(b, 1, 1)
+	insts, err := pl.MustRegion("t").Account("b").
+		DeployService("g2", faas.ServiceConfig{Gen: sandbox.Gen2}).Launch(100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CollectGen2(insts[i%len(insts)].MustGuest()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package faas
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -385,5 +386,33 @@ func TestTracerDoesNotPerturbPlacement(t *testing.T) {
 	}()
 	if !sameHostSets(quiet, traced) {
 		t.Error("installing a tracer changed placement")
+	}
+}
+
+// BenchmarkPlacement measures the raw placement path — deploy a fresh
+// service and cold-launch 200 instances — under each placement policy.
+// CloudRun pays for helper-set construction and ranked noisy selection;
+// random-uniform for one fleet-wide sample; least-loaded for a load sort.
+func BenchmarkPlacement(b *testing.B) {
+	for _, pol := range Policies() {
+		b.Run(pol.Name(), func(b *testing.B) {
+			p := testProfile()
+			p.Policy = pol
+			pl := MustPlatform(18, p)
+			acct := pl.MustRegion(p.Name).Account("a")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				svc := acct.DeployService(fmt.Sprintf("s%d", i), ServiceConfig{})
+				if _, err := svc.Launch(200); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				// Drain the fleet so iterations don't pile up instances.
+				svc.Disconnect()
+				pl.Scheduler().Advance(16 * time.Minute)
+				b.StartTimer()
+			}
+		})
 	}
 }

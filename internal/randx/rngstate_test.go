@@ -173,6 +173,29 @@ func BenchmarkNew(b *testing.B) {
 	}
 }
 
+// benchSink keeps the compiler from eliding the hashed values.
+var benchSink uint64
+
+func BenchmarkMix3(b *testing.B) {
+	var x uint64
+	for i := 0; i < b.N; i++ {
+		x = Mix3(x, uint64(i), 7)
+	}
+	benchSink = x
+}
+
+func BenchmarkDeriveSeed(b *testing.B) {
+	s := New(9)
+	labels := []string{"host", "123456"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var x uint64
+	for i := 0; i < b.N; i++ {
+		x ^= s.DeriveSeed(labels...)
+	}
+	benchSink = x
+}
+
 func BenchmarkStdlibNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

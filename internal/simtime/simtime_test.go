@@ -227,3 +227,35 @@ func TestCancelRemovesPendingEvent(t *testing.T) {
 		t.Fatal("Cancel(nil) returned true")
 	}
 }
+
+// rearm re-arms every event it fires a pseudo-random delay ahead (an LCG
+// step), so the scheduler's pending depth stays constant under Step.
+type rearm struct {
+	s *Scheduler
+	x uint64
+}
+
+func (r *rearm) HandleEvent(e *Event, now Time) {
+	r.x = r.x*6364136223846793005 + 1442695040888963407
+	r.s.ArmHandler(e, now.Add(time.Duration(r.x>>40)), r)
+}
+
+// BenchmarkScheduleStep prices one kernel event — pop the earliest deadline,
+// fire it, re-arm it — at heap depths from a quick world's to a -big one's.
+func BenchmarkScheduleStep(b *testing.B) {
+	for _, depth := range []int{1e3, 1e4, 1e5, 1e6} {
+		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
+			s := NewScheduler(0)
+			r := &rearm{s: s, x: 1}
+			evs := make([]Event, depth)
+			for i := range evs {
+				r.HandleEvent(&evs[i], 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
+	}
+}
