@@ -8,8 +8,10 @@ GO ?= go
 # the benchmark's campaign workloads), one iteration of every layer
 # microbenchmark so a broken bench fails here (only the packages that hold
 # one are linked, and lint has already vetted them), a race pass over the
-# fault plane and its attack-side recovery paths, and quick fault-sweep/
-# multiregion/channel-ablation/noise-sweep smoke runs.
+# fault plane and its attack-side recovery paths, quick fault-sweep/
+# multiregion/channel-ablation/noise-sweep smoke runs, and two `eaao attack
+# -recovery` smokes through the real binary, which cover main's split of
+# global flags (-faults, -load) from the attack subcommand's own.
 check: lint
 	$(GO) build ./...
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
@@ -26,6 +28,10 @@ check: lint
 	@echo "channelablation smoke OK"
 	@$(GO) run ./cmd/eaao -quick run noisesweep >/dev/null
 	@echo "noisesweep smoke OK"
+	@$(GO) run ./cmd/eaao -quick -faults 0.05 attack -recovery faults >/dev/null
+	@echo "attack -recovery faults smoke OK"
+	@$(GO) run ./cmd/eaao -quick -load 0.4 attack -recovery noise >/dev/null
+	@echo "attack -recovery noise smoke OK"
 
 # Fails if any file needs gofmt, then runs vet.
 lint:

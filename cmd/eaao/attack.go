@@ -14,10 +14,10 @@ import (
 // runAttack implements `eaao attack`: a parameterized attacker-vs-victim
 // campaign on a fresh simulated platform, printing the coverage report and
 // campaign cost. It is the CLI face of examples/colocation-attack.
-func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPolicy, faults eaao.FaultPlan, channelDefault string, load float64) error {
+func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPolicy, faults eaao.FaultPlan, load float64) error {
 	fs := flag.NewFlagSet("attack", flag.ExitOnError)
 	region := fs.String("region", string(eaao.USEast1), "target region (us-east1, us-central1, us-west1)")
-	channel := fs.String("channel", channelDefault, "covert channel for verification: rng, llc, membus, combined (empty = rng)")
+	channel := fs.String("channel", "", "covert channel for verification: rng, llc, membus, combined (empty = rng)")
 	regions := fs.String("regions", "", "comma-separated regions for a multi-region fleet campaign (overrides -region)")
 	planner := fs.String("planner", "", "fleet budget planner: static-even, proportional, adaptive (default: the strategy's native rule)")
 	services := fs.Int("services", 6, "attacker services")
@@ -27,9 +27,7 @@ func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPoli
 	victims := fs.Int("victims", 100, "victim instances")
 	strategy := fs.String("strategy", "optimized", "naive, optimized, or adaptive")
 	gen2 := fs.Bool("gen2", false, "use the Gen 2 (VM) environment on both sides")
-	retries := fs.Int("retries", 0, "launch retries on injected faults (exponential backoff from 30s)")
-	voteBudget := fs.Int("votebudget", 0, "majority-vote CTest repetitions (0/1 = single shot)")
-	probeBudget := fs.Int("probebudget", 0, "fingerprint probe retries before skipping an instance")
+	recovery := fs.String("recovery", "none", "recovery preset: none, faults (launch, vote and probe retry budgets), noise (faults plus the noise-hardening ladder; needs a single channel)")
 	fs.SetOutput(os.Stderr)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,11 +49,18 @@ func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPoli
 	cfg.InstancesPerLaunch = *perLaunch
 	cfg.Launches = *launches
 	cfg.Interval = *interval
-	cfg.LaunchRetries = *retries
-	cfg.RetryBackoff = 30 * time.Second
-	cfg.VoteBudget = *voteBudget
-	cfg.ProbeRetryBudget = *probeBudget
 	cfg.Channel = *channel
+	switch *recovery {
+	case "none":
+	case "faults":
+		cfg = cfg.WithFaultRecovery()
+	case "noise":
+		// A loaded region sheds launch waves, so the noise ladder rides on
+		// the fault budgets.
+		cfg = cfg.WithFaultRecovery().WithNoiseRecovery()
+	default:
+		return fmt.Errorf("unknown recovery preset %q (none, faults, noise)", *recovery)
+	}
 
 	strat, err := eaao.AttackStrategyByName(*strategy)
 	if err != nil {
@@ -127,7 +132,7 @@ func channelLabel(ch string) string {
 
 // launchVictims deploys the victim tenant's service in one region. The
 // victim's deploy tooling retries transient faults like any production
-// pipeline; the attacker-side budgets are the attack flags.
+// pipeline; the attacker-side budgets are the -recovery preset.
 func launchVictims(dc *eaao.DataCenter, gen eaao.Gen, n int) ([]*eaao.Instance, error) {
 	svc := dc.Account("victim").DeployService("victim-svc", eaao.ServiceConfig{Gen: gen})
 	vic, err := svc.Launch(n)

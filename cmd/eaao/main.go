@@ -5,6 +5,7 @@
 //	eaao list                      # list every reproducible artifact
 //	eaao run fig4 [fig5 ...]       # regenerate specific figures/tables
 //	eaao run all                   # regenerate everything
+//	eaao -faults 0.05 attack -recovery faults  # ad-hoc campaign (global flags go first)
 //
 // Flags:
 //
@@ -15,7 +16,6 @@
 //	-parallel  run whole experiments concurrently through the same bounded pool
 //	-policy P  override every region's placement policy (cloudrun, random-uniform, least-loaded)
 //	-faults L  inject deterministic faults at uniform level L in [0,1] (0 = fault-free)
-//	-channel C covert channel for campaign verification (rng, llc, membus, combined; empty = rng)
 //	-load U    background-tenant traffic at target utilization U in [0, 1.5] (0 = quiet fleet)
 //	-csv       also print each table as CSV
 //	-cpuprofile F  write a CPU profile of the run to F (runtime/pprof)
@@ -51,7 +51,6 @@ func run() int {
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent trial workers (1 = fully sequential)")
 	policyName := flag.String("policy", "", "override the placement policy in every region (cloudrun, random-uniform, least-loaded)")
 	faultLevel := flag.Float64("faults", 0, "uniform injected fault level in [0,1] (0 = fault-free; scales launch, preemption, channel and probe fault rates together)")
-	channel := flag.String("channel", "", "covert channel for campaign verification (rng, llc, membus, combined; empty = rng)")
 	load := flag.Float64("load", 0, "background-tenant target utilization in [0, 1.5] (0 = quiet fleet, byte-identical to a traffic-free build)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -99,11 +98,6 @@ func run() int {
 		return 2
 	}
 
-	if !eaao.ValidCovertChannel(*channel) {
-		fmt.Fprintf(os.Stderr, "eaao: unknown covert channel %q (rng, llc, membus, combined)\n", *channel)
-		return 2
-	}
-
 	if *load < 0 || *load > 1.5 {
 		fmt.Fprintf(os.Stderr, "eaao: -load %v out of range [0, 1.5]\n", *load)
 		return 2
@@ -116,7 +110,7 @@ func run() int {
 
 	switch args[0] {
 	case "attack":
-		if err := runAttack(args[1:], *seed, *quick, policy, faults, *channel, *load); err != nil {
+		if err := runAttack(args[1:], *seed, *quick, policy, faults, *load); err != nil {
 			fmt.Fprintf(os.Stderr, "eaao attack: %v\n", err)
 			return 1
 		}
@@ -136,7 +130,7 @@ func run() int {
 				ids = append(ids, d.ID)
 			}
 		}
-		ctx := eaao.ExperimentContext{Seed: *seed, Quick: *quick, Big: *big, Jobs: *jobs, Policy: policy, Faults: faults, Channel: *channel, Load: *load}
+		ctx := eaao.ExperimentContext{Seed: *seed, Quick: *quick, Big: *big, Jobs: *jobs, Policy: policy, Faults: faults, Load: *load}
 
 		// Each experiment builds its own deterministic world, so runs are
 		// independent and can proceed concurrently; results print in the
@@ -246,7 +240,8 @@ func usage() {
 usage:
   eaao [flags] list
   eaao [flags] run <id>... | all
-  eaao [flags] attack [-region R] [-strategy naive|optimized|adaptive] [-channel rng|llc|membus|combined] [-load U] ...
+  eaao [flags] [-faults L] [-load U] attack [-region R] [-strategy naive|optimized|adaptive]
+       [-channel rng|llc|membus|combined] [-recovery none|faults|noise] ...
   eaao [flags] attack -regions R1,R2,... [-planner static-even|proportional|adaptive]
 
 flags:

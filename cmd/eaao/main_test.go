@@ -93,34 +93,55 @@ func TestRunAttackSmoke(t *testing.T) {
 		"-launches", "3",
 		"-victims", "30",
 	}
-	if err := runAttack(args, 42, true, nil, eaao.FaultPlan{}, "", 0); err != nil {
+	if err := runAttack(args, 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A policy override flows through to the platform build.
-	if err := runAttack(args, 42, true, eaao.RandomUniformPolicy{}, eaao.FaultPlan{}, "", 0); err != nil {
+	if err := runAttack(args, 42, true, eaao.RandomUniformPolicy{}, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A channel override flows through to the campaign's tester.
-	if err := runAttack(args, 42, true, nil, eaao.FaultPlan{}, "llc", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := runAttack(append([]string{"-channel", "combined"}, args...), 42, true, nil, eaao.FaultPlan{}, "", 0); err != nil {
-		t.Fatal(err)
+	for _, ch := range []string{"llc", "combined"} {
+		if err := runAttack(append([]string{"-channel", ch}, args...), 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
+			t.Fatalf("-channel %s: %v", ch, err)
+		}
 	}
 	// Background traffic (-load) flows through to the platform build; the
-	// campaign carries retry budgets because a loaded world sheds launches.
-	if err := runAttack(append([]string{"-retries", "6"}, args...), 42, true, nil, eaao.FaultPlan{}, "", 0.4); err != nil {
+	// noise preset carries the fault budgets because a loaded world sheds
+	// launches.
+	if err := runAttack(append([]string{"-recovery", "noise"}, args...), 42, true, nil, eaao.FaultPlan{}, 0.4); err != nil {
 		t.Fatal(err)
 	}
-	// Unknown strategy, region and channel errors surface.
-	if err := runAttack([]string{"-strategy", "bogus"}, 42, true, nil, eaao.FaultPlan{}, "", 0); err == nil {
-		t.Error("bogus strategy accepted")
+	// Unknown strategy, region, channel and recovery errors surface.
+	for _, bad := range [][]string{
+		{"-strategy", "bogus"},
+		{"-region", "mars"},
+		{"-channel", "hyperlane"},
+		{"-recovery", "bogus"},
+	} {
+		if err := runAttack(bad, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
 	}
-	if err := runAttack([]string{"-region", "mars"}, 42, true, nil, eaao.FaultPlan{}, "", 0); err == nil {
-		t.Error("bogus region accepted")
+	// The noise ladder quarantines on one channel's solo samples, so the
+	// combined channel is a configuration error, not a panic.
+	err := runAttack(append([]string{"-channel", "combined", "-recovery", "noise"}, args...), 42, true, nil, eaao.FaultPlan{}, 0)
+	if err == nil || !strings.Contains(err.Error(), "QuarantineAfter needs a single channel") {
+		t.Errorf("-channel combined -recovery noise: err = %v", err)
 	}
-	if err := runAttack([]string{"-channel", "hyperlane"}, 42, true, nil, eaao.FaultPlan{}, "", 0); err == nil {
-		t.Error("bogus channel accepted")
+}
+
+// TestRunAttackRecoveryFaults pins what the fault preset buys: at the 5%
+// uniform fault level the unhardened campaign dies on its first probe fault,
+// and -recovery faults carries it through.
+func TestRunAttackRecoveryFaults(t *testing.T) {
+	faults := eaao.UniformFaultPlan(0.05)
+	if err := runAttack([]string{"-recovery", "faults"}, 9, true, nil, faults, 0); err != nil {
+		t.Fatalf("-recovery faults: %v", err)
+	}
+	err := runAttack([]string{"-recovery", "none"}, 9, true, nil, faults, 0)
+	if err == nil || !strings.Contains(err.Error(), "probe failed") {
+		t.Errorf("-recovery none: err = %v, want the probe-fault error", err)
 	}
 }
 
@@ -133,18 +154,18 @@ func TestRunFleetAttackSmoke(t *testing.T) {
 		"-launches", "3",
 		"-victims", "30",
 	}
-	if err := runAttack(args, 42, true, nil, eaao.FaultPlan{}, "", 0); err != nil {
+	if err := runAttack(args, 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A channel override reaches every shard campaign.
-	if err := runAttack(args, 42, true, nil, eaao.FaultPlan{}, "llc", 0); err != nil {
+	if err := runAttack(append([]string{"-channel", "llc"}, args...), 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown fleet regions and planners error out.
-	if err := runAttack([]string{"-regions", "us-east1,mars"}, 42, true, nil, eaao.FaultPlan{}, "", 0); err == nil {
+	if err := runAttack([]string{"-regions", "us-east1,mars"}, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
 		t.Error("bogus fleet region accepted")
 	}
-	if err := runAttack([]string{"-regions", "us-east1", "-planner", "bogus"}, 42, true, nil, eaao.FaultPlan{}, "", 0); err == nil {
+	if err := runAttack([]string{"-regions", "us-east1", "-planner", "bogus"}, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
 		t.Error("bogus planner accepted")
 	}
 }

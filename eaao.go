@@ -273,10 +273,6 @@ func NewCovertTester(sched *Scheduler) *CovertTester {
 	return covert.NewTester(sched, covert.DefaultConfig())
 }
 
-// ValidCovertChannel reports whether name selects a covert channel: "rng",
-// "llc", "membus", "combined", or empty for the default RNG channel.
-func ValidCovertChannel(name string) bool { return covert.ValidChannel(name) }
-
 // VerifyColocation runs the scalable §4.3 verification with any ColocTester
 // (NewCovertTester builds the paper's).
 func VerifyColocation(tester ColocTester, items []VerifyItem, opt VerifyOptions) (*VerifyResult, error) {

@@ -58,7 +58,7 @@ type Config struct {
 	// Fault-recovery budgets. All default to zero, which reproduces the
 	// unhardened campaign: the first injected fault aborts or degrades the
 	// run. Campaigns on a platform with a faas.FaultPlan set these to
-	// self-heal (see the faultsweep experiment).
+	// self-heal, usually through WithFaultRecovery.
 
 	// LaunchRetries is how many times a launch wave rejected with
 	// faas.ErrLaunchFault is re-issued before the campaign gives up.
@@ -85,8 +85,8 @@ type Config struct {
 	// Noise-hardening budgets. All default to zero, which reproduces the
 	// quiet-world campaign byte for byte. A campaign attacking a region with
 	// background traffic (faas.TrafficModel) sets these to keep verification
-	// reliable as bystander load corrupts the covert channels (see the
-	// noisesweep experiment); everything they spend is metered to the
+	// reliable as bystander load corrupts the covert channels, usually
+	// through WithNoiseRecovery; everything they spend is metered to the
 	// CampaignStats noise ledger.
 
 	// CalibrationRounds, when positive, re-derives the tester's vote
@@ -132,6 +132,34 @@ func DefaultConfig() Config {
 		HoldActive:         40 * time.Second,
 		Precision:          fingerprint.DefaultPrecision,
 	}
+}
+
+// WithFaultRecovery returns c with the standard fault-recovery budgets: four
+// launch retries from a 30s backoff, a vote budget of 3 and a probe retry
+// budget of 3 — the hardening the faultsweep experiment judges.
+func (c Config) WithFaultRecovery() Config {
+	c.LaunchRetries = 4
+	c.RetryBackoff = 30 * time.Second
+	c.VoteBudget = 3
+	c.ProbeRetryBudget = 3
+	return c
+}
+
+// WithNoiseRecovery returns c with the standard noise-hardening ladder:
+// live-world threshold calibration, margin-health watching with vote-budget
+// escalation and an RNG fallback, surgical quarantine of unreliable
+// footprint instances, and congestion backoff — the hardening the noisesweep
+// experiment judges. Quarantine samples one channel, so the result does not
+// validate on the combined channel.
+func (c Config) WithNoiseRecovery() Config {
+	c.CalibrationRounds = 240
+	c.MarginFloor = 0.08
+	c.MaxVoteBudget = 5
+	c.FallbackChannel = "rng"
+	c.QuarantineAfter = 2
+	c.NoisyHostBar = 0.4
+	c.CongestionBackoff = 30 * time.Second
+	return c
 }
 
 // Validate checks the campaign parameters.

@@ -8,20 +8,6 @@ import (
 	"eaao/internal/sandbox"
 )
 
-// hardenNoise applies the standard noise-hardening budget set used by the
-// noisesweep experiment: live-world calibration, the escalation ladder with
-// an RNG fallback, surgical quarantine, and congestion backoff.
-func hardenNoise(cfg Config) Config {
-	cfg.CalibrationRounds = 240
-	cfg.MarginFloor = 0.08
-	cfg.MaxVoteBudget = 5
-	cfg.FallbackChannel = "rng"
-	cfg.QuarantineAfter = 2
-	cfg.NoisyHostBar = 0.4
-	cfg.CongestionBackoff = 30 * time.Second
-	return cfg
-}
-
 // loadedWorld is smallWorld with background traffic at the given utilization
 // target.
 func loadedWorld(t *testing.T, seed uint64, util float64) *faas.DataCenter {
@@ -66,11 +52,21 @@ func TestNoiseConfigValidate(t *testing.T) {
 	if DefaultConfig().NoiseHardened() {
 		t.Error("default config claims noise hardening")
 	}
-	if !hardenNoise(DefaultConfig()).NoiseHardened() {
+	if !DefaultConfig().WithNoiseRecovery().NoiseHardened() {
 		t.Error("hardened config denies noise hardening")
 	}
-	if err := hardenNoise(DefaultConfig()).Validate(); err != nil {
+	if err := DefaultConfig().WithNoiseRecovery().Validate(); err != nil {
 		t.Errorf("hardened config invalid: %v", err)
+	}
+	// The CLI's noise preset (fault budgets plus the ladder) validates on
+	// every single channel; quarantine samples one channel, so combined is
+	// rejected.
+	for _, ch := range []string{"rng", "llc", "membus", "combined"} {
+		cfg := DefaultConfig().WithFaultRecovery().WithNoiseRecovery()
+		cfg.Channel = ch
+		if err := cfg.Validate(); (err == nil) != (ch != "combined") {
+			t.Errorf("noise preset on %s: Validate() = %v", ch, err)
+		}
 	}
 	for _, mod := range []func(*Config){
 		func(c *Config) { c.MarginFloor = 1.5 },
@@ -113,10 +109,10 @@ func TestHardenedQuietWorldStaysAccurate(t *testing.T) {
 	}
 }
 
-// hardenNoiseChannel is hardenNoise minus congestion backoff, so quiet-world
-// launch paths stay comparable.
+// hardenNoiseChannel is the noise preset minus congestion backoff, so
+// quiet-world launch paths stay comparable.
 func hardenNoiseChannel(cfg Config) Config {
-	out := hardenNoise(cfg)
+	out := cfg.WithNoiseRecovery()
 	out.CongestionBackoff = 0
 	return out
 }

@@ -133,7 +133,7 @@ func runChannelAblation(ctx Context) (*Result, error) {
 		cfg := ablationConfig(n, 4)
 		cfg.Channel = u.channel
 		if u.regime.plan.Enabled() {
-			hardenedBudgets(&cfg)
+			cfg = cfg.WithFaultRecovery()
 		}
 		return runCell(forkPlatform(ctx.Seed+43, prof).MustRegion("ablation"), cfg, attack.OptimizedStrategy{})
 	})
@@ -159,7 +159,7 @@ func runChannelAblation(ctx Context) (*Result, error) {
 	res.Tables = append(res.Tables, cTbl)
 
 	res.note("part 1: one launched world (seed+41) verified by each channel's runner; channel is the only variable")
-	res.note("part 2: one campaign world (seed+43) per cell; faulted regimes run hardened (4 launch retries, vote budget 3, probe retry budget 3)")
+	res.note("part 2: one campaign world (seed+43) per cell; faulted regimes run hardened (%d launch retries, vote budget %d, probe retry budget %d)", faultRecovery.LaunchRetries, faultRecovery.VoteBudget, faultRecovery.ProbeRetryBudget)
 	res.note("the rng misfire storm corrupts only the RNG family: single-channel rng campaigns survive on re-votes at a multiple of the clean CTest spend, llc/membus are untouched, and the combined tester outvotes its poisoned member")
 	return res, nil
 }

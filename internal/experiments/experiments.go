@@ -45,11 +45,6 @@ type Context struct {
 	// configuration (80k-host region, 640 tenants; the CLI's -big flag).
 	// Only scale reads it; every other experiment is unaffected.
 	Big bool
-	// Channel selects the covert channel campaigns verify with (the CLI's
-	// -channel flag): "rng" (or empty — the paper's channel and the
-	// byte-identical default), "llc", "membus", or "combined". Only
-	// faultsweep reads it; channelablation sweeps every channel itself.
-	Channel string
 	// Load, when > 0, attaches background-tenant traffic at that target
 	// utilization (one bystander tenant per host, faas.DefaultTrafficModel)
 	// to every region profile the experiments build — the CLI's -load flag.

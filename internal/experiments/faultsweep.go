@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"eaao/internal/core/attack"
 	"eaao/internal/faas"
@@ -29,14 +28,10 @@ func faultVariants() []faultVariant {
 	}
 }
 
-// hardenedBudgets is the fault-recovery configuration the sweep's hardened
-// curves run with.
-func hardenedBudgets(cfg *attack.Config) {
-	cfg.LaunchRetries = 4
-	cfg.RetryBackoff = 30 * time.Second
-	cfg.VoteBudget = 3
-	cfg.ProbeRetryBudget = 3
-}
+// faultRecovery is the attack package's fault-recovery preset, which the
+// hardened campaign cells of faultsweep, channelablation and noisesweep run
+// with; their notes read the budgets from it.
+var faultRecovery = attack.Config{}.WithFaultRecovery()
 
 // faultLevels is the injected uniform fault-level sweep. Level 0.05 is the
 // acceptance point: 5% launch faults, 2% channel misfire, 2.5% probe faults
@@ -84,9 +79,8 @@ func runFaultSweep(ctx Context) (*Result, error) {
 		prof := ablationProfile()
 		prof.Faults = faas.UniformFaultPlan(u.level)
 		cfg := ablationConfig(n, 6)
-		cfg.Channel = ctx.Channel
 		if u.variant.hardened {
-			hardenedBudgets(&cfg)
+			cfg = cfg.WithFaultRecovery()
 		}
 		return runCell(forkPlatform(ctx.Seed+31, prof).MustRegion("ablation"), cfg, u.variant.strategy)
 	})
@@ -140,6 +134,6 @@ func runFaultSweep(ctx Context) (*Result, error) {
 	res.Figures = append(res.Figures, fig)
 
 	res.note("same world seed per cell; fault level and hardening are the only variables")
-	res.note("hardened budgets: %d launch retries (30s backoff), vote budget 3, probe retry budget 3; optimized-raw zeroes all of them, so its first unrecovered fault kills the campaign", 4)
+	res.note("hardened budgets: %d launch retries (%v backoff), vote budget %d, probe retry budget %d; optimized-raw zeroes all of them, so its first unrecovered fault kills the campaign", faultRecovery.LaunchRetries, faultRecovery.RetryBackoff, faultRecovery.VoteBudget, faultRecovery.ProbeRetryBudget)
 	return res, nil
 }

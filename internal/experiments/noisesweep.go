@@ -50,6 +50,10 @@ func (c Context) noiseTiers() []noiseTier {
 // modulation is live.
 const noiseWarmup = 2 * time.Hour
 
+// noiseLaunchRetries overrides the fault preset's launch retries for the
+// campaign cells: a saturated region sheds more launch waves than faults do.
+const noiseLaunchRetries = 6
+
 // noiseProfile is the ablation region with background traffic at the given
 // utilization target: one bystander tenant per host, Zipf-weighted.
 func noiseProfile(util float64) faas.RegionProfile {
@@ -102,20 +106,6 @@ func noiseProbeWorld(seed uint64, n int, util float64) (*faas.Platform, []*faas.
 }
 
 var noiseWorlds sync.Map // "kind|seed|..." → *launchedWorld
-
-// applyNoiseHardening arms the campaign's contention-aware ladder with the
-// sweep's standard budgets: live-world threshold calibration, margin-health
-// watching with vote-budget escalation and an RNG fallback, surgical
-// quarantine of unreliable footprint instances, and congestion backoff.
-func applyNoiseHardening(cfg *attack.Config) {
-	cfg.CalibrationRounds = 240
-	cfg.MarginFloor = 0.08
-	cfg.MaxVoteBudget = 5
-	cfg.FallbackChannel = "rng"
-	cfg.QuarantineAfter = 2
-	cfg.NoisyHostBar = 0.4
-	cfg.CongestionBackoff = 30 * time.Second
-}
 
 // groundTruthPairs splits the probe launch into disjoint host-verified
 // co-located and separated index pairs (at most limit of each), using
@@ -369,12 +359,11 @@ func runNoiseSweep(ctx Context) (*Result, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		cfg := ablationConfig(n, 4)
+		cfg := ablationConfig(n, 4).WithFaultRecovery()
 		cfg.Channel = u.ch
-		hardenedBudgets(&cfg)
-		cfg.LaunchRetries = 6
+		cfg.LaunchRetries = noiseLaunchRetries
 		if u.hardened {
-			applyNoiseHardening(&cfg)
+			cfg = cfg.WithNoiseRecovery()
 		}
 		return runCell(pl.MustRegion("ablation"), cfg, attack.OptimizedStrategy{})
 	})
@@ -410,7 +399,7 @@ func runNoiseSweep(ctx Context) (*Result, error) {
 	res.Tables = append(res.Tables, cTbl)
 
 	res.note("part 1: one warmed probe world per tier (seed+45, %s warm-up, %d bystander tenants); stock channel configs on host-verified pairs", noiseWarmup, ablationProfile().NumHosts)
-	res.note("part 2: one warmed campaign world per tier (seed+47); both variants carry fault budgets (6 launch retries, vote budget 3, probe retry budget 3), hardened adds calibration, margin-watched escalation to an rng fallback, quarantine, and congestion backoff")
+	res.note("part 2: one warmed campaign world per tier (seed+47); both variants carry fault budgets (%d launch retries, vote budget %d, probe retry budget %d), hardened adds calibration, margin-watched escalation to an rng fallback, quarantine, and congestion backoff", noiseLaunchRetries, faultRecovery.VoteBudget, faultRecovery.ProbeRetryBudget)
 	res.note("ladder column: calibrations/escalations/fallbacks/quarantined; noise USD is the attribution share of the bill a quiet world would not have paid")
 	res.note("fingerprints are boot-time identity and stay exact under load; the covert channel is the load-sensitive primitive, and only the LLC family carries bystander physics")
 	return res, nil
