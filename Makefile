@@ -9,9 +9,11 @@ GO ?= go
 # microbenchmark so a broken bench fails here (only the packages that hold
 # one are linked, and lint has already vetted them), a race pass over the
 # fault plane and its attack-side recovery paths, quick fault-sweep/
-# multiregion/channel-ablation/noise-sweep smoke runs, and two `eaao attack
+# multiregion/channel-ablation/noise-sweep smoke runs, two `eaao attack
 # -recovery` smokes through the real binary, which cover main's split of
-# global flags (-faults, -load) from the attack subcommand's own.
+# global flags (-faults, -load) from the attack subcommand's own, and one run
+# of every example program (`go build` compiles them but never runs them, so
+# a facade change that breaks one at run time would otherwise pass).
 check: lint
 	$(GO) build ./...
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
@@ -32,6 +34,8 @@ check: lint
 	@echo "attack -recovery faults smoke OK"
 	@$(GO) run ./cmd/eaao -quick -load 0.4 attack -recovery noise >/dev/null
 	@echo "attack -recovery noise smoke OK"
+	@for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
+	@echo "examples smoke OK"
 
 # Fails if any file needs gofmt, then runs vet.
 lint:

@@ -142,6 +142,9 @@ type (
 	OptimizedStrategy = attack.OptimizedStrategy
 	// Coverage is an attacker-vs-victim co-location measurement.
 	Coverage = attack.Coverage
+	// CoverageOpts parameterizes MeasureCoverage: fingerprint precision and
+	// the probe-fault retry budget.
+	CoverageOpts = attack.CoverageOpts
 	// FootprintTracker accumulates apparent hosts across launches.
 	FootprintTracker = attack.FootprintTracker
 )
@@ -320,15 +323,11 @@ func AttackStrategyByName(name string) (LaunchStrategy, error) {
 	return attack.StrategyByName(name)
 }
 
-// MeasureCoverage verifies attacker-victim co-location.
-func MeasureCoverage(tester ColocTester, attacker, victims []*Instance, precision Duration) (Coverage, error) {
-	return attack.MeasureCoverage(tester, attacker, victims, precision)
-}
-
-// MeasureCoverageDetail is MeasureCoverage plus the verified co-located
-// attacker instances (the spies for extraction and re-attack targeting).
-func MeasureCoverageDetail(tester ColocTester, attacker, victims []*Instance, precision Duration) (Coverage, []*Instance, error) {
-	return attack.MeasureCoverageDetail(tester, attacker, victims, precision)
+// MeasureCoverage verifies attacker-victim co-location and returns the
+// verified co-located attacker instances (the spies for extraction and
+// re-attack targeting).
+func MeasureCoverage(tester ColocTester, attacker, victims []*Instance, opts CoverageOpts) (Coverage, []*Instance, error) {
+	return attack.MeasureCoverage(tester, attacker, victims, opts)
 }
 
 // NewTargetBook creates a re-attack fingerprint book (§5.2 optimization).

@@ -24,7 +24,7 @@ func TestQuickstartJourney(t *testing.T) {
 			t.Fatal(err)
 		}
 		fp := Gen1FromSample(sample, DefaultPrecision)
-		items[i] = VerifyItem{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = VerifyItem{Inst: inst, Fingerprint: fp.Key()}
 	}
 	tester := NewCovertTester(pl.Scheduler())
 	res, err := VerifyColocation(tester, items, DefaultVerifyOptions())
@@ -61,7 +61,7 @@ func TestAttackJourney(t *testing.T) {
 		t.Fatal(err)
 	}
 	tester := NewCovertTester(pl.Scheduler())
-	cov, spies, err := MeasureCoverageDetail(tester, camp.Live, vic, cfg.Precision)
+	cov, spies, err := MeasureCoverage(tester, camp.Live, vic, CoverageOpts{Precision: cfg.Precision})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func ExampleVerifyColocation() {
 	for i, inst := range insts {
 		s, _ := eaao.CollectGen1(inst.MustGuest())
 		fp := eaao.Gen1FromSample(s, eaao.DefaultPrecision)
-		items[i] = eaao.VerifyItem{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = eaao.VerifyItem{Inst: inst, Fingerprint: fp.Key()}
 	}
 	tester := eaao.NewCovertTester(pl.Scheduler())
 	res, _ := eaao.VerifyColocation(tester, items, eaao.DefaultVerifyOptions())
@@ -55,7 +55,7 @@ func ExampleRunOptimizedAttack() {
 	camp, _ := eaao.RunOptimizedAttack(dc.Account("attacker"), cfg, eaao.Gen1)
 
 	tester := eaao.NewCovertTester(pl.Scheduler())
-	cov, _ := eaao.MeasureCoverage(tester, camp.Live, vic, cfg.Precision)
+	cov, _, _ := eaao.MeasureCoverage(tester, camp.Live, vic, eaao.CoverageOpts{Precision: cfg.Precision})
 	fmt.Println("co-located with at least one victim instance:", cov.AtLeastOne)
 	// Output: co-located with at least one victim instance: true
 }

@@ -38,7 +38,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cov, err := eaao.MeasureCoverage(tester, naive.Live, vicInsts, cfg.Precision)
+	opts := eaao.CoverageOpts{Precision: cfg.Precision}
+	cov, _, err := eaao.MeasureCoverage(tester, naive.Live, vicInsts, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,9 +47,6 @@ func main() {
 		len(naive.Live), naive.Footprint.Cumulative(), cov)
 
 	// Tear the naive attempt down and wait for the account to go cold.
-	for _, rec := range naive.Records {
-		_ = rec
-	}
 	attackerCleanup(attacker, naive)
 	pl.Scheduler().Advance(45 * 60 * 1e9)
 
@@ -63,8 +61,7 @@ func main() {
 	// The victim's autoscaler may have replaced some instances while the
 	// campaign ran; measure against the ones that exist now.
 	vicInsts = login.ActiveInstances()
-	var spies []*eaao.Instance
-	cov, spies, err = eaao.MeasureCoverageDetail(tester, opt.Live, vicInsts, cfg.Precision)
+	cov, spies, err := eaao.MeasureCoverage(tester, opt.Live, vicInsts, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

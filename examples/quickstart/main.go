@@ -39,7 +39,7 @@ func main() {
 		}
 		fp := eaao.Gen1FromSample(sample, eaao.DefaultPrecision)
 		unique[fp]++
-		items[i] = eaao.VerifyItem{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = eaao.VerifyItem{Inst: inst, Fingerprint: fp.Key()}
 	}
 	fmt.Printf("%d apparent hosts among %d instances:\n", len(unique), len(insts))
 	keys := make([]string, 0, len(unique))

@@ -149,8 +149,8 @@ func (c Config) WithFaultRecovery() Config {
 // live-world threshold calibration, margin-health watching with vote-budget
 // escalation and an RNG fallback, surgical quarantine of unreliable
 // footprint instances, and congestion backoff — the hardening the noisesweep
-// experiment judges. Quarantine samples one channel, so the result does not
-// validate on the combined channel.
+// experiment judges. The quarantine rung samples one channel, so the result
+// does not validate on the combined channel.
 func (c Config) WithNoiseRecovery() Config {
 	c.CalibrationRounds = 240
 	c.MarginFloor = 0.08

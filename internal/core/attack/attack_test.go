@@ -121,7 +121,7 @@ func TestOptimizedCoverageBeatsNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	tester := covert.NewTester(dc.Scheduler(), covert.DefaultConfig())
-	cov, err := MeasureCoverage(tester, opt.Live, vic, cfg.Precision)
+	cov, _, err := MeasureCoverage(tester, opt.Live, vic, CoverageOpts{Precision: cfg.Precision})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCoverageGroundTruthAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	tester := covert.NewTester(dc.Scheduler(), covert.DefaultConfig())
-	cov, err := MeasureCoverage(tester, opt.Live, vic, cfg.Precision)
+	cov, _, err := MeasureCoverage(tester, opt.Live, vic, CoverageOpts{Precision: cfg.Precision})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestGen2Coverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	tester := covert.NewTester(dc.Scheduler(), covert.DefaultConfig())
-	cov, err := MeasureCoverage(tester, opt.Live, vic, cfg.Precision)
+	cov, _, err := MeasureCoverage(tester, opt.Live, vic, CoverageOpts{Precision: cfg.Precision})
 	if err != nil {
 		t.Fatal(err)
 	}

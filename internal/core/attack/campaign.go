@@ -190,7 +190,7 @@ func (c *Campaign) Verify(victims []*faas.Instance) (Coverage, []*faas.Instance,
 // the score ledger is the caller's job, so the hardened path can re-pass
 // without double-counting victims.
 func (c *Campaign) measure(victims []*faas.Instance) (Coverage, []*faas.Instance, error) {
-	cov, spies, err := MeasureCoverageDetailOpts(c.Tester(), c.liveForVerify(), victims, CoverageOpts{
+	cov, spies, err := MeasureCoverage(c.Tester(), c.liveForVerify(), victims, CoverageOpts{
 		Precision:        c.cfg.Precision,
 		ProbeRetryBudget: c.cfg.ProbeRetryBudget,
 	})

@@ -57,7 +57,7 @@ type CoverageFaults struct {
 	VictimsSkipped   int
 }
 
-// CoverageOpts parameterizes MeasureCoverageDetailOpts.
+// CoverageOpts parameterizes MeasureCoverage.
 type CoverageOpts struct {
 	// Precision is the Gen 1 fingerprint rounding precision.
 	Precision time.Duration
@@ -84,31 +84,20 @@ func (c Coverage) String() string {
 // MeasureCoverage verifies attacker-victim co-location using the scalable
 // methodology of §4.3: both sides are fingerprinted, grouped, and verified
 // with the covert channel; a victim instance counts as covered when its
-// verified cluster also contains an attacker instance.
+// verified cluster also contains an attacker instance. It also returns the
+// attacker instances verified to share a host with at least one victim —
+// the spies for the extraction step, and the input to a re-attack
+// TargetBook.
 //
 // The attacker set may be large (thousands of instances); to keep the
 // covert-channel budget proportional to hosts rather than instances, only
 // one attacker instance per apparent host joins the verification, exactly as
 // an attacker would do in practice.
-func MeasureCoverage(tester coloc.Tester, attacker, victims []*faas.Instance, precision time.Duration) (Coverage, error) {
-	cov, _, err := MeasureCoverageDetail(tester, attacker, victims, precision)
-	return cov, err
-}
-
-// MeasureCoverageDetail is MeasureCoverage, additionally returning the
-// attacker instances verified to share a host with at least one victim —
-// the spies for the extraction step, and the input to a re-attack
-// TargetBook.
-func MeasureCoverageDetail(tester coloc.Tester, attacker, victims []*faas.Instance, precision time.Duration) (Coverage, []*faas.Instance, error) {
-	return MeasureCoverageDetailOpts(tester, attacker, victims, CoverageOpts{Precision: precision})
-}
-
-// MeasureCoverageDetailOpts is MeasureCoverageDetail with fault-recovery
-// options. With a zero ProbeRetryBudget it is the exact historical
+//
+// With a zero opts.ProbeRetryBudget the first probe fault fails the
 // measurement; with a positive budget, probe-faulted fingerprint collections
-// are retried and persistently faulting instances are skipped instead of
-// failing the whole verification.
-func MeasureCoverageDetailOpts(tester coloc.Tester, attacker, victims []*faas.Instance, opts CoverageOpts) (Coverage, []*faas.Instance, error) {
+// are retried and persistently faulting instances are skipped instead.
+func MeasureCoverage(tester coloc.Tester, attacker, victims []*faas.Instance, opts CoverageOpts) (Coverage, []*faas.Instance, error) {
 	precision := opts.Precision
 	gen2 := false
 	for _, inst := range attacker {
@@ -279,14 +268,14 @@ func makeItem(inst *faas.Instance, precision time.Duration, gen2 bool) (coloc.It
 		if err != nil {
 			return coloc.Item{}, err
 		}
-		return coloc.Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}, nil
+		return coloc.Item{Inst: inst, Fingerprint: fp.Key()}, nil
 	}
 	s, err := fingerprint.CollectGen1(g)
 	if err != nil {
 		return coloc.Item{}, err
 	}
 	fp := fingerprint.Gen1FromSample(s, precision)
-	return coloc.Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}, nil
+	return coloc.Item{Inst: inst, Fingerprint: fp.Key()}, nil
 }
 
 // dedupeByFingerprint keeps the first instance per apparent host (Gen 1

@@ -132,19 +132,6 @@ func (fc *FleetCampaign) Budget() int { return fc.budget }
 // RoundsUsed returns how many launch rounds ran across all shards.
 func (fc *FleetCampaign) RoundsUsed() int { return fc.rounds }
 
-// Shard returns the per-region campaign for one fleet region, or nil before
-// Launch / for an unknown region. The shard campaign owns its region's
-// footprint, ledger, and covert tester exactly as a single-region Campaign
-// does.
-func (fc *FleetCampaign) Shard(r faas.Region) *Campaign {
-	for _, sh := range fc.shards {
-		if sh.dc.Region() == r {
-			return sh.camp
-		}
-	}
-	return nil
-}
-
 // Shards returns the per-region campaigns in fleet order (empty before
 // Launch).
 func (fc *FleetCampaign) Shards() []*Campaign {

@@ -69,10 +69,11 @@ func TestFleetOneShardMatchesLegacyCampaign(t *testing.T) {
 			if err := fc.Launch(); err != nil {
 				t.Fatal(err)
 			}
-			shard := fc.Shard("t")
-			if shard == nil {
+			shards := fc.Shards()
+			if len(shards) != 1 || shards[0] == nil {
 				t.Fatal("fleet lost its shard campaign")
 			}
+			shard := shards[0]
 
 			assertSameCampaign(t, legacy, shard.Result())
 			if got, want := shard.Stats(), legacyC.Stats(); !reflect.DeepEqual(got, want) {

@@ -92,8 +92,8 @@ func (c *Campaign) passHealthy() bool {
 }
 
 // escalate climbs one rung of the ladder and reports whether a re-pass is
-// worth running. Quarantine runs on passes the margin signal flagged — it
-// targets localized noise, a few hosts whose channel disagrees with an
+// worth running. The quarantine rung runs on passes the margin signal flagged
+// — it targets localized noise, a few hosts whose channel disagrees with an
 // otherwise-working world, and strikes need consecutive confirmation. A pass
 // flagged only by the fingerprint prior is a global channel collapse;
 // striking residents there would just delete the footprint the fallback

@@ -1,10 +1,6 @@
 package attack
 
 import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
 	"time"
 
 	"eaao/internal/core/fingerprint"
@@ -68,33 +64,6 @@ func (tb *TargetBook) Matches(fp fingerprint.Gen1) bool {
 	return false
 }
 
-// Prune drops recorded victim hosts no longer present in a current campaign
-// footprint, returning how many entries were removed. A book accumulated over
-// days otherwise grows stale — hosts retire, fingerprints expire (§4.4.2) —
-// and every stale entry widens Focus's drift-tolerant matching for nothing.
-// Matching against the footprint uses the same ±1-bucket drift tolerance as
-// Matches, in the opposite direction: a recorded fingerprint survives when the
-// footprint saw the same CPU model within one rounding boundary.
-func (tb *TargetBook) Prune(current *FootprintTracker) int {
-	pruned := 0
-	for fp := range tb.hosts {
-		alive := current.seen[fp]
-		for _, d := range []int64{-1, 1} {
-			if alive {
-				break
-			}
-			adj := fp
-			adj.BootBucket += d
-			alive = current.seen[adj]
-		}
-		if !alive {
-			delete(tb.hosts, fp)
-			pruned++
-		}
-	}
-	return pruned
-}
-
 // Focus filters the attacker's live instances down to those residing on
 // recorded victim hosts: the only instances that need to run the expensive
 // side-channel extraction in a repeat attack. The returned effort fraction
@@ -119,63 +88,4 @@ func (tb *TargetBook) Focus(attacker []*faas.Instance) (focused []*faas.Instance
 		return nil, 0, nil
 	}
 	return focused, float64(len(focused)) / float64(live), nil
-}
-
-// Save writes the book's recorded fingerprints, one per line, in a stable
-// order. A re-attacking tool persists the book between sessions (the paper's
-// optimization spans days).
-func (tb *TargetBook) Save(w io.Writer) error {
-	lines := make([]string, 0, len(tb.hosts))
-	for fp := range tb.hosts {
-		text, err := fp.MarshalText()
-		if err != nil {
-			return err
-		}
-		lines = append(lines, string(text))
-	}
-	sort.Strings(lines)
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# eaao target book, precision %d ns\n", tb.precision)
-	for _, l := range lines {
-		fmt.Fprintln(bw, l)
-	}
-	return bw.Flush()
-}
-
-// LoadTargetBook reads a book previously written by Save. Fingerprints whose
-// precision differs from the book header are rejected: mixing precisions
-// would produce silent never-matches.
-func LoadTargetBook(r io.Reader) (*TargetBook, error) {
-	sc := bufio.NewScanner(r)
-	var book *TargetBook
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if book == nil {
-			var precNs int64
-			if _, err := fmt.Sscanf(line, "# eaao target book, precision %d ns", &precNs); err != nil || precNs <= 0 {
-				return nil, fmt.Errorf("attack: malformed target book header %q", line)
-			}
-			book = NewTargetBook(time.Duration(precNs))
-			continue
-		}
-		var fp fingerprint.Gen1
-		if err := fp.UnmarshalText([]byte(line)); err != nil {
-			return nil, err
-		}
-		if fp.PrecisionNs != int64(book.precision) {
-			return nil, fmt.Errorf("attack: fingerprint precision %d ns does not match book %v",
-				fp.PrecisionNs, book.precision)
-		}
-		book.hosts[fp] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if book == nil {
-		return nil, fmt.Errorf("attack: empty target book")
-	}
-	return book, nil
 }

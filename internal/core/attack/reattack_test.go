@@ -1,8 +1,6 @@
 package attack
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -136,7 +134,7 @@ func TestFocusedSetStillCoversVictim(t *testing.T) {
 		t.Fatal(err)
 	}
 	tester := covert.NewTester(dc.Scheduler(), covert.DefaultConfig())
-	cov, err := MeasureCoverage(tester, camp.Live, vic, cfg.Precision)
+	cov, _, err := MeasureCoverage(tester, camp.Live, vic, CoverageOpts{Precision: cfg.Precision})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,111 +163,12 @@ func TestFocusedSetStillCoversVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov2, err := MeasureCoverage(tester, focused, vic2, cfg.Precision)
+	cov2, _, err := MeasureCoverage(tester, focused, vic2, CoverageOpts{Precision: cfg.Precision})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if float64(cov2.VictimCovered) < float64(cov.VictimCovered)*0.8 {
 		t.Errorf("focused set covers %d victims, full set covered %d",
 			cov2.VictimCovered, cov.VictimCovered)
-	}
-}
-
-func TestTargetBookSaveLoad(t *testing.T) {
-	book := NewTargetBook(time.Second)
-	fps := []fingerprint.Gen1{
-		{Model: "Intel(R) Xeon(R) CPU @ 2.00GHz", BootBucket: 1000, PrecisionNs: int64(time.Second)},
-		{Model: "AMD EPYC 7B12 @ 2.25GHz", BootBucket: -5, PrecisionNs: int64(time.Second)},
-	}
-	for _, fp := range fps {
-		book.hosts[fp] = true
-	}
-	var buf bytes.Buffer
-	if err := book.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadTargetBook(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Size() != 2 {
-		t.Fatalf("loaded %d entries", loaded.Size())
-	}
-	for _, fp := range fps {
-		if !loaded.Matches(fp) {
-			t.Errorf("loaded book does not match %v", fp)
-		}
-	}
-	if loaded.precision != time.Second {
-		t.Errorf("precision = %v", loaded.precision)
-	}
-}
-
-func TestLoadTargetBookErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":           "",
-		"bad header":      "not a header\n",
-		"bad line":        "# eaao target book, precision 1000000000 ns\ngarbage\n",
-		"mixed precision": "# eaao target book, precision 1000000000 ns\ngen1|500|7|M\n",
-	}
-	for name, in := range cases {
-		if _, err := LoadTargetBook(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: loaded", name)
-		}
-	}
-}
-
-func TestTargetBookSaveDeterministic(t *testing.T) {
-	book := NewTargetBook(time.Second)
-	for i := int64(0); i < 20; i++ {
-		book.hosts[fingerprint.Gen1{Model: "M", BootBucket: i, PrecisionNs: int64(time.Second)}] = true
-	}
-	var a, b bytes.Buffer
-	if err := book.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := book.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("Save output not deterministic")
-	}
-}
-
-func TestTargetBookPrune(t *testing.T) {
-	book := NewTargetBook(time.Second)
-	mk := func(model string, bucket int64) fingerprint.Gen1 {
-		return fingerprint.Gen1{Model: model, BootBucket: bucket, PrecisionNs: int64(time.Second)}
-	}
-	exact := mk("M", 1000)   // present in the current footprint
-	drifted := mk("M", 2000) // footprint saw the adjacent bucket 2001
-	stale := mk("M", 3000)   // nowhere near the current footprint
-	wrongModel := mk("gone", 1000)
-	for _, fp := range []fingerprint.Gen1{exact, drifted, stale, wrongModel} {
-		book.hosts[fp] = true
-	}
-
-	current := NewFootprintTracker(time.Second)
-	current.seen[exact] = true
-	current.seen[mk("M", 2001)] = true
-
-	if pruned := book.Prune(current); pruned != 2 {
-		t.Errorf("pruned %d entries, want 2 (stale bucket + retired model)", pruned)
-	}
-	if book.Size() != 2 {
-		t.Fatalf("book size = %d after prune, want 2", book.Size())
-	}
-	if !book.Matches(exact) || !book.Matches(drifted) {
-		t.Error("prune dropped entries the footprint still corroborates")
-	}
-	if book.Matches(stale) || book.Matches(wrongModel) {
-		t.Error("stale entries survived the prune")
-	}
-	// Pruning against an empty footprint empties the book.
-	if pruned := book.Prune(NewFootprintTracker(time.Second)); pruned != 2 {
-		t.Errorf("second prune removed %d, want 2", pruned)
-	}
-	if book.Size() != 0 {
-		t.Errorf("book size = %d after pruning against nothing", book.Size())
 	}
 }

@@ -78,7 +78,6 @@ func baselineResult(tester Tester, instances []*faas.Instance, uf *unionFind, te
 	}
 	res.Tests = tester.Stats().Tests - testsBefore
 	res.SerializedTime = time.Duration(res.Tests) * tester.Config().TestDuration
-	res.WallTime = res.SerializedTime // baselines are fully serialized
 	return res
 }
 

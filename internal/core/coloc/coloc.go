@@ -35,11 +35,6 @@ type Item struct {
 	// Fingerprint is the comparable grouping key (fingerprint.Key is a
 	// fixed-size struct, so grouping never allocates or hashes strings).
 	Fingerprint fingerprint.Key
-	// ConflictKey marks tests that would interfere if run concurrently:
-	// groups with *different* conflict keys are guaranteed to sit on
-	// different hosts (e.g. different CPU models) and may verify in
-	// parallel. An empty key conflicts with everything.
-	ConflictKey string
 }
 
 // Tester is the covert-channel capability verification needs: n-way and
@@ -58,9 +53,8 @@ type Options struct {
 	// M is the contention threshold (≥ 2). Sub-groups of up to 2M−1
 	// instances are verified in a single test. The paper uses M = 2.
 	M int
-	// AssumeNoFalseNegatives skips the cross-cluster false-negative sweep
-	// and allows all group verifications to proceed concurrently. Sound
-	// for Gen 2 fingerprints (§4.5).
+	// AssumeNoFalseNegatives skips the cross-cluster false-negative sweep.
+	// Sound for Gen 2 fingerprints (§4.5).
 	AssumeNoFalseNegatives bool
 }
 
@@ -79,10 +73,6 @@ type Result struct {
 	// SerializedTime is the virtual wall-clock the tests would take fully
 	// serialized (tests × test duration).
 	SerializedTime time.Duration
-	// WallTime accounts for permitted parallelism: tests whose groups
-	// cannot share a host (different conflict keys, or the no-false-
-	// negative regime) overlap.
-	WallTime time.Duration
 	// FalsePositiveSplits counts fingerprint groups that step 2 split.
 	FalsePositiveSplits int
 	// FalseNegativeMerges counts cluster pairs merged by step 3.
@@ -121,58 +111,29 @@ func Verify(tester Tester, items []Item, opt Options) (*Result, error) {
 		groupOf[it.Fingerprint] = append(groupOf[it.Fingerprint], i)
 	}
 
-	// Step 2: verify each group internally. Track per-conflict-key serial
-	// cost for the wall-time model.
-	testsByKey := make(map[string]int)
+	// Step 2: verify each group internally.
 	var clusters [][]int
 	for _, fp := range order {
-		group := groupOf[fp]
-		before := v.tester.Stats().Tests
-		parts, err := v.verifyGroup(items, group)
+		parts, err := v.verifyGroup(items, groupOf[fp])
 		if err != nil {
 			return nil, err
-		}
-		spent := v.tester.Stats().Tests - before
-		key := items[group[0]].ConflictKey
-		if v.opt.AssumeNoFalseNegatives {
-			// Fully parallel: each group is its own lane.
-			if spent > testsByKey["@max"] {
-				testsByKey["@max"] = spent
-			}
-		} else {
-			testsByKey[key] += spent
 		}
 		if len(parts) > 1 {
 			v.res.FalsePositiveSplits++
 		}
 		clusters = append(clusters, parts...)
 	}
-	// An empty ConflictKey means "conflicts with everything" (see Item), so
-	// its tests serialize against every lane: wall time is the empty lane
-	// plus the widest keyed lane, not the maximum over lanes with "" treated
-	// as one more independent lane.
-	step2Wall := testsByKey[""]
-	maxKeyed := 0
-	for key, n := range testsByKey {
-		if key != "" && n > maxKeyed {
-			maxKeyed = n
-		}
-	}
-	step2Wall += maxKeyed
 
 	// Step 3: find false negatives across clusters.
-	step3Tests := 0
 	if !v.opt.AssumeNoFalseNegatives && len(clusters) > 1 {
-		before := v.tester.Stats().Tests
 		var err error
 		clusters, err = v.mergeFalseNegatives(items, clusters)
 		if err != nil {
 			return nil, err
 		}
-		step3Tests = v.tester.Stats().Tests - before
 	}
 
-	v.finish(items, clusters, step2Wall+step3Tests)
+	v.finish(items, clusters)
 	return v.res, nil
 }
 
@@ -348,7 +309,7 @@ func (v *verifier) mergeFalseNegatives(items []Item, clusters [][]int) ([][]int,
 }
 
 // finish materializes the Result from index clusters.
-func (v *verifier) finish(items []Item, clusters [][]int, wallTests int) {
+func (v *verifier) finish(items []Item, clusters [][]int) {
 	v.res.Labels = make([]int, len(items))
 	v.res.Clusters = make([][]*faas.Instance, 0, len(clusters))
 	for ci, c := range clusters {
@@ -359,10 +320,8 @@ func (v *verifier) finish(items []Item, clusters [][]int, wallTests int) {
 		}
 		v.res.Clusters = append(v.res.Clusters, insts)
 	}
-	dur := v.tester.Config().TestDuration
 	v.res.Tests = v.tester.Stats().Tests - v.testsBefore
-	v.res.SerializedTime = time.Duration(v.res.Tests) * dur
-	v.res.WallTime = time.Duration(wallTests) * dur
+	v.res.SerializedTime = time.Duration(v.res.Tests) * v.tester.Config().TestDuration
 }
 
 // unionFind is a plain disjoint-set structure over [0, n).

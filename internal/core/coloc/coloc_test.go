@@ -39,7 +39,7 @@ func itemsGen1(t *testing.T, insts []*faas.Instance, precision time.Duration) []
 			t.Fatal(err)
 		}
 		fp := fingerprint.Gen1FromSample(s, precision)
-		items[i] = Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = Item{Inst: inst, Fingerprint: fp.Key()}
 	}
 	return items
 }
@@ -176,7 +176,7 @@ func TestGen2ModeSkipsStep3AndParallelizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		items[i] = Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = Item{Inst: inst, Fingerprint: fp.Key()}
 	}
 	opt := DefaultOptions()
 	opt.AssumeNoFalseNegatives = true
@@ -188,67 +188,8 @@ func TestGen2ModeSkipsStep3AndParallelizes(t *testing.T) {
 	if score.FMI < 0.999 {
 		t.Errorf("Gen2 verified clustering FMI = %.4f", score.FMI)
 	}
-	if res.WallTime >= res.SerializedTime && res.Tests > 1 {
-		t.Errorf("no parallelism benefit: wall %v vs serialized %v", res.WallTime, res.SerializedTime)
-	}
-}
-
-// An empty ConflictKey conflicts with everything, so its tests serialize
-// against every lane: wall time must be (empty lane) + (widest keyed lane),
-// not the maximum over lanes with "" treated as one more independent lane.
-func TestWallTimeEmptyConflictKeySerializes(t *testing.T) {
-	pl, insts := testWorld(t, 11, 120, sandbox.Gen1)
-	tester := covert.NewTester(pl.Scheduler(), covert.DefaultConfig())
-
-	// Three co-located pairs on three distinct hosts, one fingerprint group
-	// each, with conflict keys "x", "y", and "" (conflicts with everything).
-	byHost := make(map[faas.HostID][]*faas.Instance)
-	for _, inst := range insts {
-		id, _ := inst.HostID()
-		byHost[id] = append(byHost[id], inst)
-	}
-	var pairs [][]*faas.Instance
-	for _, group := range byHost {
-		if len(group) >= 2 {
-			pairs = append(pairs, group[:2])
-			if len(pairs) == 3 {
-				break
-			}
-		}
-	}
-	if len(pairs) < 3 {
-		t.Fatal("world has fewer than three multi-instance hosts")
-	}
-	var items []Item
-	for gi, key := range []string{"x", "y", ""} {
-		for _, inst := range pairs[gi] {
-			items = append(items, Item{
-				Inst:        inst,
-				Fingerprint: fingerprint.Key{Model: "g", A: int64(gi)},
-				ConflictKey: key,
-			})
-		}
-	}
-
-	res, err := Verify(tester, items, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Step 2: one test per pair (3 total, lanes x=1, y=1, ""=1). Step 3: one
-	// representative test across the three clusters, all on different hosts,
-	// so no pairwise refinement follows.
-	if res.Tests != 4 {
-		t.Fatalf("used %d tests, expected 4 (scenario drifted; wall model unpinned)", res.Tests)
-	}
-	dur := tester.Config().TestDuration
-	if res.SerializedTime != 4*dur {
-		t.Errorf("SerializedTime = %v, want %v", res.SerializedTime, 4*dur)
-	}
-	// Wall: the "" lane (1) serializes against the widest keyed lane (1),
-	// while x and y overlap each other; plus the serial step-3 test.
-	if want := 3 * dur; res.WallTime != want {
-		t.Errorf("WallTime = %v, want %v (empty conflict key must not form its own parallel lane)",
-			res.WallTime, want)
+	if res.FalseNegativeMerges != 0 {
+		t.Errorf("Gen2 mode ran the step-3 sweep: %d merges", res.FalseNegativeMerges)
 	}
 }
 

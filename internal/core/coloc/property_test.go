@@ -40,7 +40,7 @@ func TestVerifyCorrectnessProperty(t *testing.T) {
 				return false
 			}
 			fp := fingerprint.Gen1FromSample(s, fingerprint.DefaultPrecision)
-			items[i] = Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+			items[i] = Item{Inst: inst, Fingerprint: fp.Key()}
 		}
 		res, err := Verify(tester, items, DefaultOptions())
 		if err != nil {
@@ -157,7 +157,7 @@ func TestVerifyWithNoisyChannelStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 		fp := fingerprint.Gen1FromSample(s, fingerprint.DefaultPrecision)
-		items[i] = Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = Item{Inst: inst, Fingerprint: fp.Key()}
 	}
 	res, err := Verify(tester, items, DefaultOptions())
 	if err != nil {

@@ -131,16 +131,3 @@ func Monitor(sched *simtime.Scheduler, spy *faas.Instance, s Schedule, cfg Monit
 	}
 	return trace, nil
 }
-
-// SpySelect picks, from the attacker's live instances, those co-located with
-// any of the given victim instances according to verified cluster labels
-// (produced by the coloc package): the instances worth spying from.
-func SpySelect(attacker []*faas.Instance, labels []int, attackerCount int, victimLabels map[int]bool) []*faas.Instance {
-	var out []*faas.Instance
-	for i := 0; i < attackerCount && i < len(attacker); i++ {
-		if victimLabels[labels[i]] {
-			out = append(out, attacker[i])
-		}
-	}
-	return out
-}

@@ -200,17 +200,3 @@ func TestExtractionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSpySelect(t *testing.T) {
-	_, dc := testWorld(t, 5)
-	insts, err := dc.Account("a").DeployService("s", faas.ServiceConfig{}).Launch(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := []int{0, 1, 2, 1}
-	victimLabels := map[int]bool{1: true}
-	spies := SpySelect(insts, labels, len(insts), victimLabels)
-	if len(spies) != 2 || spies[0] != insts[1] || spies[1] != insts[3] {
-		t.Errorf("SpySelect returned %d spies", len(spies))
-	}
-}

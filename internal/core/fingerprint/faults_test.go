@@ -57,59 +57,3 @@ func TestFaultedFrequencyMeasurementNeverUsable(t *testing.T) {
 		t.Errorf("fully faulted measurement classified usable (StdHz %.0f)", m.StdHz)
 	}
 }
-
-// TestRobustFrequencyRecoversTransients: under a transient probe-fault rate,
-// plain MeasureFrequency misclassifies some healthy hosts as problematic,
-// while RobustFrequency re-samples them back to usable; hosts that stay
-// unusable through the budget end quarantined rather than fingerprinted.
-func TestRobustFrequencyRecoversTransients(t *testing.T) {
-	pl, insts := faultTestWorld(t, 5, 40, faas.FaultPlan{ProbeFailureRate: 0.15})
-	sched := pl.Scheduler()
-	clean, recovered, quarantined := 0, 0, 0
-	for _, inst := range insts {
-		m, q, err := RobustFrequency(inst.MustGuest(), sched, 100*time.Millisecond, 6, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case q.Quarantined:
-			if m.Usable() {
-				t.Fatal("quarantined measurement reports usable")
-			}
-			quarantined++
-		case q.Resamples > 0:
-			if !m.Usable() {
-				t.Fatal("non-quarantined measurement reports unusable")
-			}
-			recovered++
-		default:
-			clean++
-		}
-	}
-	if recovered == 0 {
-		t.Errorf("no host recovered via re-sampling (clean %d, quarantined %d); fault rate inert?",
-			clean, quarantined)
-	}
-	if clean == 0 {
-		t.Error("every host faulted at rate 0.15; fault stream suspiciously hot")
-	}
-}
-
-// On a fault-free world RobustFrequency is MeasureFrequency: no re-samples,
-// no quarantine, same draw sequence.
-func TestRobustFrequencyFaultFreeIdentity(t *testing.T) {
-	pl, insts := testWorld(t, 6, 10)
-	sched := pl.Scheduler()
-	for _, inst := range insts {
-		m, q, err := RobustFrequency(inst.MustGuest(), sched, 100*time.Millisecond, 6, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.Resamples != 0 || q.Quarantined {
-			t.Fatalf("clean world triggered recovery: %+v", q)
-		}
-		if !m.Usable() {
-			t.Fatal("clean measurement unusable")
-		}
-	}
-}

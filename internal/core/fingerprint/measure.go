@@ -82,39 +82,3 @@ func MeasureFrequency(g *sandbox.Guest, sched *simtime.Scheduler, interval time.
 func BootTimeMeasured(s Sample, m FreqMeasurement) float64 {
 	return s.BootTimeSeconds(m.MeanHz)
 }
-
-// Quarantine reports the recovery bookkeeping of a RobustFrequency
-// measurement: how many times the host was re-sampled, and whether it ended
-// quarantined (still unusable after the budget — set aside rather than
-// misclassified).
-type Quarantine struct {
-	// Resamples is how many extra full measurements were taken.
-	Resamples int
-	// Quarantined is set when the final measurement is still unusable: the
-	// host's frequency disagrees with itself across samples, so the caller
-	// must not fingerprint with it.
-	Quarantined bool
-}
-
-// RobustFrequency is MeasureFrequency hardened against transient probe
-// faults: when a measurement comes back unusable (StdHz past the
-// problematic-host threshold), the host is re-measured up to budget times
-// instead of being misclassified on one bad sample. Genuinely problematic
-// hosts (§4.2: ~10% of the fleet) stay unusable on every attempt and end
-// quarantined; hosts that merely hit a transient fault recover on a retry.
-func RobustFrequency(g *sandbox.Guest, sched *simtime.Scheduler, interval time.Duration, reps, budget int) (FreqMeasurement, Quarantine, error) {
-	m, err := MeasureFrequency(g, sched, interval, reps)
-	if err != nil {
-		return m, Quarantine{}, err
-	}
-	var q Quarantine
-	for !m.Usable() && q.Resamples < budget {
-		q.Resamples++
-		m, err = MeasureFrequency(g, sched, interval, reps)
-		if err != nil {
-			return m, q, err
-		}
-	}
-	q.Quarantined = !m.Usable()
-	return m, q, nil
-}

@@ -85,7 +85,7 @@ func ablationItems(insts []*faas.Instance) ([]coloc.Item, error) {
 			return nil, err
 		}
 		fp := fingerprint.Gen1FromSample(s, fingerprint.DefaultPrecision)
-		items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key()}
 	}
 	return items, nil
 }

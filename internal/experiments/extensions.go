@@ -105,7 +105,7 @@ func runMitigation(ctx Context) (*Result, error) {
 				return worldRow{}, err
 			}
 			fp := fingerprint.Gen1FromSample(s, fingerprint.DefaultPrecision)
-			items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+			items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key()}
 		}
 		tester := covert.NewTester(dc.Scheduler(), covert.DefaultConfig())
 		ver, err := coloc.Verify(tester, items, coloc.DefaultOptions())
@@ -343,7 +343,8 @@ func runReattack(ctx Context) (*Result, error) {
 	}
 	covFocused := attack.Coverage{}
 	if len(focused) > 0 {
-		covFocused, err = attack.MeasureCoverage(camp2.Tester(), focused, vic2, fingerprint.DefaultPrecision)
+		covFocused, _, err = attack.MeasureCoverage(camp2.Tester(), focused, vic2,
+			attack.CoverageOpts{Precision: fingerprint.DefaultPrecision})
 		if err != nil {
 			return nil, err
 		}

@@ -112,7 +112,7 @@ func runVerifyCost(ctx Context) (*Result, error) {
 			return nil, err
 		}
 		fp := fingerprint.Gen1FromSample(s, fingerprint.DefaultPrecision)
-		items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key()}
 	}
 	ours, err := coloc.Verify(tester, items, coloc.DefaultOptions())
 	if err != nil {
@@ -184,7 +184,7 @@ func runGen2Accuracy(ctx Context) (*Result, error) {
 				return gen2Run{}, err
 			}
 			fps[i] = fp
-			items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+			items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key()}
 		}
 		// Ground truth via the covert methodology in its Gen 2 regime.
 		tester := covert.NewTester(dc.Scheduler(), covert.DefaultConfig())

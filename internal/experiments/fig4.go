@@ -42,7 +42,7 @@ func verifiedTruth(dc *faas.DataCenter, insts []*faas.Instance, precision time.D
 			return nil, nil, err
 		}
 		fp := fingerprint.Gen1FromSample(s, precision)
-		items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key(), ConflictKey: fp.Model}
+		items[i] = coloc.Item{Inst: inst, Fingerprint: fp.Key()}
 	}
 	res, err := coloc.Verify(tester, items, coloc.DefaultOptions())
 	if err != nil {

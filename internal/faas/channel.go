@@ -1,17 +1,11 @@
 package faas
 
-import (
-	"fmt"
-	"time"
-)
-
-// This file is the platform's channel-model registry: one ChannelModel per
+// This file is the platform's channel-model registry: one channelModel per
 // shared-resource family usable as a covert channel. The registry replaces
 // the historical per-Resource switch in the contention-round primitive, and
-// is where a channel's physics live — how long a round takes, how much
-// bandwidth the resource carries, and how its error rates respond to
+// is where a channel's noise physics live — how its error rates respond to
 // unrelated tenants on the host. The covert package layers CTest
-// configurations and pluggable Channel primitives on top.
+// configurations (including each channel's round time) on top.
 
 // NumResources is the number of registered shared-resource families.
 // Per-channel state (host misfire windows, FaultPlan.PerChannel) is indexed
@@ -19,21 +13,10 @@ import (
 // comparable and snapshot-trivial.
 const NumResources = 3
 
-// ChannelModel describes the physics of one covert-channel resource family:
-// the per-test virtual cost, the nominal bandwidth, and the background-noise
-// character — including how the channel degrades under bystander load.
-type ChannelModel struct {
-	// Resource is the registry index of the family.
-	Resource Resource
-	// Name is the family's CLI/ledger name ("rng", "membus", "llc").
-	Name string
-	// TestTime is the virtual wall-clock one standard 60-round CTest costs
-	// on this channel; the covert configs' TestDuration carries the same
-	// value as its own constant.
-	TestTime time.Duration
-	// BitsPerSecond is the channel's nominal covert bandwidth, for the cost
-	// comparisons of §4.3 and the related-work channels.
-	BitsPerSecond float64
+// channelModel describes the background-noise character of one
+// covert-channel resource family, including how the channel degrades under
+// bystander load.
+type channelModel struct {
 	// BaseNoise is the per-host, per-round probability of background
 	// contention from unrelated tenants on a quiet host.
 	BaseNoise float64
@@ -71,31 +54,15 @@ type ChannelModel struct {
 // of magnitude more bandwidth than the RNG and 5× shorter tests, but the
 // cache is shared with every co-resident workload, so both error rates grow
 // with host occupancy.
-var channelModels = [NumResources]ChannelModel{
-	ResourceRNG: {
-		Resource:      ResourceRNG,
-		Name:          "rng",
-		TestTime:      100 * time.Millisecond,
-		BitsPerSecond: 600,
-		BaseNoise:     0.008,
-	},
-	ResourceMemBus: {
-		Resource:      ResourceMemBus,
-		Name:          "membus",
-		TestTime:      3 * time.Second,
-		BitsPerSecond: 20,
-		BaseNoise:     0.18,
-	},
+var channelModels = [NumResources]channelModel{
+	ResourceRNG:    {BaseNoise: 0.008},
+	ResourceMemBus: {BaseNoise: 0.18},
 	ResourceLLC: {
-		Resource:      ResourceLLC,
-		Name:          "llc",
-		TestTime:      20 * time.Millisecond,
-		BitsPerSecond: 4000,
-		BaseNoise:     0.04,
-		LoadNoise:     0.03,
-		LoadNoiseCap:  0.45,
-		LoadDrop:      0.015,
-		LoadDropCap:   0.30,
+		BaseNoise:    0.04,
+		LoadNoise:    0.03,
+		LoadNoiseCap: 0.45,
+		LoadDrop:     0.015,
+		LoadDropCap:  0.30,
 		// Serving bystanders are ~3× the pressure of resident ones: a host
 		// mostly full of request-serving tenants pushes the stock 36-of-60
 		// verdict underwater, which is the measured degrade-under-load
@@ -108,32 +75,11 @@ var channelModels = [NumResources]ChannelModel{
 // Valid reports whether the resource is a registered family.
 func (r Resource) Valid() bool { return r >= 0 && int(r) < NumResources }
 
-// ChannelModelOf returns the registered model of a resource family.
-func ChannelModelOf(res Resource) (ChannelModel, error) {
-	if !res.Valid() {
-		return ChannelModel{}, fmt.Errorf("faas: unknown channel resource %d", int(res))
-	}
-	return channelModels[res], nil
-}
-
-// Channels lists every registered channel model in Resource order.
-func Channels() []ChannelModel { return append([]ChannelModel(nil), channelModels[:]...) }
-
-// ChannelByName resolves a channel model from its name.
-func ChannelByName(name string) (ChannelModel, error) {
-	for _, m := range channelModels {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return ChannelModel{}, fmt.Errorf("faas: unknown channel %q (rng, membus, llc)", name)
-}
-
 // roundNoise is the false-positive probability of one contention round on
 // host h: base background plus load sensitivity from bystander tenants
 // (residents not participating in the round). Pointer receiver: the round
 // loop calls this once per host per round, so the model must not be copied.
-func (m *ChannelModel) roundNoise(h *Host) float64 {
+func (m *channelModel) roundNoise(h *Host) float64 {
 	p := m.BaseNoise
 	if m.LoadNoise > 0 {
 		if by := h.ResidentCount() - h.roundCount; by > 0 {
@@ -153,7 +99,7 @@ func (m *ChannelModel) roundNoise(h *Host) float64 {
 // LoadDrop > 0 before drawing, which is what keeps the quiet channels' draw
 // sequences frozen; and the serving term is zero wherever no neighbor runs
 // demand-driven load, so quiet-world outcomes are frozen too.
-func (m *ChannelModel) roundDrop(h *Host) float64 {
+func (m *channelModel) roundDrop(h *Host) float64 {
 	if m.LoadDrop <= 0 {
 		return 0
 	}

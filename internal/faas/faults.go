@@ -91,9 +91,11 @@ func (r ChannelFaultRates) zero() bool {
 	return r.FalsePositiveRate == 0 && r.FalseNegativeRate == 0
 }
 
-// ChannelRates resolves the misfire rates governing one resource family: the
-// per-channel override when set, the scalar pair otherwise.
-func (f FaultPlan) ChannelRates(res Resource) ChannelFaultRates {
+// channelRates resolves the misfire rates governing one resource family: the
+// per-channel override when set, the scalar pair otherwise. Pointer receiver:
+// Host.updateMisfire calls it once per host per contention round, so the plan
+// must not be copied.
+func (f *FaultPlan) channelRates(res Resource) ChannelFaultRates {
 	if res.Valid() && !f.PerChannel[res].zero() {
 		return f.PerChannel[res]
 	}

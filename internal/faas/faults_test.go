@@ -181,7 +181,7 @@ func TestPerChannelFaultRates(t *testing.T) {
 	// A zero PerChannel entry falls back to the scalar pair.
 	scalar := FaultPlan{ChannelFalsePositiveRate: 0.1, ChannelFalseNegativeRate: 0.2}
 	for res := Resource(0); res.Valid(); res++ {
-		got := scalar.ChannelRates(res)
+		got := scalar.channelRates(res)
 		if got.FalsePositiveRate != 0.1 || got.FalseNegativeRate != 0.2 {
 			t.Errorf("%s rates = %+v, want scalar fallback", res, got)
 		}
@@ -189,14 +189,14 @@ func TestPerChannelFaultRates(t *testing.T) {
 	// A set entry overrides for its family only.
 	targeted := scalar
 	targeted.PerChannel[ResourceLLC] = ChannelFaultRates{FalsePositiveRate: 0.5}
-	if got := targeted.ChannelRates(ResourceLLC); got.FalsePositiveRate != 0.5 || got.FalseNegativeRate != 0 {
+	if got := targeted.channelRates(ResourceLLC); got.FalsePositiveRate != 0.5 || got.FalseNegativeRate != 0 {
 		t.Errorf("LLC override = %+v", got)
 	}
-	if got := targeted.ChannelRates(ResourceRNG); got.FalsePositiveRate != 0.1 {
+	if got := targeted.channelRates(ResourceRNG); got.FalsePositiveRate != 0.1 {
 		t.Errorf("RNG rates = %+v, want scalar fallback", got)
 	}
 	// An unknown resource degrades to the scalar pair instead of panicking.
-	if got := targeted.ChannelRates(Resource(9)); got.FalsePositiveRate != 0.1 {
+	if got := targeted.channelRates(Resource(9)); got.FalsePositiveRate != 0.1 {
 		t.Errorf("unknown-resource rates = %+v", got)
 	}
 

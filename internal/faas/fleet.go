@@ -41,16 +41,6 @@ func NewFleet(seed uint64, profiles ...RegionProfile) (*Fleet, error) {
 	return f, nil
 }
 
-// MustFleet is NewFleet, panicking on error; for tests and examples with
-// static, known-good configurations.
-func MustFleet(seed uint64, profiles ...RegionProfile) *Fleet {
-	f, err := NewFleet(seed, profiles...)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // FleetOf adapts pre-built region worlds into a fleet, for callers that
 // already hold a DataCenter (the experiments' trial jobs build their own).
 // Regions must be distinct, and with two or more shards each must live on

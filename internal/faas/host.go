@@ -202,14 +202,7 @@ func (h *Host) ProbeFault() bool {
 // fault stream. With both of the channel's rates zero this is a no-op (and
 // draws nothing), so untargeted channels are never perturbed.
 func (h *Host) updateMisfire(res Resource) {
-	// Resolve the rates without copying the FaultPlan (ChannelRates takes a
-	// value receiver): this runs once per host per contention round.
-	f := &h.dc.faults
-	r := f.PerChannel[res]
-	if r.zero() {
-		r.FalsePositiveRate = f.ChannelFalsePositiveRate
-		r.FalseNegativeRate = f.ChannelFalseNegativeRate
-	}
+	r := h.dc.faults.channelRates(res)
 	if r.FalsePositiveRate <= 0 && r.FalseNegativeRate <= 0 {
 		return
 	}

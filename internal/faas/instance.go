@@ -108,9 +108,6 @@ type Instance struct {
 	// actively executing (pressuring shared resources) at a given instant;
 	// used by the extraction demonstrator.
 	workload func(simtime.Time) bool
-	// cacheFootprint lists the LLC set groups the program touches while
-	// executing.
-	cacheFootprint []int
 }
 
 // ID returns the platform-assigned instance identity (visible to the tenant,

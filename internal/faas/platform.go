@@ -395,7 +395,7 @@ func ContentionRoundOnInto(res Resource, parts []*Instance, out []int) ([]int, e
 		return nil, fmt.Errorf("faas: unknown channel resource %d", int(res))
 	}
 	// Pointer into the registry: the round loop reads the model once per
-	// host per round, and a by-value ChannelModel copy per call is measurable
+	// host per round, and a by-value channelModel copy per call is measurable
 	// on the pairwise-verification path.
 	model := &channelModels[res]
 	var mark uint64

@@ -320,9 +320,6 @@ func cloneInstance(ns *Service, oi *Instance, cl *worldClone) (*Instance, error)
 	// slot for a pending lifecycle timer).
 	ni.termEvent = simtime.Event{}
 	ni.lifeEvent = nil
-	if len(oi.cacheFootprint) > 0 {
-		ni.cacheFootprint = append([]int(nil), oi.cacheFootprint...)
-	}
 	cl.insts[oi] = ni
 	return ni, nil
 }

@@ -210,11 +210,12 @@ func TestSnapshotRestoreThenDiverge(t *testing.T) {
 // to forking the same region built as its own solo platform.
 func TestSnapshotFleetShardMatchesSolo(t *testing.T) {
 	prof := snapProfile()
-	fleet := MustFleet(31, prof, func() RegionProfile {
-		p2 := snapProfile()
-		p2.Name = "other-region"
-		return p2
-	}())
+	other := snapProfile()
+	other.Name = "other-region"
+	fleet, err := NewFleet(31, prof, other)
+	if err != nil {
+		t.Fatal(err)
+	}
 	shard := fleet.MustRegion("test-region").Platform()
 	solo := MustPlatform(31, prof)
 	snapPrologue(t, shard)

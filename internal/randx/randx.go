@@ -169,14 +169,6 @@ func (s *Source) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.rng.Float64()
 }
 
-// IntRange returns a uniform int in [lo, hi]. It panics if hi < lo.
-func (s *Source) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("randx: IntRange with hi < lo")
-	}
-	return lo + s.rng.Intn(hi-lo+1)
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.rng.Float64() < p }
 
@@ -195,11 +187,6 @@ func (s *Source) Laplace(mean, b float64) float64 {
 		return mean - b*math.Log(1-2*u)
 	}
 	return mean + b*math.Log(1+2*u)
-}
-
-// Exponential returns a draw from Exp(rate); mean is 1/rate.
-func (s *Source) Exponential(rate float64) float64 {
-	return s.rng.ExpFloat64() / rate
 }
 
 // LogNormal returns exp(N(mu, sigma²)).

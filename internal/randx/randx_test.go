@@ -102,19 +102,6 @@ func TestLaplaceMoments(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	s := New(3)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.Exponential(0.5)
-	}
-	mean := sum / n
-	if math.Abs(mean-2) > 0.05 {
-		t.Errorf("exponential mean = %.4f, want ~2", mean)
-	}
-}
-
 func TestSampleDistinct(t *testing.T) {
 	s := New(4)
 	f := func(nRaw, kRaw uint8) bool {
@@ -147,19 +134,6 @@ func TestSampleFull(t *testing.T) {
 	}
 	if len(seen) != 10 {
 		t.Fatalf("Sample(10,10) returned %d distinct values, want 10", len(seen))
-	}
-}
-
-func TestIntRange(t *testing.T) {
-	s := New(6)
-	f := func(loRaw, span uint8) bool {
-		lo := int(loRaw) - 128
-		hi := lo + int(span)
-		v := s.IntRange(lo, hi)
-		return v >= lo && v <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

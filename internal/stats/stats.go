@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the reproduction
 // needs: descriptive statistics, simple linear regression with the Pearson
-// r-value (used to show that T_boot drifts linearly, §4.4.2), empirical CDFs
-// (Fig. 5), and histogram bucketing.
+// r-value (used to show that T_boot drifts linearly, §4.4.2), and empirical
+// CDFs (Fig. 5).
 package stats
 
 import (
@@ -166,59 +166,4 @@ func (c CDF) At(x float64) float64 {
 	// Number of samples <= x.
 	n := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(n) / float64(len(c.sorted))
-}
-
-// Quantile returns the smallest sample value v such that At(v) >= q, for
-// q in (0, 1]. It panics on an empty CDF or q outside (0, 1].
-func (c CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		panic("stats: Quantile of empty CDF")
-	}
-	if q <= 0 || q > 1 {
-		panic("stats: quantile out of range")
-	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx]
-}
-
-// Points returns (x, y) pairs for plotting the step CDF: one point per
-// distinct sample value.
-func (c CDF) Points() (xs, ys []float64) {
-	n := len(c.sorted)
-	for i := 0; i < n; i++ {
-		if i+1 < n && c.sorted[i+1] == c.sorted[i] {
-			continue
-		}
-		xs = append(xs, c.sorted[i])
-		ys = append(ys, float64(i+1)/float64(n))
-	}
-	return xs, ys
-}
-
-// Histogram counts samples into nbins equal-width buckets over [lo, hi].
-// Samples outside the range are clamped into the edge buckets. It panics if
-// nbins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		panic("stats: Histogram with nbins <= 0")
-	}
-	if hi <= lo {
-		panic("stats: Histogram with hi <= lo")
-	}
-	counts := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
 }

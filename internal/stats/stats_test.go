@@ -129,35 +129,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFQuantile(t *testing.T) {
-	c := NewCDF([]float64{10, 20, 30, 40})
-	if q := c.Quantile(0.25); q != 10 {
-		t.Errorf("Quantile(0.25) = %v, want 10", q)
-	}
-	if q := c.Quantile(1); q != 40 {
-		t.Errorf("Quantile(1) = %v, want 40", q)
-	}
-	if q := c.Quantile(0.26); q != 20 {
-		t.Errorf("Quantile(0.26) = %v, want 20", q)
-	}
-}
-
-func TestCDFPointsMonotone(t *testing.T) {
-	c := NewCDF([]float64{5, 1, 3, 3, 2})
-	xs, ys := c.Points()
-	if len(xs) != 4 { // distinct values: 1 2 3 5
-		t.Fatalf("got %d points, want 4", len(xs))
-	}
-	for i := 1; i < len(xs); i++ {
-		if xs[i] <= xs[i-1] || ys[i] <= ys[i-1] {
-			t.Fatalf("CDF points not strictly increasing: %v %v", xs, ys)
-		}
-	}
-	if ys[len(ys)-1] != 1 {
-		t.Errorf("last CDF y = %v, want 1", ys[len(ys)-1])
-	}
-}
-
 // Property: At is monotone nondecreasing and bounded in [0, 1].
 func TestCDFMonotoneProperty(t *testing.T) {
 	f := func(samples []float64, probe1, probe2 float64) bool {
@@ -174,23 +145,5 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.5, 1.5, 2.5, 9.9, -5, 15}
-	counts := Histogram(xs, 0, 10, 10)
-	if counts[0] != 3 { // 0, 0.5, and clamped -5
-		t.Errorf("bucket 0 = %d, want 3", counts[0])
-	}
-	if counts[9] != 2 { // 9.9 and clamped 15
-		t.Errorf("bucket 9 = %d, want 2", counts[9])
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Errorf("histogram total = %d, want %d", total, len(xs))
 	}
 }
