@@ -27,7 +27,7 @@ var groundTruth = map[string]bool{
 // TestObservationBoundary enforces the attacker's real position: no
 // non-test file under internal/core may name a ground-truth selector or the
 // faas.Host type. The attack sees the platform only through sandbox.Guest
-// and the contention-round primitives.
+// and the contention primitives (faas.ContentionRounds, faas.ProbeContention).
 func TestObservationBoundary(t *testing.T) {
 	root := ".." // internal/core
 	fset := token.NewFileSet()

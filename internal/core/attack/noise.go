@@ -197,33 +197,19 @@ func (c *Campaign) quarantineNoisy() {
 		c.quarantined = make(map[*faas.Instance]bool)
 	}
 	single := make([]*faas.Instance, 1)
-	var obs []int
+	// A lone instance observes itself (1): ≥2 units is background, 0 a dead
+	// read.
+	var noisy, dead [1]int
 	bar := c.cfg.NoisyHostBar * quarantineSampleRounds
 	for _, inst := range c.res.Live {
 		if c.quarantined[inst] {
 			continue
 		}
-		noisy, dead := 0, 0
-		sampled := true
-		for r := 0; r < quarantineSampleRounds; r++ {
-			single[0] = inst
-			var err error
-			obs, err = faas.ContentionRoundOnInto(res, single, obs)
-			if err != nil {
-				sampled = false
-				break
-			}
-			switch {
-			case obs[0] >= 2:
-				noisy++
-			case obs[0] == 0:
-				dead++
-			}
-		}
-		if !sampled {
+		single[0] = inst
+		if err := faas.ContentionRounds(res, single, quarantineSampleRounds, 2, noisy[:], dead[:]); err != nil {
 			continue
 		}
-		if float64(noisy) >= bar || float64(dead) >= bar {
+		if float64(noisy[0]) >= bar || float64(dead[0]) >= bar {
 			c.strikes[inst]++
 			if c.strikes[inst] >= c.cfg.QuarantineAfter {
 				c.quarantined[inst] = true

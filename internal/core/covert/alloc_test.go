@@ -3,8 +3,8 @@ package covert
 import "testing"
 
 // CTest runs once per candidate group in every verification sweep, and each
-// test spins Rounds contention rounds per channel and repetition. The vote,
-// observation and majority scratch is reused across calls, so a
+// test spins Rounds contention rounds per channel and repetition. The vote
+// and majority scratch is reused across calls, so a
 // steady-state CTest allocates only its returned result slice, whatever the
 // channel count.
 func TestCTestAllocs(t *testing.T) {

@@ -22,23 +22,14 @@ func CalibrateChannel(base Config, probe *faas.Instance, sampleRounds int) (Conf
 	if sampleRounds <= 0 {
 		return Config{}, fmt.Errorf("covert: calibration needs sample rounds")
 	}
-	hits := 0
-	var obs []int
-	single := []*faas.Instance{probe}
-	for i := 0; i < sampleRounds; i++ {
-		var err error
-		obs, err = faas.ContentionRoundOnInto(base.Resource, single, obs)
-		if err != nil {
-			return Config{}, err
-		}
-		// A lone probe observes itself (1) plus background; ≥2 means a
-		// background event (or an actual co-resident pressurer, which the
-		// caller is responsible for excluding).
-		if obs[0] >= 2 {
-			hits++
-		}
+	// A lone probe observes itself (1) plus background; ≥2 means a
+	// background event (or an actual co-resident pressurer, which the
+	// caller is responsible for excluding).
+	var hits [1]int
+	if err := faas.ContentionRounds(base.Resource, []*faas.Instance{probe}, sampleRounds, 2, hits[:], nil); err != nil {
+		return Config{}, err
 	}
-	return deriveThreshold(base, float64(hits)/float64(sampleRounds))
+	return deriveThreshold(base, float64(hits[0])/float64(sampleRounds))
 }
 
 // deriveThreshold turns a measured background rate into a calibrated

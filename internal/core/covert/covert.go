@@ -148,13 +148,11 @@ type Tester struct {
 	stats Stats
 	sink  Sink
 
-	// votes and obs are per-test scratch reused across CTests (a test runs
-	// Rounds contention rounds; without reuse each round allocated a fresh
-	// observation slice). pair backs PairTest's two-instance participant
-	// list; repWins and chWins count the majority votes across repetitions
-	// and across channels.
+	// votes is per-test scratch reused across CTests: each execution's
+	// per-instance tally of contended rounds. pair backs PairTest's
+	// two-instance participant list; repWins and chWins count the majority
+	// votes across repetitions and across channels.
 	votes   []int
-	obs     []int
 	pair    [2]*faas.Instance
 	repWins []int
 	chWins  []int
@@ -253,18 +251,8 @@ func (t *Tester) CTest(instances []*faas.Instance, m int) ([]bool, error) {
 // repetition's positive verdicts to repWins and reports the execution to
 // the sink, labelled with its channel and repetition index.
 func (t *Tester) run(cfg Config, instances []*faas.Instance, m, rep int) error {
-	clear(t.votes)
-	for r := 0; r < cfg.Rounds; r++ {
-		obs, err := faas.ContentionRoundOnInto(cfg.Resource, instances, t.obs)
-		if err != nil {
-			return err
-		}
-		t.obs = obs
-		for i, units := range obs {
-			if units >= m {
-				t.votes[i]++
-			}
-		}
+	if err := faas.ContentionRounds(cfg.Resource, instances, cfg.Rounds, m, t.votes, nil); err != nil {
+		return err
 	}
 	t.sched.Advance(cfg.TestDuration)
 

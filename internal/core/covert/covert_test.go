@@ -7,8 +7,9 @@ import (
 	"eaao/internal/faas"
 )
 
-func testWorld(t *testing.T, seed uint64, n int) (*faas.Platform, []*faas.Instance) {
-	t.Helper()
+// testProfile is a 120-host region "t", small enough that a 60-instance
+// launch packs several instances per host.
+func testProfile() faas.RegionProfile {
 	p := faas.USEast1Profile()
 	p.Name = "t"
 	p.NumHosts = 120
@@ -17,7 +18,12 @@ func testWorld(t *testing.T, seed uint64, n int) (*faas.Platform, []*faas.Instan
 	p.AccountHelperPool = 60
 	p.ServiceHelperSize = 45
 	p.ServiceHelperFresh = 5
-	pl := faas.MustPlatform(seed, p)
+	return p
+}
+
+func testWorld(t testing.TB, seed uint64, n int) (*faas.Platform, []*faas.Instance) {
+	t.Helper()
+	pl := faas.MustPlatform(seed, testProfile())
 	insts, err := pl.MustRegion("t").Account("a").DeployService("s", faas.ServiceConfig{}).Launch(n)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +38,7 @@ func sameHost(a, b *faas.Instance) bool {
 }
 
 // findPair returns indices of a co-located pair and of a non-co-located pair.
-func findPairs(t *testing.T, insts []*faas.Instance) (coA, coB, farA, farB int) {
+func findPairs(t testing.TB, insts []*faas.Instance) (coA, coB, farA, farB int) {
 	t.Helper()
 	coA, coB, farA, farB = -1, -1, -1, -1
 	for i := 0; i < len(insts) && (coA < 0 || farA < 0); i++ {
@@ -266,18 +272,12 @@ func TestMemBusChannelNoisierButWorkable(t *testing.T) {
 	// only because each test spends many rounds; the practical price of the
 	// channel is its per-test duration (seconds instead of 100 ms), which is
 	// exactly why pairwise membus verification was untenable at FaaS scale.
-	bgRounds := 0
-	for i := 0; i < 40; i++ {
-		obs, err := faas.ContentionRoundOn(faas.ResourceMemBus, insts[farA:farA+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if obs[0] > 1 {
-			bgRounds++
-		}
+	var bgRounds [1]int
+	if err := faas.ContentionRounds(faas.ResourceMemBus, insts[farA:farA+1], 40, 2, bgRounds[:], nil); err != nil {
+		t.Fatal(err)
 	}
-	if bgRounds < 2 {
-		t.Errorf("membus background hit only %d/40 rounds; expected frequent noise", bgRounds)
+	if bgRounds[0] < 2 {
+		t.Errorf("membus background hit only %d/40 rounds; expected frequent noise", bgRounds[0])
 	}
 	tester := NewTester(pl.Scheduler(), MemBusConfig())
 	pos, err := tester.PairTest(insts[coA], insts[coB])

@@ -77,12 +77,12 @@ func (r Resource) Valid() bool { return r >= 0 && int(r) < NumResources }
 
 // roundNoise is the false-positive probability of one contention round on
 // host h: base background plus load sensitivity from bystander tenants
-// (residents not participating in the round). Pointer receiver: the round
-// loop calls this once per host per round, so the model must not be copied.
+// (residents not participating in the round). Pointer receiver: the model
+// is read on the CTest path, so it must not be copied.
 func (m *channelModel) roundNoise(h *Host) float64 {
 	p := m.BaseNoise
 	if m.LoadNoise > 0 {
-		if by := h.ResidentCount() - h.roundCount; by > 0 {
+		if by := h.ResidentCount() - int(h.roundCount); by > 0 {
 			p += m.LoadNoise * float64(by)
 		}
 		if m.LoadNoiseCap > 0 && p > m.LoadNoiseCap {
@@ -104,7 +104,7 @@ func (m *channelModel) roundDrop(h *Host) float64 {
 		return 0
 	}
 	p := 0.0
-	if by := h.ResidentCount() - h.roundCount; by > 0 {
+	if by := h.ResidentCount() - int(h.roundCount); by > 0 {
 		p = m.LoadDrop * float64(by)
 		if m.LoadDropCap > 0 && p > m.LoadDropCap {
 			p = m.LoadDropCap
@@ -120,4 +120,41 @@ func (m *channelModel) roundDrop(h *Host) float64 {
 		}
 	}
 	return p
+}
+
+// contend runs every round of one ContentionRounds execution on host h and
+// stores the host's tallies (rounds observing at least m units, rounds
+// reading dead) in h.roundVotes and h.roundDead. All participants on h
+// observe the same units in a round: the participant count plus the round's
+// background draw, corrupted by an active misfire episode (a phantom unit,
+// or a dead read) or by a load-induced drop. Noise and drop odds and the
+// misfire bias are fixed for the execution, so they are resolved once; the
+// draws stay one noise Bool and, on load-sensitive channels, one drop Bool
+// per round, in that order.
+func (h *Host) contend(model *channelModel, res Resource, rounds, m int) {
+	noise := model.roundNoise(h)
+	drop := model.roundDrop(h)
+	drawDrop := model.LoadDrop > 0
+	bias := h.misfireBias[res]
+	count := int(h.roundCount)
+	if bias > 0 {
+		count++
+	}
+	var votes, dead int32
+	for r := 0; r < rounds; r++ {
+		units := count
+		if h.noiseRNG.Bool(noise) {
+			units++
+		}
+		if dropped := drawDrop && h.noiseRNG.Bool(drop); bias < 0 || bias == 0 && dropped {
+			units = 0
+		}
+		if units >= m {
+			votes++
+		}
+		if units == 0 {
+			dead++
+		}
+	}
+	h.roundVotes, h.roundDead = votes, dead
 }

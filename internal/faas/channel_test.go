@@ -67,22 +67,11 @@ func TestLLCChannelLoadSensitivity(t *testing.T) {
 
 	rates := func(inst *Instance, res Resource) (fp, drop float64) {
 		const rounds = 3000
-		fps, drops := 0, 0
-		var obs []int
-		parts := []*Instance{inst}
-		for i := 0; i < rounds; i++ {
-			obs, err = ContentionRoundOnInto(res, parts, obs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			switch {
-			case obs[0] >= 2:
-				fps++
-			case obs[0] == 0:
-				drops++
-			}
+		var fps, drops [1]int
+		if err := ContentionRounds(res, []*Instance{inst}, rounds, 2, fps[:], drops[:]); err != nil {
+			t.Fatal(err)
 		}
-		return float64(fps) / rounds, float64(drops) / rounds
+		return float64(fps[0]) / rounds, float64(drops[0]) / rounds
 	}
 
 	quietFP, quietDrop := rates(quiet, ResourceLLC)

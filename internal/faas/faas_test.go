@@ -463,6 +463,43 @@ func TestGen2SharesHostsWithGen1(t *testing.T) {
 	}
 }
 
+// checkContentionSemantics runs the kernel at every threshold m from 1 to
+// two past the busiest host and checks each participant against the
+// live-participant count of its host, want(i): with RNG background at most
+// one unit, every round observes at least want(i) units and never want(i)+2,
+// and no round reads dead. A terminated participant (want 0) scores no votes
+// and only dead rounds.
+func checkContentionSemantics(t *testing.T, parts []*Instance, want func(i int) int) {
+	t.Helper()
+	const rounds = 40
+	top := 0
+	for i := range parts {
+		top = max(top, want(i))
+	}
+	votes, dead := make([]int, len(parts)), make([]int, len(parts))
+	for m := 1; m <= top+2; m++ {
+		if err := ContentionRounds(ResourceRNG, parts, rounds, m, votes, dead); err != nil {
+			t.Fatal(err)
+		}
+		for i := range parts {
+			w := want(i)
+			switch {
+			case w == 0:
+				if votes[i] != 0 || dead[i] != rounds {
+					t.Errorf("m=%d: terminated participant %d: %d votes, %d dead rounds, want 0 and %d", m, i, votes[i], dead[i], rounds)
+				}
+				continue
+			case dead[i] != 0:
+				t.Errorf("m=%d: participant %d read dead in %d rounds", m, i, dead[i])
+			case m <= w && votes[i] != rounds:
+				t.Errorf("m=%d: participant %d with %d co-participants observed m units in %d of %d rounds", m, i, w, votes[i], rounds)
+			case m >= w+2 && votes[i] != 0:
+				t.Errorf("m=%d: participant %d with %d co-participants observed m units in %d rounds, want 0", m, i, w, votes[i])
+			}
+		}
+	}
+}
+
 func TestContentionRoundSemantics(t *testing.T) {
 	dc := newTestDC(t, 16)
 	svc := dc.Account("a1").DeployService("s", ServiceConfig{})
@@ -470,24 +507,15 @@ func TestContentionRoundSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Group truth by host.
-	byHost := make(map[HostID][]*Instance)
+	byHost := make(map[HostID]int)
 	for _, inst := range insts {
 		id, _ := inst.HostID()
-		byHost[id] = append(byHost[id], inst)
+		byHost[id]++
 	}
-	obs, err := ContentionRoundOn(ResourceRNG, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, inst := range insts {
-		id, _ := inst.HostID()
-		want := len(byHost[id])
-		// Background can add at most 1.
-		if obs[i] != want && obs[i] != want+1 {
-			t.Errorf("instance %d observed %d, want %d or %d", i, obs[i], want, want+1)
-		}
-	}
+	checkContentionSemantics(t, insts, func(i int) int {
+		id, _ := insts[i].HostID()
+		return byHost[id]
+	})
 }
 
 func TestContentionBackgroundRate(t *testing.T) {
@@ -497,19 +525,12 @@ func TestContentionBackgroundRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo := insts[:1]
-	trips := 0
 	const rounds = 5000
-	for r := 0; r < rounds; r++ {
-		obs, err := ContentionRoundOn(ResourceRNG, solo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if obs[0] > 1 {
-			trips++
-		}
+	var trips [1]int
+	if err := ContentionRounds(ResourceRNG, insts[:1], rounds, 2, trips[:], nil); err != nil {
+		t.Fatal(err)
 	}
-	rate := float64(trips) / rounds
+	rate := float64(trips[0]) / rounds
 	if rate > 0.015 {
 		t.Errorf("background contention rate %.4f, want < 0.01ish", rate)
 	}
@@ -523,43 +544,25 @@ func TestContentionTerminatedObserveNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.TerminateAll()
-	obs, err := ContentionRoundOn(ResourceRNG, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, o := range obs {
-		if o != 0 {
-			t.Errorf("terminated instance %d observed %d units", i, o)
-		}
-	}
-	// A mixed round: live instances must not count dead participants.
+	checkContentionSemantics(t, insts, func(int) int { return 0 })
+	// A mixed execution: live instances must not count dead participants.
 	insts2, err := svc.Launch(12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mixed := append(append([]*Instance(nil), insts...), insts2...)
-	obs, err = ContentionRoundOn(ResourceRNG, mixed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	byHost := make(map[HostID]int)
 	for _, inst := range insts2 {
 		id, _ := inst.HostID()
 		byHost[id]++
 	}
-	for i, inst := range mixed {
-		if inst.State() == StateTerminated {
-			if obs[i] != 0 {
-				t.Errorf("dead instance observed %d", obs[i])
-			}
-			continue
+	checkContentionSemantics(t, mixed, func(i int) int {
+		if mixed[i].State() == StateTerminated {
+			return 0
 		}
-		id, _ := inst.HostID()
-		want := byHost[id]
-		if obs[i] != want && obs[i] != want+1 {
-			t.Errorf("live instance observed %d, want %d(+1)", obs[i], want)
-		}
-	}
+		id, _ := mixed[i].HostID()
+		return byHost[id]
+	})
 }
 
 func TestGuestErrorAfterTermination(t *testing.T) {

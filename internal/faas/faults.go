@@ -93,7 +93,7 @@ func (r ChannelFaultRates) zero() bool {
 
 // channelRates resolves the misfire rates governing one resource family: the
 // per-channel override when set, the scalar pair otherwise. Pointer receiver:
-// Host.updateMisfire calls it once per host per contention round, so the plan
+// Host.updateMisfire calls it once per host per test execution, so the plan
 // must not be copied.
 func (f *FaultPlan) channelRates(res Resource) ChannelFaultRates {
 	if res.Valid() && !f.PerChannel[res].zero() {

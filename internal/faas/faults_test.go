@@ -108,7 +108,7 @@ func faultWorkload(t *testing.T, seed uint64, plan FaultPlan) (Bill, FaultCounte
 		sched.Advance(10 * time.Minute)
 		live := svc.ActiveInstances()
 		if len(live) > 1 {
-			if _, err := ContentionRoundOnInto(ResourceRNG, live[:2], nil); err != nil {
+			if err := ContentionRounds(ResourceRNG, live[:2], 1, 2, make([]int, 2), nil); err != nil {
 				t.Fatalf("round %d: contention round: %v", round, err)
 			}
 			if _, err := ProbeContention(live[0]); err != nil && !errors.Is(err, ErrProbeFault) {
@@ -237,30 +237,19 @@ func TestChannelTargetedMisfire(t *testing.T) {
 		t.Skip("no single-resident host")
 	}
 	parts := []*Instance{probe}
-	var obs []int
-	var err error
-	for r := 0; r < 50; r++ {
-		obs, err = ContentionRoundOnInto(ResourceRNG, parts, obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if obs[0] < 2 {
-			t.Fatalf("round %d: RNG observation %d under a certain FP episode, want >= 2", r, obs[0])
-		}
+	var votes [1]int
+	if err := ContentionRounds(ResourceRNG, parts, 50, 2, votes[:], nil); err != nil {
+		t.Fatal(err)
 	}
-	llcPhantoms := 0
+	if votes[0] != 50 {
+		t.Fatalf("RNG observed >= 2 units in %d of 50 rounds under a certain FP episode, want all", votes[0])
+	}
 	const llcRounds = 400
-	for r := 0; r < llcRounds; r++ {
-		obs, err = ContentionRoundOnInto(ResourceLLC, parts, obs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if obs[0] >= 2 {
-			llcPhantoms++
-		}
+	if err := ContentionRounds(ResourceLLC, parts, llcRounds, 2, votes[:], nil); err != nil {
+		t.Fatal(err)
 	}
 	// The LLC sees only its own base noise (~4%), not the RNG's misfires.
-	if rate := float64(llcPhantoms) / llcRounds; rate > 0.12 {
+	if rate := float64(votes[0]) / llcRounds; rate > 0.12 {
 		t.Errorf("LLC phantom rate %.3f under an RNG-targeted plan, want ~0.04", rate)
 	}
 	if dc.FaultCounters().ChannelMisfires == 0 {

@@ -60,14 +60,15 @@ type Host struct {
 	// per-call map allocation. A mark value is meaningful only inside the
 	// single operation that minted it.
 	mark uint64
-	// roundCount, roundBG and roundDrop are contention-round scratch, valid
-	// only while mark holds the current round's epoch: the number of live
-	// participants resident here, the once-per-round background draw (-1 =
-	// not drawn), and whether a load-sensitive channel dropped the whole
-	// round dead on this host.
-	roundCount int
-	roundBG    int8
-	roundDrop  int8
+	// roundCount, roundVotes and roundDead are ContentionRounds scratch,
+	// valid only while mark holds the current execution's epoch: the number
+	// of live participants resident here, and the host's shared tallies of
+	// rounds that observed at least m units and rounds that read dead (-1
+	// votes = rounds not yet run). int32 keeps Host within its 256-byte
+	// size class (TestHostSizeClass).
+	roundCount int32
+	roundVotes int32
+	roundDead  int32
 
 	// Covert-channel misfire state (fault plane), per resource family:
 	// misfireBias is the bias of the current misfire window (+1 phantom
@@ -197,10 +198,12 @@ func (h *Host) ProbeFault() bool {
 }
 
 // updateMisfire refreshes the host's misfire state for one covert-channel
-// resource family at the start of a contention round: while a window is open
+// resource family at the start of a test execution: while a window is open
 // its bias stands; once it expires, a fresh episode is drawn from the channel
 // fault stream. With both of the channel's rates zero this is a no-op (and
-// draws nothing), so untargeted channels are never perturbed.
+// draws nothing), so untargeted channels are never perturbed. The rounds of
+// one execution share the instant it runs at, so once per host per
+// execution is all a window can change.
 func (h *Host) updateMisfire(res Resource) {
 	r := h.dc.faults.channelRates(res)
 	if r.FalsePositiveRate <= 0 && r.FalseNegativeRate <= 0 {
@@ -234,8 +237,9 @@ func (h *Host) ResidentCount() int { return len(h.instances) }
 // connected instances of an autoscaled service with demand > 0 (background
 // tenants). Footprint instances pinned through Launch never set demand, so
 // the count is zero on every host of a world without demand-driven
-// neighbors. Called at most once per host per contention round (the cached
-// roundBG/roundDrop draw), so the linear scan stays off the hot path.
+// neighbors. The scan is linear in the host's residents, so ContentionRounds
+// calls it once per host per test execution, never per round: on a loaded
+// LLC host a per-round scan was the costliest part of a CTest.
 func (h *Host) servingResidents() int {
 	n := 0
 	for _, inst := range h.instances {

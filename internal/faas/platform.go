@@ -358,46 +358,36 @@ func (r Resource) String() string {
 	}
 }
 
-// ContentionRoundOn executes one synchronized pressure round on the given
-// shared resource: every live participant hammers it, then measures the
-// contention level it observes. The value returned for each participant is
-// the number of live participants resident on its host (including itself)
-// plus possible background activity from unrelated tenants (frequent on the
-// memory bus, <1% of rounds on the RNG, §4.4.1). Terminated instances
-// generate no pressure and observe nothing — from the attacker tooling's
-// perspective their connection is simply gone, so they always test negative.
+// ContentionRounds runs one covert-channel test execution: `rounds`
+// synchronized pressure rounds on the given shared resource, in each of which
+// every live participant hammers it and measures the contention it observes —
+// the live participants resident on its host (itself included) plus possible
+// background activity from unrelated tenants (frequent on the memory bus, <1%
+// of rounds on the RNG, §4.4.1). For participant i it writes the rounds that
+// observed at least m units into votes[i] and, when dead is non-nil, the
+// rounds that read nothing into dead[i]. Terminated instances generate no
+// pressure and observe nothing (to the attacker their connection is simply
+// gone): 0 votes, `rounds` dead rounds.
 //
-// This is the primitive the covert channel builds CTest from. It is the only
+// This is the primitive the covert channel builds CTest from, and the only
 // cross-instance observable the platform exposes, mirroring the real
-// attacker's position.
-func ContentionRoundOn(res Resource, parts []*Instance) ([]int, error) {
+// attacker's position; per-round tallies are what an attacker computes from
+// per-round observations anyway.
+//
+// Nothing a round reads changes between the rounds of one execution (no clock
+// advance, no event), so each host's state is resolved once and its rounds run
+// back to back on its own noise stream (Host.contend). Per-host bookkeeping
+// rides on host epoch marks; all participants must live on one Platform (true
+// for any real instance set — instances never migrate across platforms).
+func ContentionRounds(res Resource, parts []*Instance, rounds, m int, votes, dead []int) error {
 	if len(parts) == 0 {
-		return nil, nil
+		return nil
 	}
-	return ContentionRoundOnInto(res, parts, make([]int, len(parts)))
-}
-
-// ContentionRoundOnInto is ContentionRoundOn writing its observations into
-// out (grown if needed), so round-per-round callers like covert.Tester can
-// run the channel without allocating. Per-host bookkeeping rides on host
-// epoch marks instead of per-round maps; all participants must live on one
-// Platform (true for any real instance set — instances never migrate across
-// platforms).
-func ContentionRoundOnInto(res Resource, parts []*Instance, out []int) ([]int, error) {
-	if len(parts) == 0 {
-		return out[:0], nil
-	}
-	if cap(out) < len(parts) {
-		out = make([]int, len(parts))
-	}
-	out = out[:len(parts)]
 	if !res.Valid() {
-		return nil, fmt.Errorf("faas: unknown channel resource %d", int(res))
+		return fmt.Errorf("faas: unknown channel resource %d", int(res))
 	}
-	// Pointer into the registry: the round loop reads the model once per
-	// host per round, and a by-value channelModel copy per call is measurable
-	// on the pairwise-verification path.
-	model := &channelModels[res]
+	// Group by host in participant order; misfire episodes draw from the
+	// region's shared channel-fault stream, so this order is the draw order.
 	var mark uint64
 	for _, inst := range parts {
 		if inst.state == StateTerminated {
@@ -410,44 +400,28 @@ func ContentionRoundOnInto(res Resource, parts []*Instance, out []int) ([]int, e
 		if h.mark != mark {
 			h.mark = mark
 			h.roundCount = 0
-			h.roundBG = -1
-			h.roundDrop = 0
+			h.roundVotes = -1
 			h.updateMisfire(res)
 		}
 		h.roundCount++
 	}
-	// Background usage by unrelated tenants, decided once per host per
-	// round. Each host draws from its own noise stream, so per-host draw
-	// counts — not cross-host ordering — are what determinism depends on:
-	// load-insensitive channels (RNG, memory bus) draw exactly one Bool per
-	// host per round, keeping their historical draw sequences frozen, while
-	// load-sensitive channels (the LLC) scale the false-positive odds with
-	// bystander occupancy and add one drop draw per host per round.
+	model := &channelModels[res]
 	for i, inst := range parts {
 		if inst.state == StateTerminated {
-			out[i] = 0
+			votes[i] = 0
+			if dead != nil {
+				dead[i] = rounds
+			}
 			continue
 		}
 		h := inst.host
-		if h.roundBG < 0 {
-			h.roundBG = 0
-			if h.noiseRNG.Bool(model.roundNoise(h)) {
-				h.roundBG = 1
-			}
-			if model.LoadDrop > 0 && h.noiseRNG.Bool(model.roundDrop(h)) {
-				h.roundDrop = 1
-			}
+		if h.roundVotes < 0 {
+			h.contend(model, res, rounds, m)
 		}
-		units := h.roundCount + int(h.roundBG)
-		// An active misfire episode corrupts the observation: a phantom
-		// contention unit (false positive) or a dead read (false negative).
-		// A load-induced drop reads dead the same way.
-		if h.misfireBias[res] > 0 {
-			units++
-		} else if h.misfireBias[res] < 0 || h.roundDrop > 0 {
-			units = 0
+		votes[i] = int(h.roundVotes)
+		if dead != nil {
+			dead[i] = int(h.roundDead)
 		}
-		out[i] = units
 	}
-	return out, nil
+	return nil
 }

@@ -101,10 +101,12 @@ func driveWorld(t *testing.T, p *Platform) []string {
 		}
 	}
 	p.Scheduler().Advance(90 * time.Minute) // cross the immunity boundary
-	if out, err := ContentionRoundOn(ResourceRNG, s1.Instances()); err != nil {
-		rec("round err=%v", err)
+	parts := s1.Instances()
+	votes, dead := make([]int, len(parts)), make([]int, len(parts))
+	if err := ContentionRounds(ResourceRNG, parts, 60, 2, votes, dead); err != nil {
+		rec("rounds err=%v", err)
 	} else {
-		rec("round %v", out)
+		rec("rounds votes=%v dead=%v", votes, dead)
 	}
 	for _, inst := range s1.Instances() {
 		if inst.State() != StateTerminated {

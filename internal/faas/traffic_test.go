@@ -106,8 +106,10 @@ func TestTrafficSnapshotForkIdentical(t *testing.T) {
 		var log []string
 		for i := 0; i < 3; i++ {
 			p.Scheduler().Advance(40 * time.Minute)
-			out, err := ContentionRoundOn(ResourceLLC, s.Instances())
-			log = append(log, fmt.Sprintf("%s round=%v err=%v", trafficDigest(d), out, err))
+			parts := s.Instances()
+			votes, dead := make([]int, len(parts)), make([]int, len(parts))
+			err := ContentionRounds(ResourceLLC, parts, 60, 2, votes, dead)
+			log = append(log, fmt.Sprintf("%s votes=%v dead=%v err=%v", trafficDigest(d), votes, dead, err))
 		}
 		return log
 	}

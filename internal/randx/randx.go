@@ -15,7 +15,8 @@ import (
 // stdlib-identical generator state (rngState) with the distribution helpers
 // the simulator needs (normal, laplace, exponential, bounded ints, shuffles)
 // and with stable sub-stream derivation. The stdlib distributions run
-// through *rand.Rand over that state, so every draw is bit-identical to a
+// through *rand.Rand over that state, and uniform floats read it directly
+// (float64), so every draw is bit-identical to a
 // rand.New(rand.NewSource(seed)) stream — while the state itself stays
 // cloneable for world snapshots.
 type Source struct {
@@ -153,7 +154,21 @@ func (s *Source) deriveIndexedSeed(label string, idx int) uint64 {
 func (s *Source) Seed() uint64 { return s.seed }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.rng.Float64() }
+func (s *Source) Float64() float64 { return s.float64() }
+
+// float64 is rand.(*Rand).Float64 read straight off the generator state: the
+// same Int63 draw scaled by 2⁻⁶³, resampled when the quotient rounds up to
+// 1.0, so its value stream is bit-identical to the stdlib's — without the
+// interface call through rand.Source that the wrapped Rand pays per draw.
+// Bool is the covert channel's per-round noise draw, where that call was a
+// measurable share of a CTest.
+func (s *Source) float64() float64 {
+	for {
+		if f := float64(s.st.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
@@ -166,11 +181,11 @@ func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
 
 // Range returns a uniform float64 in [lo, hi).
 func (s *Source) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.rng.Float64()
+	return lo + (hi-lo)*s.float64()
 }
 
 // Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool { return s.rng.Float64() < p }
+func (s *Source) Bool(p float64) bool { return s.float64() < p }
 
 // Normal returns a draw from N(mean, stddev²).
 func (s *Source) Normal(mean, stddev float64) float64 {
@@ -182,7 +197,7 @@ func (s *Source) Normal(mean, stddev float64) float64 {
 // distribution and models per-host TSC frequency error well: most hosts are
 // close to nominal, a few deviate a lot.
 func (s *Source) Laplace(mean, b float64) float64 {
-	u := s.rng.Float64() - 0.5
+	u := s.float64() - 0.5
 	if u >= 0 {
 		return mean - b*math.Log(1-2*u)
 	}
@@ -272,7 +287,7 @@ func (s *Source) WeightedIndex(weights []float64) int {
 	if total == 0 {
 		panic("randx: WeightedIndex with zero total weight")
 	}
-	target := s.rng.Float64() * total
+	target := s.float64() * total
 	var acc float64
 	for i, w := range weights {
 		acc += w

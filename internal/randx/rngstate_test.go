@@ -2,6 +2,7 @@ package randx
 
 import (
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -65,6 +66,79 @@ func TestRNGStateMatchesStdlib(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSourceFloatPathMatchesStdlib locks Source's direct float path (Bool,
+// Range, Laplace, Float64 and WeightedIndex read the generator state without
+// going through rand.Rand) to the stdlib: interleaved with the draws that
+// still run through rand.Rand (Normal, Intn), every value must be
+// bit-identical to the same calls on rand.New(rand.NewSource(seed)).
+func TestSourceFloatPathMatchesStdlib(t *testing.T) {
+	weights := []float64{0.5, 0, 2, 1.25}
+	for _, seed := range rngSeeds {
+		got := New(seed)
+		want := rand.New(rand.NewSource(int64(seed)))
+		for i := 0; i < 3000; i++ {
+			var g, w float64
+			switch i % 7 {
+			case 0:
+				p := float64(i%11) / 10
+				g, w = b2f(got.Bool(p)), b2f(want.Float64() < p)
+			case 1:
+				g, w = got.Range(-3, 5), -3+8*want.Float64()
+			case 2:
+				g = got.Laplace(1, 0.25)
+				if u := want.Float64() - 0.5; u >= 0 {
+					w = 1 - 0.25*math.Log(1-2*u)
+				} else {
+					w = 1 + 0.25*math.Log(1+2*u)
+				}
+			case 3:
+				g, w = got.Normal(2, 3), 2+3*want.NormFloat64()
+			case 4:
+				g, w = float64(got.Intn(1+i)), float64(want.Intn(1+i))
+			case 5:
+				g, w = got.Float64(), want.Float64()
+			case 6:
+				g = float64(got.WeightedIndex(weights))
+				target, acc := want.Float64()*3.75, 0.0
+				for j, wt := range weights {
+					if acc += wt; target < acc {
+						w = float64(j)
+						break
+					}
+				}
+			}
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d draw %d: got %v, stdlib %v", seed, i, g, w)
+			}
+		}
+	}
+}
+
+// TestSourceFloatRetriesLikeStdlib covers the branch no seed reaches in
+// practice: an Int63 of 2⁶³−1 rounds up to 1.0, and both the stdlib and
+// Source resample instead of returning it.
+func TestSourceFloatRetriesLikeStdlib(t *testing.T) {
+	s := New(7)
+	// The next Uint64 sums the words just below feed and tap.
+	feed, tap := (s.st.feed+rngLen-1)%rngLen, (s.st.tap+rngLen-1)%rngLen
+	s.st.vec[feed], s.st.vec[tap] = rngMask, 0
+	st := s.st
+	want := rand.New(&st).Float64()
+	if got := s.Float64(); got != want || got >= 1 {
+		t.Fatalf("Float64 after a 1.0 rounding: got %v, stdlib %v", got, want)
+	}
+	if s.st != st {
+		t.Fatal("Source and stdlib consumed different draw counts across the retry")
+	}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestSeedLCGMatchesSchrage checks the fold-based Lehmer step against the
