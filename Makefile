@@ -8,12 +8,14 @@ GO ?= go
 # the benchmark's campaign workloads), one iteration of every layer
 # microbenchmark so a broken bench fails here (only the packages that hold
 # one are linked, and lint has already vetted them), a race pass over the
-# fault plane and its attack-side recovery paths, quick fault-sweep/
-# multiregion/channel-ablation/noise-sweep smoke runs, two `eaao attack
-# -recovery` smokes through the real binary, which cover main's split of
-# global flags (-faults, -load) from the attack subcommand's own, and one run
-# of every example program (`go build` compiles them but never runs them, so
-# a facade change that breaks one at run time would otherwise pass).
+# fault plane, its attack-side recovery paths, the fleet campaign, and the
+# one worker pool (internal/par) with the trial engine that runs on it,
+# quick fault-sweep/multiregion/channel-ablation/noise-sweep smoke runs,
+# two `eaao attack -recovery` smokes through the real binary, which cover
+# main's split of global flags (-faults, -load) from the attack subcommand's
+# own, and one run of every example program (`go build` compiles them but
+# never runs them, so a facade change that breaks one at run time would
+# otherwise pass).
 check: lint
 	$(GO) build ./...
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
@@ -21,7 +23,8 @@ check: lint
 	$(GO) test ./...
 	$(GO) test -vet=off -run '^$$' -bench . -benchtime 1x \
 		$$(grep -rl --include='*_test.go' '^func Benchmark' internal | xargs dirname | sort -u | sed 's|^|./|')
-	$(GO) test -race ./internal/core/... ./internal/faas/...
+	$(GO) test -race ./internal/core/... ./internal/faas/... ./internal/par/...
+	$(GO) test -race -run 'TestRunTrials|TestRunAll|TestParallelOutputByteIdentical' ./internal/experiments/
 	@$(GO) run ./cmd/eaao -quick run faultsweep >/dev/null
 	@echo "faultsweep smoke OK"
 	@$(GO) run ./cmd/eaao -quick run multiregion >/dev/null

@@ -39,6 +39,10 @@ type Campaign struct {
 	res    *CampaignResult
 	stats  CampaignStats
 	tester covert.Runner
+	// billStart and startedAt are the account bill and the clock when the
+	// launch stage began, which the launch-stage ledger is measured from.
+	billStart faas.Bill
+	startedAt simtime.Time
 	// services are the attacker services deployed through the sink, tracked
 	// so retry backoff can attribute the resident footprint's holding cost
 	// to the fault ledger.
@@ -82,14 +86,9 @@ func NewCampaign(acct *faas.Account, cfg Config, gen sandbox.Gen, strategy Launc
 // through the engine's sink until it decides the footprint is built. It can
 // run at most once per campaign.
 func (c *Campaign) Launch() (*CampaignResult, error) {
-	if c.res != nil {
-		return nil, fmt.Errorf("attack: campaign already launched")
+	if err := c.begin(); err != nil {
+		return nil, err
 	}
-	c.res = &CampaignResult{Footprint: NewFootprintTracker(c.cfg.Precision)}
-	c.res.Footprint.SetProbeRetryBudget(c.cfg.ProbeRetryBudget)
-	c.stats.Strategy = c.strategy.Name()
-	billStart := c.acct.Bill()
-	startedAt := c.sched.Now()
 	// The strategy RNG derives from the world seed plus the campaign
 	// identity: deterministic per seed, independent across accounts and
 	// strategies, and — crucially — disjoint from every platform stream, so
@@ -99,16 +98,34 @@ func (c *Campaign) Launch() (*CampaignResult, error) {
 	if err := c.strategy.Launch(campaignSink{c}, c.acct, c.cfg, rng); err != nil {
 		return nil, err
 	}
+	c.end()
+	return c.res, nil
+}
+
+// begin opens the launch stage; end closes it and prices it. A fleet
+// campaign drives its shards' rounds between the two.
+func (c *Campaign) begin() error {
+	if c.res != nil {
+		return fmt.Errorf("attack: campaign already launched")
+	}
+	c.res = &CampaignResult{Footprint: NewFootprintTracker(c.cfg.Precision)}
+	c.res.Footprint.SetProbeRetryBudget(c.cfg.ProbeRetryBudget)
+	c.stats.Strategy = c.strategy.Name()
+	c.billStart = c.acct.Bill()
+	c.startedAt = c.sched.Now()
+	return nil
+}
+
+func (c *Campaign) end() {
 	c.stats.LiveInstances = len(c.res.Live)
 	c.stats.ApparentHosts = c.res.Footprint.Cumulative()
-	c.stats.LaunchWall = c.sched.Now().Sub(startedAt)
+	c.stats.LaunchWall = c.sched.Now().Sub(c.startedAt)
 	c.stats.ProbeRetries += c.res.Footprint.ProbeRetries()
 	c.stats.ProbeSkips += c.res.Footprint.ProbeSkips()
 	bill := c.acct.Bill()
-	c.stats.VCPUSeconds = bill.VCPUSeconds - billStart.VCPUSeconds
-	c.stats.GBSeconds = bill.GBSeconds - billStart.GBSeconds
+	c.stats.VCPUSeconds = bill.VCPUSeconds - c.billStart.VCPUSeconds
+	c.stats.GBSeconds = bill.GBSeconds - c.billStart.GBSeconds
 	c.stats.USD = pricing.CloudRunRates().Cost(c.stats.VCPUSeconds, c.stats.GBSeconds)
-	return c.res, nil
 }
 
 // Result returns the launch-stage outcome, or nil before Launch.

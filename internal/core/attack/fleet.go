@@ -4,18 +4,18 @@ import (
 	"fmt"
 
 	"eaao/internal/faas"
-	"eaao/internal/randx"
+	"eaao/internal/par"
 	"eaao/internal/sandbox"
 )
 
 // FleetCampaign runs one coordinated attack across every region of a
 // faas.Fleet: one Campaign shard per region world, stepped in lockstep
 // rounds, with a Planner reallocating the fleet's launch-round budget
-// across shards at every round barrier. Shards execute on a bounded worker
-// pool (SetJobs) — each shard's world is stepped only by its own goroutine,
-// so the simulator stays single-threaded per world — and all coordination
-// is synchronous and index-ordered, which makes the outcome byte-identical
-// for any worker count.
+// across shards between rounds. Each round, every active shard launches its
+// waves on a bounded worker pool (SetJobs, internal/par); the planner then
+// reads the shards' statuses in fleet order and every shard ends its round
+// as granted. Worlds never share state and every decision is index-ordered,
+// so the outcome is byte-identical for any worker count.
 //
 // The built-in strategies map onto the sharded pipeline exactly:
 // OptimizedStrategy and AdaptiveStrategy become paced round loops whose
@@ -39,29 +39,15 @@ type FleetCampaign struct {
 	rounds   int
 }
 
-// shardReport is what a paced shard tells the coordinator after each round.
-type shardReport struct {
-	round      int
-	before     int
-	cumulative int
-}
-
-// fleetShard is one region's campaign plus its coordination endpoints.
+// fleetShard is one region's campaign plus its round loop (nil for unpaced
+// strategies), its status for the planner, the planner's verdict on its
+// latest round, and its launch error.
 type fleetShard struct {
-	index  int
-	dc     *faas.DataCenter
 	camp   *Campaign
+	loop   *rounds
 	status ShardStatus
-
-	// reports carries one shardReport per completed round and is closed
-	// when the shard's Launch returns; grants answers each report; done
-	// carries Launch's error after reports closes. All are buffered so a
-	// shard never blocks on the coordinator mid-round.
-	reports chan shardReport
-	grants  chan bool
-	done    chan error
-	err     error
-	cov     Coverage
+	grant  bool
+	err    error
 }
 
 // NewFleetCampaign binds a strategy, an account identity (instantiated per
@@ -143,60 +129,87 @@ func (fc *FleetCampaign) Shards() []*Campaign {
 }
 
 // Launch runs every shard's launch stage to completion. Paced strategies
-// synchronize at a barrier after every round, where the planner decides
-// which shards keep launching; unpaced strategies run straight through. It
-// can run at most once; the first error of the lowest-indexed failing shard
-// is returned, after all shards have shut down cleanly.
+// pass a planning step after every round, where the planner decides which
+// shards keep launching; unpaced strategies run straight through. It can run
+// at most once. If a shard fails, every other shard finishes the round in
+// flight and stops there, and the error of the lowest-indexed failing shard
+// is returned.
 func (fc *FleetCampaign) Launch() error {
 	if fc.launched {
 		return fmt.Errorf("attack: fleet campaign already launched")
 	}
 	fc.launched = true
 
-	prefix, paced := pacedPrefix(fc.strategy)
-	workers := fc.jobs
-	if workers <= 0 || workers > fc.fleet.Size() {
-		workers = fc.fleet.Size()
-	}
-	sem := make(chan struct{}, workers)
-
-	for i, dc := range fc.fleet.Shards() {
-		sh := &fleetShard{
-			index:   i,
-			dc:      dc,
-			reports: make(chan shardReport, 1),
-			grants:  make(chan bool, 1),
-			done:    make(chan error, 1),
-		}
-		sh.status.Region = dc.Region()
-		strat := fc.strategy
-		if paced {
-			strat = &pacedStrategy{name: fc.strategy.Name(), prefix: prefix, sh: sh, sem: sem}
-		}
-		camp, err := NewCampaign(dc.Account(fc.account), fc.cfg, fc.gen, strat)
+	for _, dc := range fc.fleet.Shards() {
+		camp, err := NewCampaign(dc.Account(fc.account), fc.cfg, fc.gen, fc.strategy)
 		if err != nil {
 			return err
 		}
-		sh.camp = camp
-		fc.shards = append(fc.shards, sh)
+		fc.shards = append(fc.shards, &fleetShard{camp: camp, status: ShardStatus{Region: dc.Region()}})
 	}
-	if paced {
-		fc.budget = fc.fleet.Size() * fc.cfg.Launches
-		fc.rounds = fc.fleet.Size() // every shard's first round is implicit
+	prefix, paced := pacedPrefix(fc.strategy)
+	if !paced {
+		return par.For(len(fc.shards), fc.jobs, func(i int) error {
+			_, err := fc.shards[i].camp.Launch()
+			return err
+		})
 	}
 
+	fc.budget = len(fc.shards) * fc.cfg.Launches
+	fc.rounds = len(fc.shards) // every shard's first round is implicit
 	for _, sh := range fc.shards {
-		go func(sh *fleetShard) {
-			sem <- struct{}{}
-			_, err := sh.camp.Launch()
-			<-sem
-			close(sh.reports)
-			sh.done <- err
-		}(sh)
+		if err := sh.camp.begin(); err != nil {
+			return err
+		}
+		sh.loop = newRounds(campaignSink{sh.camp}, fc.cfg, prefix)
 	}
+	for more := true; more; {
+		fc.step((*fleetShard).launch)
+		more = fc.plan()
+		fc.step((*fleetShard).end)
+	}
+	return fc.err()
+}
 
-	fc.coordinate()
+// step runs fn on every unfinished shard on the worker pool. Shard steps
+// never fail the pool: a failed shard must not keep its siblings from
+// finishing the round.
+func (fc *FleetCampaign) step(fn func(*fleetShard)) {
+	par.For(len(fc.shards), fc.jobs, func(i int) error {
+		if sh := fc.shards[i]; !sh.status.Finished {
+			fn(sh)
+		}
+		return nil
+	})
+}
 
+// plan asks the planner which unfinished shards launch another round,
+// clamping grants to the remaining budget in shard order, and reports
+// whether any shard was granted one. A failed shard shuts the whole fleet
+// down: every shard is denied, so each world stops at a clean round boundary
+// before the error propagates.
+func (fc *FleetCampaign) plan() bool {
+	var want []bool
+	if fc.err() == nil {
+		statuses := make([]ShardStatus, len(fc.shards))
+		for i, sh := range fc.shards {
+			statuses[i] = sh.status
+		}
+		want = fc.planner.Plan(statuses, fc.budget-fc.rounds)
+	}
+	more := false
+	for i, sh := range fc.shards {
+		sh.grant = !sh.status.Finished && i < len(want) && want[i] && fc.rounds < fc.budget
+		if sh.grant {
+			fc.rounds++
+			more = true
+		}
+	}
+	return more
+}
+
+// err returns the launch error of the lowest-indexed failed shard.
+func (fc *FleetCampaign) err() error {
 	for _, sh := range fc.shards {
 		if sh.err != nil {
 			return sh.err
@@ -205,82 +218,33 @@ func (fc *FleetCampaign) Launch() error {
 	return nil
 }
 
-// coordinate is the planner loop: collect one report per active shard in
-// index order, snapshot statuses, ask the planner for grants, answer the
-// shards, and drain the ones that stop. Unpaced shards never report, so
-// their first "report" is the channel close and the loop degenerates to a
-// deterministic join.
-func (fc *FleetCampaign) coordinate() {
-	remaining := fc.budget - fc.rounds
-	active := append([]*fleetShard(nil), fc.shards...)
-	for len(active) > 0 {
-		reporting := active[:0]
-		for _, sh := range active {
-			rep, ok := <-sh.reports
-			if !ok {
-				fc.release(sh)
-				continue
-			}
-			sh.status.Rounds = rep.round
-			sh.status.Before = rep.before
-			sh.status.Grown = rep.cumulative - rep.before
-			sh.status.Cumulative = rep.cumulative
-			if rep.round == 1 {
-				sh.status.FirstRound = sh.status.Grown
-			}
-			sh.status.USD = sh.camp.Stats().USD
-			reporting = append(reporting, sh)
-		}
-		if len(reporting) == 0 {
-			return
-		}
-		// A failed shard shuts the whole fleet down: remaining shards are
-		// denied at their next barrier so every world stops at a clean
-		// round boundary before the error propagates.
-		failed := false
-		for _, sh := range fc.shards {
-			if sh.err != nil {
-				failed = true
-			}
-		}
-		var grants []bool
-		if !failed {
-			statuses := make([]ShardStatus, len(fc.shards))
-			for i, sh := range fc.shards {
-				statuses[i] = sh.status
-			}
-			grants = fc.planner.Plan(statuses, remaining)
-		}
-		var denied []*fleetShard
-		next := 0
-		for _, sh := range reporting {
-			g := !failed && sh.index < len(grants) && grants[sh.index] && remaining > 0
-			if g {
-				remaining--
-				fc.rounds++
-			}
-			sh.grants <- g
-			if g {
-				reporting[next] = sh
-				next++
-			} else {
-				denied = append(denied, sh)
-			}
-		}
-		for _, sh := range denied {
-			<-sh.reports // closed once the shard's final keep/hold finishes
-			fc.release(sh)
-		}
-		active = reporting[:next]
+// launch runs the shard's next round and records its footprint growth for
+// the planner. A failed shard is finished.
+func (sh *fleetShard) launch() {
+	before, after, err := sh.loop.launch()
+	if err != nil {
+		sh.err = err
+		sh.status.Finished = true
+		return
+	}
+	st := &sh.status
+	st.Rounds = sh.loop.round
+	st.Before = before
+	st.Grown = after - before
+	st.Cumulative = after
+	if st.Rounds == 1 {
+		st.FirstRound = st.Grown
 	}
 }
 
-// release joins a finished shard: records its error and marks it done for
-// the planner.
-func (fc *FleetCampaign) release(sh *fleetShard) {
-	sh.err = <-sh.done
-	sh.status.Finished = true
-	sh.status.USD = sh.camp.Stats().USD
+// end closes the shard's round as granted. A shard denied another round
+// keeps its last waves, closes its launch stage, and is finished.
+func (sh *fleetShard) end() {
+	sh.loop.end(sh.grant)
+	if !sh.grant {
+		sh.camp.end()
+		sh.status.Finished = true
+	}
 }
 
 // ShardVerification is one region's verify-stage outcome.
@@ -295,48 +259,26 @@ type ShardVerification struct {
 
 // Verify runs every shard's verify stage against that region's victim
 // instances (regions absent from the map are skipped, reported with a zero
-// coverage). Shards verify concurrently on the same bounded pool as Launch
-// and results merge in fleet order, so output is byte-identical for any
-// worker count. The error of the lowest-indexed failing shard is returned.
+// coverage). Shards verify on the same bounded pool as Launch and results
+// land in fleet order, so output is byte-identical for any worker count. The
+// error of the lowest-indexed failing shard is returned.
 func (fc *FleetCampaign) Verify(victims map[faas.Region][]*faas.Instance) ([]ShardVerification, error) {
 	if !fc.launched {
 		return nil, fmt.Errorf("attack: fleet Verify before Launch")
 	}
-	workers := fc.jobs
-	if workers <= 0 || workers > len(fc.shards) {
-		workers = len(fc.shards)
-	}
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(fc.shards))
 	out := make([]ShardVerification, len(fc.shards))
-	spies := make([][]*faas.Instance, len(fc.shards))
-	wait := make(chan int, len(fc.shards))
-	for i, sh := range fc.shards {
-		out[i].Region = sh.dc.Region()
-		vic := victims[sh.dc.Region()]
+	if err := par.For(len(fc.shards), fc.jobs, func(i int) error {
+		sh := fc.shards[i]
+		out[i].Region = sh.status.Region
+		vic := victims[sh.status.Region]
 		if len(vic) == 0 {
-			wait <- i
-			continue
+			return nil
 		}
-		go func(i int, sh *fleetShard, vic []*faas.Instance) {
-			sem <- struct{}{}
-			cov, sp, err := sh.camp.Verify(vic)
-			<-sem
-			sh.cov = cov
-			spies[i] = sp
-			errs[i] = err
-			wait <- i
-		}(i, sh, vic)
-	}
-	for range fc.shards {
-		<-wait
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		out[i].Coverage = fc.shards[i].cov
-		out[i].Spies = spies[i]
+		var err error
+		out[i].Coverage, out[i].Spies, err = sh.camp.Verify(vic)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -352,6 +294,7 @@ func MergeCoverages(covs ...Coverage) Coverage {
 		m.AttackerHosts += c.AttackerHosts
 		m.SharedHosts += c.SharedHosts
 		m.Tests += c.Tests
+		m.FingerprintPredicted += c.FingerprintPredicted
 		m.Faults.ProbeRetries += c.Faults.ProbeRetries
 		m.Faults.AttackersSkipped += c.Faults.AttackersSkipped
 		m.Faults.VictimsSkipped += c.Faults.VictimsSkipped
@@ -371,42 +314,4 @@ func (fc *FleetCampaign) Stats() FleetStats {
 		fs.Shards = append(fs.Shards, sh.camp.Stats())
 	}
 	return fs
-}
-
-// pacedStrategy runs the launchRounds loop OptimizedStrategy and
-// AdaptiveStrategy share, with the continue/stop decision externalized to
-// the fleet coordinator: after launching every service once (one round), the
-// shard reports its footprint growth and blocks until the planner grants or
-// denies the next round. A denied shard keeps its last waves resident and
-// holds them active; a granted shard holds, disconnects, and waits out the
-// launch interval. Because the loop is the built-in strategies' own, the
-// platform-visible operation sequence is identical to theirs for the same
-// grant pattern, which is what the R=1 identity tests pin down.
-type pacedStrategy struct {
-	name   string
-	prefix string
-	sh     *fleetShard
-	sem    chan struct{}
-}
-
-// Name implements LaunchStrategy. The paced wrapper answers with the base
-// strategy's name so the campaign RNG derivation and the stats ledger are
-// indistinguishable from a single-region run.
-func (ps *pacedStrategy) Name() string { return ps.name }
-
-// Launch implements LaunchStrategy.
-func (ps *pacedStrategy) Launch(sink CampaignSink, acct *faas.Account, cfg Config, rng *randx.Source) error {
-	return launchRounds(sink, cfg, ps.prefix, ps.barrier)
-}
-
-// barrier reports one completed round and blocks for the planner's verdict.
-// The worker slot is released while blocked so other shards can step their
-// worlds; both channels are buffered, so neither side can wedge the other
-// mid-round.
-func (ps *pacedStrategy) barrier(round, before, cumulative int) bool {
-	<-ps.sem
-	ps.sh.reports <- shardReport{round: round, before: before, cumulative: cumulative}
-	cont := <-ps.sh.grants
-	ps.sem <- struct{}{}
-	return cont
 }

@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,8 +11,9 @@ import (
 )
 
 // fleetWorld builds n small distinct-size regions, each its own world, all
-// from one seed — the shape FleetCampaign coordinates across.
-func fleetWorld(t *testing.T, seed uint64, n int) *faas.Fleet {
+// from one seed — the shape FleetCampaign coordinates across. tweak, if
+// given, adjusts region i's profile before its world is built.
+func fleetWorld(t *testing.T, seed uint64, n int, tweak ...func(i int, p *faas.RegionProfile)) *faas.Fleet {
 	t.Helper()
 	sizes := []struct {
 		hosts, groups, base, acctPool, svcPool, fresh int
@@ -30,6 +33,9 @@ func fleetWorld(t *testing.T, seed uint64, n int) *faas.Fleet {
 		p.AccountHelperPool = s.acctPool
 		p.ServiceHelperSize = s.svcPool
 		p.ServiceHelperFresh = s.fresh
+		for _, f := range tweak {
+			f(i, &p)
+		}
 		profs = append(profs, p)
 	}
 	f, err := faas.NewFleet(seed, profs...)
@@ -109,6 +115,128 @@ func TestFleetJobsByteIdentical(t *testing.T) {
 			assertSameCampaign(t, sc.Result(), pc.Result())
 		}
 	}
+}
+
+// TestFleetShardFailureStopsAtRoundBoundary: when one shard's launch fails
+// mid-fleet, every other shard finishes the round in flight, is denied the
+// next one, and keeps that round's waves as its resident footprint; Launch
+// surfaces the failing shard's error. The outcome is the same for any worker
+// count, and a later Verify reports only its own errors.
+func TestFleetShardFailureStopsAtRoundBoundary(t *testing.T) {
+	cfg := smallCfg()
+	run := func(jobs int) *FleetCampaign {
+		fleet := fleetWorld(t, 42, 3, func(i int, p *faas.RegionProfile) {
+			if i == 1 {
+				p.Faults.LaunchFailureRate = 0.3
+			}
+		})
+		fc, err := NewFleetCampaign(fleet, "attacker", cfg, sandbox.Gen1, OptimizedStrategy{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc.SetJobs(jobs)
+		if err := fc.Launch(); !errors.Is(err, faas.ErrLaunchFault) {
+			t.Fatalf("jobs=%d: Launch error = %v, want a launch fault", jobs, err)
+		}
+		return fc
+	}
+	seq, par := run(1), run(8)
+	for _, i := range []int{0, 2} {
+		st := seq.Shards()[i].Stats()
+		if st.Waves != cfg.Services || st.LiveInstances != cfg.Services*cfg.InstancesPerLaunch {
+			t.Errorf("shard %d: %d waves, %d live; want one full round (%d waves, %d live)",
+				i, st.Waves, st.LiveInstances, cfg.Services, cfg.Services*cfg.InstancesPerLaunch)
+		}
+	}
+	if got, want := seq.RoundsUsed(), 3; got != want || seq.Budget() != 3*cfg.Launches {
+		t.Errorf("rounds used %d of %d, want %d of %d", got, seq.Budget(), want, 3*cfg.Launches)
+	}
+	if !reflect.DeepEqual(seq.Stats(), par.Stats()) {
+		t.Errorf("fleet stats diverge across jobs:\njobs=1: %+v\njobs=8: %+v", seq.Stats(), par.Stats())
+	}
+	if _, err := seq.Verify(nil); err != nil {
+		t.Errorf("Verify with no victims failed: %v", err)
+	}
+}
+
+// numericFields flattens the numeric fields of a struct (recursing into
+// nested structs) into path → value.
+func numericFields(v reflect.Value, prefix string, out map[string]float64) {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), prefix+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			out[name] = float64(f.Int())
+		case reflect.Float64:
+			out[name] = f.Float()
+		case reflect.Struct:
+			numericFields(f, name+".", out)
+		}
+	}
+}
+
+// fillNumeric sets every numeric field of a struct (recursing into nested
+// structs) to consecutive values from *next.
+func fillNumeric(v reflect.Value, next *int) {
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(*next))
+			*next++
+		case reflect.Float64:
+			f.SetFloat(float64(*next))
+			*next++
+		case reflect.Struct:
+			fillNumeric(f, next)
+		}
+	}
+}
+
+// TestFleetMergesAddEveryField: every numeric Coverage field adds up under
+// MergeCoverages, and every numeric CampaignStats field under
+// FleetStats.Totals except LaunchWall, the slowest shard's. A field added to
+// either struct without its merge line fails here.
+func TestFleetMergesAddEveryField(t *testing.T) {
+	check := func(what string, parts []reflect.Value, merged reflect.Value, maxOf map[string]bool) {
+		t.Helper()
+		got := map[string]float64{}
+		numericFields(merged, "", got)
+		want := map[string]float64{}
+		for _, p := range parts {
+			fields := map[string]float64{}
+			numericFields(p, "", fields)
+			for name, v := range fields {
+				if maxOf[name] {
+					want[name] = max(want[name], v)
+				} else {
+					want[name] += v
+				}
+			}
+		}
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("%s: %s = %v, want %v", what, name, got[name], w)
+			}
+		}
+	}
+
+	next := 1
+	var covs [2]Coverage
+	for i := range covs {
+		fillNumeric(reflect.ValueOf(&covs[i]).Elem(), &next)
+	}
+	check("MergeCoverages", []reflect.Value{reflect.ValueOf(covs[0]), reflect.ValueOf(covs[1])},
+		reflect.ValueOf(MergeCoverages(covs[:]...)), nil)
+
+	var fs FleetStats
+	for i := 0; i < 2; i++ {
+		var st CampaignStats
+		fillNumeric(reflect.ValueOf(&st).Elem(), &next)
+		st.Region = faas.Region(fmt.Sprint("r", i))
+		fs.Shards = append(fs.Shards, st)
+	}
+	check("FleetStats.Totals", []reflect.Value{reflect.ValueOf(fs.Shards[0]), reflect.ValueOf(fs.Shards[1])},
+		reflect.ValueOf(fs.Totals()), map[string]bool{"LaunchWall": true})
 }
 
 // TestCrossRegionPlannerDrainsZeroYield: a shard whose rounds stop growing

@@ -6,10 +6,10 @@ import (
 	"eaao/internal/faas"
 )
 
-// ShardStatus is one region shard's observable state at a planning barrier:
+// ShardStatus is one region shard's observable state between rounds:
 // everything a Planner may base budget decisions on. It contains only
-// attacker-visible quantities (fingerprint-derived footprint, the shard's
-// own bill) — no platform ground truth.
+// attacker-visible quantities (the fingerprint-derived footprint) — no
+// platform ground truth.
 type ShardStatus struct {
 	// Region names the shard.
 	Region faas.Region
@@ -25,10 +25,8 @@ type ShardStatus struct {
 	// FirstRound is the apparent-host yield of the shard's first round — a
 	// region-size proxy available to every planner after one round.
 	FirstRound int
-	// USD is the shard's launch-stage spend so far.
-	USD float64
-	// Finished marks shards that will run no further rounds (released, or
-	// failed); planners must not grant them budget.
+	// Finished marks shards that will run no further rounds (denied one,
+	// or failed); planners must not grant them budget.
 	Finished bool
 }
 

@@ -133,45 +133,79 @@ func (s AdaptiveStrategy) Launch(sink CampaignSink, acct *faas.Account, cfg Conf
 	})
 }
 
-// launchRounds is the §5.2 round loop shared by OptimizedStrategy,
-// AdaptiveStrategy and the fleet's paced shards. It deploys cfg.Services
-// services named after prefix and launches each of them once per round.
-// After every round, more decides from the round number and the footprint
-// before and after it whether another round follows. The final round's
-// waves stay connected as the resident footprint and are held active for
-// HoldActive; every other round is held, disconnected, and the rest of the
-// launch interval waited out, which keeps each service in a high-demand
-// state for the next round.
+// launchRounds is the §5.2 round loop shared by OptimizedStrategy and
+// AdaptiveStrategy. After every round, more decides from the round number
+// and the footprint before and after it whether another round follows.
 func launchRounds(sink CampaignSink, cfg Config, prefix string,
 	more func(round, before, cumulative int) bool) error {
-	services := make([]*faas.Service, cfg.Services)
-	for i, name := range serviceNames(prefix, cfg.Services) {
-		services[i] = sink.Deploy(name)
-	}
-	waves := make([][]*faas.Instance, 0, cfg.Services)
-	for round := 1; ; round++ {
-		before := sink.Footprint().Cumulative()
-		waves = waves[:0]
-		for _, svc := range services {
-			w, err := sink.LaunchWave(svc, round)
-			if err != nil {
-				return err
-			}
-			waves = append(waves, w.Instances)
+	r := newRounds(sink, cfg, prefix)
+	for {
+		before, after, err := r.launch()
+		if err != nil {
+			return err
 		}
-		if !more(round, before, sink.Footprint().Cumulative()) {
-			for _, insts := range waves {
-				sink.Keep(insts)
-			}
-			sink.Hold(cfg.HoldActive)
+		again := more(r.round, before, after)
+		r.end(again)
+		if !again {
 			return nil
 		}
-		sink.Hold(cfg.HoldActive)
-		for _, svc := range services {
+	}
+}
+
+// rounds is the §5.2 round loop taken one step at a time, so a fleet campaign
+// can decide between a round's launch and its end whether another follows.
+// It deploys cfg.Services services named after prefix and launches each of
+// them once per round.
+type rounds struct {
+	sink     CampaignSink
+	cfg      Config
+	services []*faas.Service
+	waves    [][]*faas.Instance
+	round    int
+}
+
+func newRounds(sink CampaignSink, cfg Config, prefix string) *rounds {
+	r := &rounds{sink: sink, cfg: cfg, waves: make([][]*faas.Instance, 0, cfg.Services)}
+	for _, name := range serviceNames(prefix, cfg.Services) {
+		r.services = append(r.services, sink.Deploy(name))
+	}
+	return r
+}
+
+// launch runs the next round's waves and returns the footprint before and
+// after them.
+func (r *rounds) launch() (before, after int, err error) {
+	r.round++
+	before = r.sink.Footprint().Cumulative()
+	r.waves = r.waves[:0]
+	for _, svc := range r.services {
+		w, err := r.sink.LaunchWave(svc, r.round)
+		if err != nil {
+			return 0, 0, err
+		}
+		r.waves = append(r.waves, w.Instances)
+	}
+	return before, r.sink.Footprint().Cumulative(), nil
+}
+
+// end closes the round just launched. The final round (more false) keeps
+// its waves connected as the resident footprint and holds them active for
+// HoldActive; any other round is held, disconnected, and the rest of the
+// launch interval waited out, which keeps each service in a high-demand
+// state for the next round.
+func (r *rounds) end(more bool) {
+	if !more {
+		for _, insts := range r.waves {
+			r.sink.Keep(insts)
+		}
+	}
+	r.sink.Hold(r.cfg.HoldActive)
+	if more {
+		for _, svc := range r.services {
 			svc.Disconnect()
 		}
-		if rest := cfg.Interval - cfg.HoldActive; rest > 0 {
-			sink.Hold(rest)
+		if rest := r.cfg.Interval - r.cfg.HoldActive; rest > 0 {
+			r.sink.Hold(rest)
 		}
 	}
 }

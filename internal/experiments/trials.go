@@ -1,16 +1,15 @@
 package experiments
 
-import (
-	"sync"
-)
+import "eaao/internal/par"
 
 // This file is the deterministic trial-execution engine. Experiments express
 // each independent unit of work — one (repetition × sweep point), building
 // its own simulated world — as a closure; the engine fans the closures out
 // over a bounded worker pool and merges results by job index, so the output
 // is byte-identical to a strictly sequential run regardless of the worker
-// count. The simulator itself stays single-threaded: parallelism exists only
-// *between* worlds, never inside one.
+// count. The pool is internal/par, the same one fleet campaigns step their
+// shards on. The simulator itself stays single-threaded: parallelism exists
+// only *between* worlds, never inside one.
 
 // Trial identifies one unit of work in a trial set.
 type Trial struct {
@@ -46,47 +45,13 @@ func runTrials[T any](ctx Context, n int, fn func(t Trial) (T, error)) ([]T, err
 	if n <= 0 {
 		return nil, nil
 	}
-	workers := ctx.jobs()
-	if workers > n {
-		workers = n
-	}
 	out := make([]T, n)
-	if workers <= 1 {
-		for i := range out {
-			v, err := fn(Trial{Index: i, Seed: splitmix(ctx.Seed, i)})
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	errs := make([]error, n)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				v, err := fn(Trial{Index: i, Seed: splitmix(ctx.Seed, i)})
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				out[i] = v
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := par.For(n, ctx.jobs(), func(i int) error {
+		var err error
+		out[i], err = fn(Trial{Index: i, Seed: splitmix(ctx.Seed, i)})
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
