@@ -209,10 +209,10 @@ func (c Config) NoiseHardened() bool {
 // fingerprints) seen across launches.
 type FootprintTracker struct {
 	precision time.Duration
-	seen      map[fingerprint.Gen1]bool
-	// batch is per-Record scratch, reused so the per-wave hot path settles
-	// to zero steady-state allocations (see TestRecordWaveAllocs).
-	batch map[fingerprint.Gen1]bool
+	// seen maps each fingerprint to the epoch of the last Record batch that
+	// saw it: one lookup tells "new to this batch" with no per-batch set.
+	seen  map[fingerprint.Gen1]uint32
+	epoch uint32
 	// retryBudget is how many times a probe-faulted collection is retried
 	// per instance before the sample is skipped; retries and skips meter
 	// that recovery. At budget 0 a probe fault propagates as an error.
@@ -225,7 +225,7 @@ type FootprintTracker struct {
 func NewFootprintTracker(precision time.Duration) *FootprintTracker {
 	return &FootprintTracker{
 		precision: precision,
-		seen:      make(map[fingerprint.Gen1]bool),
+		seen:      make(map[fingerprint.Gen1]uint32),
 	}
 }
 
@@ -245,10 +245,7 @@ func (ft *FootprintTracker) ProbeSkips() int { return ft.skips }
 // Record fingerprints the instances and returns the number of apparent hosts
 // in this batch; the tracker's cumulative set grows accordingly.
 func (ft *FootprintTracker) Record(insts []*faas.Instance) (apparent int, err error) {
-	if ft.batch == nil {
-		ft.batch = make(map[fingerprint.Gen1]bool, len(insts))
-	}
-	clear(ft.batch)
+	ft.epoch++
 	for _, inst := range insts {
 		g, err := inst.Guest()
 		if err != nil {
@@ -267,10 +264,12 @@ func (ft *FootprintTracker) Record(insts []*faas.Instance) (apparent int, err er
 			return 0, err
 		}
 		fp := fingerprint.Gen1FromSample(s, ft.precision)
-		ft.batch[fp] = true
-		ft.seen[fp] = true
+		if ft.seen[fp] != ft.epoch {
+			ft.seen[fp] = ft.epoch
+			apparent++
+		}
 	}
-	return len(ft.batch), nil
+	return apparent, nil
 }
 
 // Cumulative returns the size of the cumulative apparent-host footprint.

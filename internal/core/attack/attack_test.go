@@ -1,10 +1,13 @@
 package attack
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
 	"eaao/internal/core/covert"
+	"eaao/internal/core/fingerprint"
 	"eaao/internal/faas"
 	"eaao/internal/sandbox"
 )
@@ -12,15 +15,20 @@ import (
 // smallWorld builds a reduced three-group region for attack tests.
 func smallWorld(t *testing.T, seed uint64) *faas.DataCenter {
 	t.Helper()
+	return faas.MustPlatform(seed, smallProfile("t")).MustRegion("t")
+}
+
+// smallProfile is the 200-host, four-group region smallWorld builds.
+func smallProfile(name faas.Region) faas.RegionProfile {
 	p := faas.USEast1Profile()
-	p.Name = "t"
+	p.Name = name
 	p.NumHosts = 200
 	p.PlacementGroups = 4
 	p.BasePoolSize = 40
 	p.AccountHelperPool = 90
 	p.ServiceHelperSize = 70
 	p.ServiceHelperFresh = 8
-	return faas.MustPlatform(seed, p).MustRegion("t")
+	return p
 }
 
 // smallCfg scales the paper's campaign down for test speed.
@@ -234,6 +242,78 @@ func TestFootprintTracker(t *testing.T) {
 	}
 	if got := len(ft.Fingerprints()); got != ap1 {
 		t.Errorf("Fingerprints() = %d entries", got)
+	}
+}
+
+// TestFootprintTrackerEpochs drives one tracker through overlapping,
+// disjoint, repeated-identical and empty batches, plus a batch that mixes in
+// instances from a region where every probe faults. Each batch's
+// apparent count must equal its distinct fingerprints among the instances
+// that were fingerprinted, and the cumulative set must equal their union;
+// skipped instances count toward neither.
+func TestFootprintTrackerEpochs(t *testing.T) {
+	faulty := smallProfile("faulty")
+	faulty.Faults.ProbeFailureRate = 1
+	pl := faas.MustPlatform(12, smallProfile("t"), faulty)
+	insts, err := pl.MustRegion("t").Account("a").DeployService("s", faas.ServiceConfig{}).Launch(120)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := pl.MustRegion("faulty").Account("a").DeployService("s", faas.ServiceConfig{}).Launch(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	precision := DefaultConfig().Precision
+	fps := make(map[*faas.Instance]fingerprint.Gen1, len(insts))
+	for _, inst := range insts {
+		one := NewFootprintTracker(precision)
+		if _, err := one.Record([]*faas.Instance{inst}); err != nil {
+			t.Fatal(err)
+		}
+		for fp := range one.Fingerprints() {
+			fps[inst] = fp
+		}
+	}
+
+	ft := NewFootprintTracker(precision)
+	ft.SetProbeRetryBudget(2)
+	union := map[fingerprint.Gen1]bool{}
+	for _, b := range []struct {
+		name  string
+		batch []*faas.Instance
+		bad   int // trailing instances from the faulty region
+	}{
+		{"first", insts[0:40], 0},
+		{"overlapping", insts[20:70], 0},
+		{"repeated-identical", insts[20:70], 0},
+		{"disjoint", insts[80:120], 0},
+		{"empty", nil, 0},
+		{"probe-faulting", append(slices.Clone(insts[60:100]), bad...), len(bad)},
+		{"after-faults", insts[0:120], 0},
+	} {
+		distinct := map[fingerprint.Gen1]bool{}
+		for _, inst := range b.batch[:len(b.batch)-b.bad] {
+			distinct[fps[inst]] = true
+			union[fps[inst]] = true
+		}
+		skips := ft.ProbeSkips()
+		apparent, err := ft.Record(b.batch)
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		if apparent != len(distinct) {
+			t.Errorf("%s: apparent %d, want %d", b.name, apparent, len(distinct))
+		}
+		if got := ft.ProbeSkips() - skips; got != b.bad {
+			t.Errorf("%s: %d skips, want %d", b.name, got, b.bad)
+		}
+		if got := ft.Fingerprints(); ft.Cumulative() != len(union) || !maps.Equal(got, union) {
+			t.Errorf("%s: cumulative %d (%d fingerprints), want the union of %d",
+				b.name, ft.Cumulative(), len(got), len(union))
+		}
+	}
+	if ft.ProbeRetries() != 2*len(bad) {
+		t.Errorf("probe retries %d, want %d", ft.ProbeRetries(), 2*len(bad))
 	}
 }
 

@@ -79,6 +79,12 @@ func NewCampaign(acct *faas.Account, cfg Config, gen sandbox.Gen, strategy Launc
 		sched:    acct.DataCenter().Scheduler(),
 	}
 	c.stats.Region = acct.DataCenter().Region()
+	// Building the runner draws no randomness and advances no clock.
+	r, err := covert.RunnerFor(cfg.Channel, c.sched, cfg.VoteBudget)
+	if err != nil {
+		return nil, err
+	}
+	c.SetTester(r)
 	return c, nil
 }
 
@@ -138,25 +144,12 @@ func (c *Campaign) Stats() CampaignStats {
 	return st
 }
 
-// Tester returns the campaign's covert-channel runner, creating it from
-// cfg.Channel on first use (the paper's single-channel RNG tester by
-// default, byte-identical to builds that predate pluggable channels). The
-// runner is instrumented with the stats ledger: every CTest run through it —
-// by Verify or by the caller directly — is charged to the campaign's verify
-// stage with its channel label. Creating a tester consumes no randomness and
-// advances no clocks, so lazy creation cannot perturb determinism.
-func (c *Campaign) Tester() covert.Runner {
-	if c.tester == nil {
-		r, err := covert.RunnerFor(c.cfg.Channel, c.sched, c.cfg.VoteBudget)
-		if err != nil {
-			// cfg.Channel was validated at NewCampaign; reaching this is a
-			// programming error.
-			panic(err)
-		}
-		c.SetTester(r)
-	}
-	return c.tester
-}
+// Tester returns the campaign's covert-channel runner: the one NewCampaign
+// built from cfg.Channel (by default the paper's single-channel RNG tester),
+// or the last one SetTester installed. Every CTest run through it — by
+// Verify or by the caller directly — is charged to the campaign's verify
+// stage with its channel label.
+func (c *Campaign) Tester() covert.Runner { return c.tester }
 
 // SetTester replaces the campaign's covert runner (e.g. with a calibrated,
 // memory-bus, or majority-combined tester). The campaign takes over cost

@@ -311,9 +311,32 @@ func TestCampaignLedger(t *testing.T) {
 	}
 }
 
+// BenchmarkGen1Wave times one §5.2 launch wave at full scale: 800 Gen 1
+// instances launched into a fresh us-east1 world, then fingerprinted into a
+// footprint tracker. Building the world is untimed; the wave pays host
+// materialization, placement, guest init and fingerprinting.
+func BenchmarkGen1Wave(b *testing.B) {
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dc := faas.MustPlatform(9, faas.USEast1Profile()).MustRegion(faas.USEast1)
+		svc := dc.Account("attacker").DeployService("s", faas.ServiceConfig{})
+		ft := NewFootprintTracker(cfg.Precision)
+		b.StartTimer()
+		insts, err := svc.Launch(cfg.InstancesPerLaunch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ft.Record(insts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestRecordWaveAllocs(t *testing.T) {
 	// The per-wave fingerprint path re-records mostly-known hosts; after the
-	// first wave seeds the scratch map, steady-state re-recording must not
+	// first wave seeds the footprint map, steady-state re-recording must not
 	// allocate.
 	dc := smallWorld(t, 46)
 	insts, err := dc.Account("a").DeployService("s", faas.ServiceConfig{}).Launch(200)

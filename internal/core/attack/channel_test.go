@@ -167,6 +167,35 @@ func TestCampaignDefaultChannelIdentity(t *testing.T) {
 	}
 }
 
+// NewCampaign builds the covert runner, so a fresh campaign's Tester is
+// ready before Launch and charges every CTest to the ledger; SetTester
+// still replaces it.
+func TestFreshCampaignTesterChargesLedger(t *testing.T) {
+	dc := smallWorld(t, 54)
+	c, err := NewCampaign(dc.Account("attacker"), smallCfg(), sandbox.Gen1, OptimizedStrategy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := c.Tester()
+	if r == nil {
+		t.Fatal("fresh campaign has no tester")
+	}
+	insts, err := dc.Account("a").DeployService("s", faas.ServiceConfig{}).Launch(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.CTest(insts, 2); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.CTests != 1 || len(st.PerChannel) != 1 || st.PerChannel[0].CTests != 1 {
+		t.Errorf("one CTest charged as %d (per channel %+v)", st.CTests, st.PerChannel)
+	}
+	other := covert.NewTester(dc.Scheduler(), covert.DefaultConfig())
+	if c.SetTester(other); c.Tester() != other {
+		t.Error("SetTester did not replace the runner")
+	}
+}
+
 func TestFleetTotalsMergeChannels(t *testing.T) {
 	f := FleetStats{
 		Strategy: "optimized",

@@ -13,14 +13,7 @@ import (
 // faultySmallWorld is smallWorld with a fault plan installed on the region.
 func faultySmallWorld(t *testing.T, seed uint64, plan faas.FaultPlan) *faas.DataCenter {
 	t.Helper()
-	p := faas.USEast1Profile()
-	p.Name = "t"
-	p.NumHosts = 200
-	p.PlacementGroups = 4
-	p.BasePoolSize = 40
-	p.AccountHelperPool = 90
-	p.ServiceHelperSize = 70
-	p.ServiceHelperFresh = 8
+	p := smallProfile("t")
 	p.Faults = plan
 	return faas.MustPlatform(seed, p).MustRegion("t")
 }

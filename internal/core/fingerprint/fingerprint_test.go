@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"eaao/internal/cpu"
 	"eaao/internal/faas"
 	"eaao/internal/sandbox"
 	"eaao/internal/simtime"
@@ -230,7 +231,7 @@ func TestMeasuredFrequencyCloseToActual(t *testing.T) {
 		if !m.Usable() {
 			continue
 		}
-		reported, _ := g.ReportedTSCHz()
+		reported, _ := cpu.ParseBaseFrequency(g.CPUModelName())
 		// The measured value must be within ~100 kHz of the reported one
 		// (ε is clipped at 50 kHz; measurement noise adds a little).
 		if math.Abs(m.MeanHz-reported) > 2e5 {

@@ -21,6 +21,7 @@ import (
 	"math"
 	"time"
 
+	"eaao/internal/cpu"
 	"eaao/internal/sandbox"
 	"eaao/internal/simtime"
 )
@@ -50,13 +51,15 @@ func CollectGen1(g *sandbox.Guest) (Sample, error) {
 	if g.ProbeFault() {
 		return Sample{}, fmt.Errorf("fingerprint: gen1 collection: %w", sandbox.ErrProbeFault)
 	}
-	hz, err := g.ReportedTSCHz()
+	// Method 1 of §4.2: the labeled base frequency in the brand string.
+	model := g.CPUModelName()
+	hz, err := cpu.ParseBaseFrequency(model)
 	if err != nil {
 		return Sample{}, fmt.Errorf("fingerprint: no reported frequency: %w", err)
 	}
 	tsc, wall := g.ReadTSCAndWall()
 	return Sample{
-		Model:      g.CPUModelName(),
+		Model:      model,
 		TSC:        tsc,
 		Wall:       wall,
 		ReportedHz: hz,

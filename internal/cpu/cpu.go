@@ -59,8 +59,17 @@ func (m Model) String() string { return m.Name }
 
 // ParseBaseFrequency extracts the labeled frequency (in Hz) from a CPU brand
 // string such as "Intel(R) Xeon(R) CPU @ 2.00GHz". It returns an error when
-// no frequency suffix is present.
+// no frequency suffix is present. A Catalog name returns its BaseHz, which
+// init parsed from the same string; any other name takes the full parser.
 func ParseBaseFrequency(name string) (float64, error) {
+	if m, ok := ByName(name); ok {
+		return m.BaseHz, nil
+	}
+	return parseBaseFrequency(name)
+}
+
+// parseBaseFrequency is ParseBaseFrequency without the catalog fast path.
+func parseBaseFrequency(name string) (float64, error) {
 	at := strings.LastIndex(name, "@")
 	if at < 0 {
 		return 0, fmt.Errorf("cpu: no frequency label in %q", name)
@@ -91,7 +100,7 @@ func ParseBaseFrequency(name string) (float64, error) {
 // frequency label; the catalog below is static so a panic is a compile-time
 // style invariant.
 func mustModel(name string, cores, sockets int, l1d, l2, l3 int64) Model {
-	hz, err := ParseBaseFrequency(name)
+	hz, err := parseBaseFrequency(name)
 	if err != nil {
 		panic(err)
 	}

@@ -42,6 +42,30 @@ func TestParseBaseFrequencyErrors(t *testing.T) {
 	}
 }
 
+// TestParseBaseFrequencyFastPath checks that the catalog fast path returns
+// exactly what the full parser derives from each catalog name, and that
+// names outside the catalog still reach the full parser.
+func TestParseBaseFrequencyFastPath(t *testing.T) {
+	for _, m := range Catalog {
+		fast, err := ParseBaseFrequency(m.Name)
+		full, ferr := parseBaseFrequency(m.Name)
+		if err != nil || ferr != nil || fast != full {
+			t.Errorf("%q: fast path %v (%v), full parser %v (%v)", m.Name, fast, err, full, ferr)
+		}
+	}
+	for name, want := range map[string]float64{
+		"Intel(R) Xeon(R) CPU @ 3.10GHz": 3.10e9,
+		"X @ 2450MHz":                    2450e6,
+	} {
+		if _, ok := ByName(name); ok {
+			t.Fatalf("%q is a catalog name", name)
+		}
+		if got, err := ParseBaseFrequency(name); err != nil || got != want {
+			t.Errorf("%q: got %v (%v), want %v", name, got, err, want)
+		}
+	}
+}
+
 func TestCatalogConsistent(t *testing.T) {
 	if len(Catalog) == 0 {
 		t.Fatal("empty catalog")

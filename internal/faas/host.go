@@ -104,16 +104,23 @@ func (h *Host) materialize() {
 	dc := h.dc
 	dc.liveHosts++
 	i := int(h.id)
-	// The indexed stream is drained within this call (noiseRNG below is its
-	// own derived heap Source); reseeding the region scratch in place avoids
-	// one 5 KiB state allocation per materialized host.
+	// The indexed stream is drained within this call (noiseRNG below lives
+	// on), so reseeding the region scratch in place avoids one 5 KiB state
+	// allocation per materialized host.
 	rng := dc.rng.DeriveIndexedInto(&dc.matScratch, "host", i)
+	// The noise stream's slab slot is first scratch for the problematic draw.
+	if len(dc.noiseSlab) == 0 {
+		dc.noiseChunk = min(2*dc.noiseChunk+1, 32)
+		dc.noiseSlab = make([]randx.Source, dc.noiseChunk)
+	}
+	noise := &dc.noiseSlab[0]
+	dc.noiseSlab = dc.noiseSlab[1:]
 	h.model = cpu.Catalog[rng.WeightedIndex(cpu.DefaultFleetWeights)]
 	h.counter = tsc.NewCounter(rng, dc.bootTimes[i], h.model.ReportedTSCHz())
 
 	h.noise = tsc.DefaultNoise()
 	if rng.Bool(dc.profile.ProblematicHostFrac) {
-		h.noise = tsc.ProblematicNoise(rng.Derive("problematic"))
+		h.noise = tsc.ProblematicNoise(rng.DeriveInto(noise, "problematic"))
 	}
 
 	// Linux refines the TSC frequency once at boot to 1 kHz precision; the
@@ -121,7 +128,7 @@ func (h *Host) materialize() {
 	refineErr := rng.Normal(0, 150)
 	h.refinedHz = math.Round((float64(h.counter.ActualHz)+refineErr)/1000) * 1000
 
-	h.noiseRNG = rng.Derive("noise")
+	h.noiseRNG = rng.DeriveInto(noise, "noise")
 }
 
 // sampleBootTimes draws boot instants for n hosts: a mix of independent

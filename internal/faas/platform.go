@@ -140,6 +140,10 @@ type DataCenter struct {
 	// the call that reseeds it.
 	matScratch    randx.Source
 	deriveScratch randx.Source
+	// noiseSlab bump-allocates hosts' noise streams in chunks of 1, 3, 7, …
+	// up to 32 (noiseChunk): a fork that materializes few hosts pays little.
+	noiseSlab  []randx.Source
+	noiseChunk int
 
 	// Per-instance lifecycle kernel: churnHazard and preemptHazard are
 	// the exponential rates per hour matching the profile's per-hour

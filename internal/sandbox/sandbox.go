@@ -255,13 +255,6 @@ func (g *Guest) GuestKernelTSCHz() (float64, error) {
 	return g.env.RefinedTSCHz(), nil
 }
 
-// ReportedTSCHz returns the TSC frequency inferred from the CPU model name's
-// labeled base frequency (method 1 of §4.2). It fails if the brand string
-// carries no frequency label.
-func (g *Guest) ReportedTSCHz() (float64, error) {
-	return cpu.ParseBaseFrequency(g.CPUModelName())
-}
-
 // Sysinfo is what the sysinfo(2)/uptime interfaces report inside the
 // sandbox. Both environments *virtualize* these values: gVisor emulates the
 // system call and reports the sandbox's own lifetime, and a Gen 2 guest

@@ -137,10 +137,12 @@ func TestReadWallZeroNoiseExact(t *testing.T) {
 	}
 }
 
+// TestReportedTSCHz checks method 1 of §4.2 from the guest's side: the
+// brand string cpuid returns parses to the host model's base frequency.
 func TestReportedTSCHz(t *testing.T) {
 	env := newFakeEnv()
 	g := NewGuest(env, Gen1)
-	hz, err := g.ReportedTSCHz()
+	hz, err := cpu.ParseBaseFrequency(g.CPUModelName())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestDerivedBootTimeGen1(t *testing.T) {
 	env := newFakeEnv()
 	g := NewGuest(env, Gen1)
 	tscVal, wall := g.ReadTSCAndWall()
-	hz, _ := g.ReportedTSCHz()
+	hz, _ := cpu.ParseBaseFrequency(g.CPUModelName())
 	derived := wall.Seconds() - float64(tscVal)/hz
 	trueBoot := env.counter.Boot.Seconds()
 	uptime := env.now.Sub(env.counter.Boot).Seconds()
