@@ -10,6 +10,8 @@ GO ?= go
 # one are linked, and lint has already vetted them), a race pass over the
 # fault plane, its attack-side recovery paths, the fleet campaign, and the
 # one worker pool (internal/par) with the trial engine that runs on it,
+# a few seconds of each native fuzz target (the Bernoulli-threshold closed
+# form in randx, the brand-string frequency parser in cpu),
 # quick fault-sweep/multiregion/channel-ablation/noise-sweep smoke runs,
 # two `eaao attack -recovery` smokes through the real binary, which cover
 # main's split of global flags (-faults, -load) from the attack subcommand's
@@ -25,6 +27,8 @@ check: lint
 		$$(grep -rl --include='*_test.go' '^func Benchmark' internal | xargs dirname | sort -u | sed 's|^|./|')
 	$(GO) test -race ./internal/core/... ./internal/faas/... ./internal/par/...
 	$(GO) test -race -run 'TestRunTrials|TestRunAll|TestParallelOutputByteIdentical' ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzBoolThreshold$$' -fuzztime 3s ./internal/randx/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBaseFrequency$$' -fuzztime 3s ./internal/cpu/
 	@$(GO) run ./cmd/eaao -quick run faultsweep >/dev/null
 	@echo "faultsweep smoke OK"
 	@$(GO) run ./cmd/eaao -quick run multiregion >/dev/null

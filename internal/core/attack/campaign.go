@@ -39,6 +39,9 @@ type Campaign struct {
 	res    *CampaignResult
 	stats  CampaignStats
 	tester covert.Runner
+	// fallback is the stock runner of Config.FallbackChannel, nil without
+	// one: the noise ladder's channel swap when calibration is off or fails.
+	fallback *covert.Tester
 	// billStart and startedAt are the account bill and the clock when the
 	// launch stage began, which the launch-stage ledger is measured from.
 	billStart faas.Bill
@@ -79,12 +82,17 @@ func NewCampaign(acct *faas.Account, cfg Config, gen sandbox.Gen, strategy Launc
 		sched:    acct.DataCenter().Scheduler(),
 	}
 	c.stats.Region = acct.DataCenter().Region()
-	// Building the runner draws no randomness and advances no clock.
+	// Building a runner draws no randomness and advances no clock.
 	r, err := covert.RunnerFor(cfg.Channel, c.sched, cfg.VoteBudget)
 	if err != nil {
 		return nil, err
 	}
 	c.SetTester(r)
+	if cfg.FallbackChannel != "" {
+		if c.fallback, err = covert.RunnerFor(cfg.FallbackChannel, c.sched, cfg.VoteBudget); err != nil {
+			return nil, err
+		}
+	}
 	return c, nil
 }
 

@@ -113,10 +113,10 @@ func (c *Campaign) escalate() bool {
 		c.stats.NoiseEscalations++
 		return true
 	}
-	if fb := c.cfg.FallbackChannel; fb != "" && !c.onFallback {
+	if c.fallback != nil && !c.onFallback {
 		c.onFallback = true
 		c.stats.ChannelFallbacks++
-		c.SetTester(c.noiseRunner(fb))
+		c.SetTester(c.fallbackRunner())
 		return true
 	}
 	return false
@@ -141,24 +141,18 @@ func (c *Campaign) ensureCalibrated() {
 	}
 }
 
-// noiseRunner builds the runner for a ladder channel swap: calibrated
-// against the live world when calibration is configured and possible,
-// otherwise the channel's stock configuration.
-func (c *Campaign) noiseRunner(name string) covert.Runner {
+// fallbackRunner returns the runner for the ladder's channel swap:
+// calibrated against the live world when calibration is configured and
+// possible, otherwise the fallback channel's stock runner NewCampaign built.
+func (c *Campaign) fallbackRunner() covert.Runner {
 	if c.cfg.CalibrationRounds > 0 && len(c.res.Live) > 0 {
-		if r, wall, ok := c.tryCalibrate(name); ok {
+		if r, wall, ok := c.tryCalibrate(c.cfg.FallbackChannel); ok {
 			c.stats.Calibrations++
 			c.noiseHold(wall)
 			return r
 		}
 	}
-	r, err := covert.RunnerFor(name, c.sched, c.cfg.VoteBudget)
-	if err != nil {
-		// The name was validated at NewCampaign; reaching this is a
-		// programming error.
-		panic(err)
-	}
-	return r
+	return c.fallback
 }
 
 // tryCalibrate calibrates the named channel's tester on the campaign's probe

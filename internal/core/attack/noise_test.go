@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"eaao/internal/core/covert"
 	"eaao/internal/faas"
 	"eaao/internal/sandbox"
 )
@@ -152,6 +153,53 @@ func TestHardenedBeatsUnhardenedUnderLoad(t *testing.T) {
 	// scores it.
 	if stBase.LowMarginTests != 0 {
 		t.Errorf("unhardened campaign scored %d low-margin tests with MarginFloor 0", stBase.LowMarginTests)
+	}
+}
+
+// TestUncalibratedFallbackUsesStockRunner pins the ladder's channel swap
+// with calibration off: on a saturated world the LLC channel collapses, the
+// campaign swaps to the stock RNG runner NewCampaign built, and that runner's
+// CTests land in the verify ledger under its channel.
+func TestUncalibratedFallbackUsesStockRunner(t *testing.T) {
+	cfg := hardenNoiseChannel(smallCfg())
+	cfg.Channel = "llc"
+	cfg.LaunchRetries = 6
+	cfg.RetryBackoff = 30 * time.Second
+	cfg.CalibrationRounds = 0
+	cfg.MaxVoteBudget = 0
+	dc := loadedWorld(t, 63, 0.95)
+	c, err := NewCampaign(dc.Account("attacker"), cfg, sandbox.Gen1, OptimizedStrategy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.fallback == nil || c.fallback.Config().Resource != faas.ResourceRNG {
+		t.Fatalf("NewCampaign built fallback runner %v, want the stock rng runner", c.fallback)
+	}
+	if _, err := c.Launch(); err != nil {
+		t.Fatal(err)
+	}
+	vic, err := dc.Account("victim").DeployService("v", faas.ServiceConfig{}).Launch(40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Verify(vic); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.ChannelFallbacks != 1 || st.Calibrations != 0 {
+		t.Fatalf("fallbacks %d, calibrations %d; want 1 and 0", st.ChannelFallbacks, st.Calibrations)
+	}
+	if c.Tester() != covert.Runner(c.fallback) {
+		t.Fatal("campaign did not swap to the runner NewCampaign built")
+	}
+	var rng int
+	for _, cc := range st.PerChannel {
+		if cc.Channel == "rng" {
+			rng = cc.CTests
+		}
+	}
+	if n := c.fallback.Stats().Tests; n == 0 || rng != n {
+		t.Errorf("ledger charged %d rng CTests, fallback runner ran %d", rng, n)
 	}
 }
 

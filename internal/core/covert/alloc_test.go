@@ -28,3 +28,27 @@ func TestCTestAllocs(t *testing.T) {
 		}
 	}
 }
+
+// PairTest is the pairwise fallback coloc runs on mixed fingerprint groups,
+// thousands of times per Gen 2 verification. It reads its verdicts off the
+// tester's scratch, so a steady-state call allocates nothing.
+func TestPairTestAllocs(t *testing.T) {
+	for _, name := range []string{"rng", CombinedChannelName} {
+		pl, insts := testWorld(t, 5, 30)
+		tester, err := RunnerFor(name, pl.Scheduler(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tester.PairTest(insts[0], insts[1]); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := tester.PairTest(insts[0], insts[1]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s PairTest allocates %.1f per run, budget 0", name, allocs)
+		}
+	}
+}

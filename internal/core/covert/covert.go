@@ -212,12 +212,26 @@ func (t *Tester) SetSink(s Sink) { t.sink = s }
 // repetition, not the majority. The final verdict is the majority across
 // channels.
 func (t *Tester) CTest(instances []*faas.Instance, m int) ([]bool, error) {
+	if err := t.vote(instances, m); err != nil {
+		return nil, err
+	}
+	out := make([]bool, len(instances))
+	for i := range out {
+		out[i] = t.positive(i)
+	}
+	return out, nil
+}
+
+// vote runs CTest's executions and leaves each instance's channel-majority
+// win count in t.chWins; positive reads the final verdict off it. PairTest
+// reads verdicts there directly, so it allocates no result slice.
+func (t *Tester) vote(instances []*faas.Instance, m int) error {
 	if m < 2 {
-		return nil, fmt.Errorf("covert: contention threshold m=%d, need m >= 2", m)
+		return fmt.Errorf("covert: contention threshold m=%d, need m >= 2", m)
 	}
 	n := len(instances)
 	if n == 0 {
-		return nil, fmt.Errorf("covert: CTest of zero instances")
+		return fmt.Errorf("covert: CTest of zero instances")
 	}
 	t.votes = resetScratch(t.votes, n)
 	t.repWins = resetScratch(t.repWins, n)
@@ -227,7 +241,7 @@ func (t *Tester) CTest(instances []*faas.Instance, m int) ([]bool, error) {
 		clear(t.repWins)
 		for rep := 0; rep < reps; rep++ {
 			if err := t.run(cfg, instances, m, rep); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for i, w := range t.repWins {
@@ -239,13 +253,12 @@ func (t *Tester) CTest(instances []*faas.Instance, m int) ([]bool, error) {
 	t.stats.Tests += reps
 	t.stats.PairsTested += reps * n * (n - 1) / 2
 	t.stats.InstanceTime += time.Duration(reps*n) * t.cfg.TestDuration
-
-	out := make([]bool, n)
-	for i, w := range t.chWins {
-		out[i] = 2*w > len(t.cfgs)
-	}
-	return out, nil
+	return nil
 }
+
+// positive is instance i's final verdict of the last vote: the majority
+// across channels.
+func (t *Tester) positive(i int) bool { return 2*t.chWins[i] > len(t.cfgs) }
 
 // run is one un-voted test execution on one channel: it adds the
 // repetition's positive verdicts to repWins and reports the execution to
@@ -292,14 +305,13 @@ func resetScratch(buf []int, n int) []int {
 }
 
 // PairTest is the conventional pairwise covert-channel test: it reports
-// whether the two instances are co-located.
+// whether the two instances are co-located. It allocates nothing.
 func (t *Tester) PairTest(a, b *faas.Instance) (bool, error) {
 	t.pair[0], t.pair[1] = a, b
-	res, err := t.CTest(t.pair[:], 2)
-	if err != nil {
+	if err := t.vote(t.pair[:], 2); err != nil {
 		return false, err
 	}
-	return res[0] && res[1], nil
+	return t.positive(0) && t.positive(1), nil
 }
 
 // MaxGroupSize returns the largest group CTest can classify unambiguously at

@@ -128,33 +128,39 @@ func (m *channelModel) roundDrop(h *Host) float64 {
 // observe the same units in a round: the participant count plus the round's
 // background draw, corrupted by an active misfire episode (a phantom unit,
 // or a dead read) or by a load-induced drop. Noise and drop odds and the
-// misfire bias are fixed for the execution, so they are resolved once; the
-// draws stay one noise Bool and, on load-sensitive channels, one drop Bool
-// per round, in that order.
+// misfire bias are fixed for the execution, so a round's units depend only
+// on whether its noise draw hit and whether it dropped: the rounds are drawn
+// as one block of those outcome classes (one noise Bool and, on
+// load-sensitive channels, one drop Bool per round, in that order) and each
+// class is tallied once.
 func (h *Host) contend(model *channelModel, res Resource, rounds, m int) {
 	noise := model.roundNoise(h)
-	drop := model.roundDrop(h)
-	drawDrop := model.LoadDrop > 0
+	var classes [2][2]int // [noise hit][dropped]
+	if model.LoadDrop > 0 {
+		classes = h.noiseRNG.CountBoolPairs(rounds, noise, model.roundDrop(h))
+	} else {
+		hits := h.noiseRNG.CountBools(rounds, noise)
+		classes[0][0], classes[1][0] = rounds-hits, hits
+	}
 	bias := h.misfireBias[res]
 	count := int(h.roundCount)
 	if bias > 0 {
 		count++
 	}
-	var votes, dead int32
-	for r := 0; r < rounds; r++ {
-		units := count
-		if h.noiseRNG.Bool(noise) {
-			units++
-		}
-		if dropped := drawDrop && h.noiseRNG.Bool(drop); bias < 0 || bias == 0 && dropped {
-			units = 0
-		}
-		if units >= m {
-			votes++
-		}
-		if units == 0 {
-			dead++
+	var votes, dead int
+	for hit, byDrop := range classes {
+		for dropped, n := range byDrop {
+			units := count + hit
+			if bias < 0 || bias == 0 && dropped == 1 {
+				units = 0
+			}
+			if units >= m {
+				votes += n
+			}
+			if units == 0 {
+				dead += n
+			}
 		}
 	}
-	h.roundVotes, h.roundDead = votes, dead
+	h.roundVotes, h.roundDead = int32(votes), int32(dead)
 }

@@ -18,7 +18,9 @@ import (
 // through *rand.Rand over that state, and uniform floats read it directly
 // (float64), so every draw is bit-identical to a
 // rand.New(rand.NewSource(seed)) stream — while the state itself stays
-// cloneable for world snapshots.
+// cloneable for world snapshots. Runs of Bool draws go through the block
+// kernel CountBools/CountBoolPairs, which compares raw Int63 draws against
+// the integer threshold boolThreshold(p) and returns per-outcome counts.
 type Source struct {
 	// rng and st are stored by value so a Source is one allocation; rng's
 	// internal source pointer refers to &st, restored by wire() whenever a
@@ -160,8 +162,6 @@ func (s *Source) Float64() float64 { return s.float64() }
 // same Int63 draw scaled by 2⁻⁶³, resampled when the quotient rounds up to
 // 1.0, so its value stream is bit-identical to the stdlib's — without the
 // interface call through rand.Source that the wrapped Rand pays per draw.
-// Bool is the covert channel's per-round noise draw, where that call was a
-// measurable share of a CTest.
 func (s *Source) float64() float64 {
 	for {
 		if f := float64(s.st.Int63()) / (1 << 63); f != 1 {
@@ -186,6 +186,68 @@ func (s *Source) Range(lo, hi float64) float64 {
 
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.float64() < p }
+
+// keepBound is the first Int63 draw float64 rejects: every x ≥ 2⁶³−512
+// rounds to 2⁶³, a quotient of exactly 1.
+const keepBound = 1<<63 - 512
+
+// boolThreshold returns t(p), the least Int63 draw x with
+// float64(x)/2⁶³ ≥ p, so that for every draw float64 keeps, Bool(p) is
+// x < t(p). With T = p·2⁶³ (exact: a power-of-two scaling), draws up to 2⁵³
+// convert exactly and t is ⌈T⌉. Above 2⁵³, T is an integer float and x
+// rounds to at least T from the midpoint to T's predecessor on; the
+// midpoint itself ties to even, which is T only when T's mantissa is even.
+func boolThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return keepBound
+	}
+	T := p * (1 << 63)
+	if T <= 1<<53 {
+		return uint64(math.Ceil(T))
+	}
+	bits := math.Float64bits(T)
+	mid := (uint64(T) + uint64(math.Float64frombits(bits-1))) / 2
+	return mid + bits&1
+}
+
+// CountBools draws n rounds of Bool(p) and returns how many came up true.
+// It draws exactly what the n calls would.
+func (s *Source) CountBools(n int, p float64) int {
+	return s.st.countBelow(n, boolThreshold(p))
+}
+
+// CountBoolPairs draws n rounds of Bool(p) then Bool(q) and returns how many
+// rounds fell in each outcome class, indexed [p's outcome][q's outcome] with
+// 1 for true. It draws exactly what the 2n calls would: in batches
+// (rngState.fill), tallied branch-free into the first draws' hits, the
+// second draws' hits and the rounds where both hit, from which the classes
+// follow.
+func (s *Source) CountBoolPairs(n int, p, q float64) (c [2][2]int) {
+	tp, tq := boolThreshold(p), boolThreshold(q)
+	var buf [64]uint64
+	var hp, hq, both int
+	for left := n; left > 0; left -= len(buf) / 2 {
+		d := buf[:2*min(left, len(buf)/2)]
+		s.st.fill(d)
+		for i := 1; i < len(d); i += 2 {
+			a, b := b2i(d[i-1] < tp), b2i(d[i] < tq)
+			hp, hq, both = hp+a, hq+b, both+a&b
+		}
+	}
+	c[0][0], c[0][1], c[1][0], c[1][1] = n-hp-hq+both, hq-both, hp-both, both
+	return c
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a flag set, no branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // Normal returns a draw from N(mean, stddev²).
 func (s *Source) Normal(mean, stddev float64) float64 {

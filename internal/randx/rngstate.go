@@ -185,3 +185,57 @@ func (r *rngState) Uint64() uint64 {
 
 // Int63 masks the top bit off, as rngSource.Int63 does.
 func (r *rngState) Int63() int64 { return int64(r.Uint64() & rngMask) }
+
+// The block kernels below step the register exactly as a run of float64
+// calls would, keeping only draws below keepBound (a skipped draw is below
+// no threshold, as every threshold is at most keepBound). They walk it in
+// runs that end where tap or feed wraps, so the inner loops carry no wrap
+// test, and write the taps back once. An index at 0 steps to the register's
+// top word next, so each run first rewinds it to rngLen.
+
+// countBelow takes the next n kept draws and returns how many are below t.
+func (r *rngState) countBelow(n int, t uint64) (below int) {
+	tap, feed := int(r.tap), int(r.feed)
+	for n > 0 {
+		tap, feed = (tap+rngLen-1)%rngLen+1, (feed+rngLen-1)%rngLen+1
+		k := min(tap, feed, n)
+		fv := r.vec[feed-k : feed]
+		tv := r.vec[tap-k : tap][:len(fv)]
+		for j := len(fv) - 1; j >= 0; j-- {
+			x := fv[j] + tv[j]
+			fv[j] = x
+			u := uint64(x) & rngMask
+			if u >= keepBound {
+				n++
+			}
+			if u < t {
+				below++
+			}
+		}
+		tap, feed, n = tap-k, feed-k, n-k
+	}
+	r.tap, r.feed = int32(tap), int32(feed)
+	return below
+}
+
+// fill overwrites dst with the next len(dst) kept draws.
+func (r *rngState) fill(dst []uint64) {
+	tap, feed := int(r.tap), int(r.feed)
+	for m := 0; m < len(dst); {
+		tap, feed = (tap+rngLen-1)%rngLen+1, (feed+rngLen-1)%rngLen+1
+		k := min(tap, feed, len(dst)-m)
+		fv := r.vec[feed-k : feed]
+		tv := r.vec[tap-k : tap][:len(fv)]
+		for j := len(fv) - 1; j >= 0; j-- {
+			x := fv[j] + tv[j]
+			fv[j] = x
+			u := uint64(x) & rngMask
+			dst[m] = u
+			if u < keepBound {
+				m++
+			}
+		}
+		tap, feed = tap-k, feed-k
+	}
+	r.tap, r.feed = int32(tap), int32(feed)
+}
