@@ -12,12 +12,10 @@ GO ?= go
 # one worker pool (internal/par) with the trial engine that runs on it,
 # a few seconds of each native fuzz target (the Bernoulli-threshold closed
 # form in randx, the brand-string frequency parser in cpu),
-# quick fault-sweep/multiregion/channel-ablation/noise-sweep smoke runs,
-# two `eaao attack -recovery` smokes through the real binary, which cover
+# quick fault-sweep/multiregion/channel-ablation/noise-sweep smoke runs
+# and two `eaao attack -recovery` smokes through the real binary, which cover
 # main's split of global flags (-faults, -load) from the attack subcommand's
-# own, and one run of every example program (`go build` compiles them but
-# never runs them, so a facade change that breaks one at run time would
-# otherwise pass).
+# own.
 check: lint
 	$(GO) build ./...
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
@@ -41,8 +39,6 @@ check: lint
 	@echo "attack -recovery faults smoke OK"
 	@$(GO) run ./cmd/eaao -quick -load 0.4 attack -recovery noise >/dev/null
 	@echo "attack -recovery noise smoke OK"
-	@for e in examples/*/; do $(GO) run ./$$e >/dev/null || exit 1; done
-	@echo "examples smoke OK"
 
 # Fails if any file needs gofmt, then runs vet.
 lint:
