@@ -36,7 +36,9 @@ func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPoli
 	// The experiments' region set: quick scale, policy, faults and load
 	// applied exactly as `eaao run` applies them.
 	profiles := eaao.ExperimentContext{Quick: quick, Policy: policy, Faults: faults, Load: load}.Profiles()
-	if quick && *perLaunch == 800 {
+	instancesSet := false
+	fs.Visit(func(f *flag.Flag) { instancesSet = instancesSet || f.Name == "instances" })
+	if quick && !instancesSet {
 		*perLaunch = 200
 	}
 	gen := eaao.Gen1
@@ -112,10 +114,7 @@ func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPoli
 	fmt.Printf("co-located spies:  %d\n", len(spies))
 	fmt.Println(st.String())
 	if faults.Enabled() {
-		fc := dc.FaultCounters()
-		fmt.Printf("injected faults:   %d launch rejections, %d aborts (%d instances rolled back), %d preemptions, %d channel misfires, %d probe faults\n",
-			fc.LaunchRejections, fc.LaunchAborts, fc.InstancesRolledBack,
-			fc.Preemptions, fc.ChannelMisfires, fc.ProbeFaults)
+		fmt.Printf("injected faults:   %s\n", dc.FaultCounters())
 	}
 	fmt.Printf("(simulated in %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
@@ -217,10 +216,7 @@ func runFleetAttack(seed uint64, profiles []eaao.RegionProfile, names []string,
 	fmt.Println(fc.Stats().String())
 	if faults.Enabled() {
 		for _, dc := range fleet.Shards() {
-			c := dc.FaultCounters()
-			fmt.Printf("injected faults (%s): %d launch rejections, %d aborts (%d instances rolled back), %d preemptions, %d channel misfires, %d probe faults\n",
-				dc.Region(), c.LaunchRejections, c.LaunchAborts, c.InstancesRolledBack,
-				c.Preemptions, c.ChannelMisfires, c.ProbeFaults)
+			fmt.Printf("injected faults (%s): %s\n", dc.Region(), dc.FaultCounters())
 		}
 	}
 	fmt.Printf("(simulated in %v)\n", time.Since(start).Round(time.Millisecond))

@@ -97,7 +97,11 @@ func TestRunAttackSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A policy override flows through to the platform build.
-	if err := runAttack(args, 42, true, eaao.RandomUniformPolicy{}, eaao.FaultPlan{}, 0); err != nil {
+	policy, err := eaao.PlacementPolicyByName("random-uniform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runAttack(args, 42, true, policy, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A channel override flows through to the campaign's tester.
@@ -125,7 +129,7 @@ func TestRunAttackSmoke(t *testing.T) {
 	}
 	// The noise ladder quarantines on one channel's solo samples, so the
 	// combined channel is a configuration error, not a panic.
-	err := runAttack(append([]string{"-channel", "combined", "-recovery", "noise"}, args...), 42, true, nil, eaao.FaultPlan{}, 0)
+	err = runAttack(append([]string{"-channel", "combined", "-recovery", "noise"}, args...), 42, true, nil, eaao.FaultPlan{}, 0)
 	if err == nil || !strings.Contains(err.Error(), "QuarantineAfter needs a single channel") {
 		t.Errorf("-channel combined -recovery noise: err = %v", err)
 	}
@@ -168,4 +172,48 @@ func TestRunFleetAttackSmoke(t *testing.T) {
 	if err := runAttack([]string{"-regions", "us-east1", "-planner", "bogus"}, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
 		t.Error("bogus planner accepted")
 	}
+}
+
+// TestRunAttackQuickKeepsExplicitInstances pins that -quick shrinks only the
+// default launch size: an explicit -instances 800, equal to the default,
+// must still run 800 instances per launch.
+func TestRunAttackQuickKeepsExplicitInstances(t *testing.T) {
+	base := []string{"-services", "1", "-launches", "1", "-victims", "10"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "1 services × 1 launches × 200 instances"},
+		{[]string{"-instances", "800"}, "1 services × 1 launches × 800 instances"},
+	} {
+		out := captureStdout(t, func() error {
+			return runAttack(append(tc.args, base...), 42, true, nil, eaao.FaultPlan{}, 0)
+		})
+		if !strings.Contains(out, "campaign:          "+tc.want) {
+			t.Errorf("%v: campaign line does not read %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a temporary file and
+// returns what it printed.
+func captureStdout(t *testing.T, f func() error) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	stdout := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

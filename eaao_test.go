@@ -6,6 +6,9 @@ package eaao
 import (
 	"testing"
 	"time"
+
+	"eaao/internal/core/attack"
+	"eaao/internal/faas"
 )
 
 func TestQuickstartJourney(t *testing.T) {
@@ -56,12 +59,20 @@ func TestAttackJourney(t *testing.T) {
 	cfg.Services = 3
 	cfg.InstancesPerLaunch = 300
 	cfg.Launches = 4
-	camp, err := RunOptimizedAttack(dc.Account("attacker"), cfg, Gen1)
+	strat, err := AttackStrategyByName("optimized")
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := NewAttackCampaign(dc.Account("attacker"), cfg, Gen1, strat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := camp.Launch()
 	if err != nil {
 		t.Fatal(err)
 	}
 	tester := NewCovertTester(pl.Scheduler())
-	cov, spies, err := MeasureCoverage(tester, camp.Live, vic, CoverageOpts{Precision: cfg.Precision})
+	cov, spies, err := MeasureCoverage(tester, res.Live, vic, CoverageOpts{Precision: cfg.Precision})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +112,14 @@ func TestAttackJourney(t *testing.T) {
 	}
 
 	// Re-attack targeting through the facade.
-	book := NewTargetBook(cfg.Precision)
+	book := attack.NewTargetBook(cfg.Precision)
 	if err := book.RecordVictimHosts(spies); err != nil {
 		t.Fatal(err)
 	}
 	if book.Size() == 0 {
 		t.Error("empty target book")
 	}
-	focused, effort, err := book.Focus(camp.Live)
+	focused, effort, err := book.Focus(res.Live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +154,8 @@ func TestPricingThroughFacade(t *testing.T) {
 
 func TestDeterminismThroughFacade(t *testing.T) {
 	fps := func() []string {
-		pl := NewPlatform(5, USWest1Profile())
-		insts, err := pl.MustRegion(USWest1).Account("a").
+		pl := NewPlatform(5, faas.USWest1Profile())
+		insts, err := pl.MustRegion(faas.USWest1).Account("a").
 			DeployService("s", ServiceConfig{}).Launch(30)
 		if err != nil {
 			t.Fatal(err)
@@ -168,10 +179,10 @@ func TestDeterminismThroughFacade(t *testing.T) {
 }
 
 func TestBackgroundTrafficThroughFacade(t *testing.T) {
-	prof := USWest1Profile()
-	prof.Traffic = DefaultTrafficModel(40, 0.6)
+	prof := faas.USWest1Profile()
+	prof.Traffic = faas.DefaultTrafficModel(40, 0.6)
 	pl := NewPlatform(7, prof)
-	dc := pl.MustRegion(USWest1)
+	dc := pl.MustRegion(faas.USWest1)
 	dc.Scheduler().Advance(2 * time.Hour)
 	st := dc.TrafficStats()
 	if st.Tenants != 40 {
@@ -182,8 +193,8 @@ func TestBackgroundTrafficThroughFacade(t *testing.T) {
 	}
 	// Same seed, same model → identical load trajectory.
 	pl2 := NewPlatform(7, prof)
-	pl2.MustRegion(USWest1).Scheduler().Advance(2 * time.Hour)
-	if st2 := pl2.MustRegion(USWest1).TrafficStats(); st2 != st {
+	pl2.MustRegion(faas.USWest1).Scheduler().Advance(2 * time.Hour)
+	if st2 := pl2.MustRegion(faas.USWest1).TrafficStats(); st2 != st {
 		t.Errorf("traffic diverged across identical builds: %+v vs %+v", st, st2)
 	}
 }
@@ -199,7 +210,7 @@ func TestMitigatedPlatformThroughFacade(t *testing.T) {
 	}
 	// Same-host instances now produce different fingerprints: the defense
 	// works through the public API too.
-	byHost := make(map[HostID]map[string]bool)
+	byHost := make(map[faas.HostID]map[string]bool)
 	for _, inst := range insts {
 		s, err := CollectGen1(inst.MustGuest())
 		if err != nil {
@@ -226,8 +237,8 @@ func TestMitigatedPlatformThroughFacade(t *testing.T) {
 func TestCampaignJourney(t *testing.T) {
 	// The campaign-engine variant of the attack journey: pick a strategy by
 	// its CLI name, run the staged pipeline, read the ledger.
-	if got := len(AttackStrategies()); got != 3 {
-		t.Fatalf("AttackStrategies() = %d entries", got)
+	if got := len(attack.Strategies()); got != 3 {
+		t.Fatalf("attack.Strategies() = %d entries", got)
 	}
 	strat, err := AttackStrategyByName("adaptive")
 	if err != nil {

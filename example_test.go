@@ -42,7 +42,7 @@ func ExampleVerifyColocation() {
 }
 
 // The optimized launching strategy against a victim, end to end.
-func ExampleRunOptimizedAttack() {
+func ExampleNewAttackCampaign() {
 	pl := eaao.NewPlatform(7, eaao.USEast1Profile())
 	dc := pl.MustRegion(eaao.USEast1)
 
@@ -52,10 +52,12 @@ func ExampleRunOptimizedAttack() {
 	cfg.Services = 3
 	cfg.InstancesPerLaunch = 300
 	cfg.Launches = 4
-	camp, _ := eaao.RunOptimizedAttack(dc.Account("attacker"), cfg, eaao.Gen1)
+	strat, _ := eaao.AttackStrategyByName("optimized")
+	camp, _ := eaao.NewAttackCampaign(dc.Account("attacker"), cfg, eaao.Gen1, strat)
+	res, _ := camp.Launch()
 
 	tester := eaao.NewCovertTester(pl.Scheduler())
-	cov, _, _ := eaao.MeasureCoverage(tester, camp.Live, vic, eaao.CoverageOpts{Precision: cfg.Precision})
+	cov, _, _ := eaao.MeasureCoverage(tester, res.Live, vic, eaao.CoverageOpts{Precision: cfg.Precision})
 	fmt.Println("co-located with at least one victim instance:", cov.AtLeastOne)
 	// Output: co-located with at least one victim instance: true
 }

@@ -34,7 +34,7 @@ func main() {
 
 	// Strategy 1: naive cold launches. The instances land on the attacker's
 	// own base hosts, which (usually) do not intersect the victim's.
-	naive, err := eaao.RunNaiveAttack(attacker, cfg, eaao.Gen1)
+	naive, err := launch(attacker, cfg, "naive")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 	// 10-minute intervals. The load balancer spreads the attacker across
 	// helper hosts — including the victim's.
 	attacker.ResetBill()
-	opt, err := eaao.RunOptimizedAttack(attacker, cfg, eaao.Gen1)
+	opt, err := launch(attacker, cfg, "optimized")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,6 +112,20 @@ func main() {
 	}
 	fmt.Printf("victim secret bits recovered: %s (accuracy %.0f%%)\n",
 		recovered, trace.BitAccuracy(secret)*100)
+}
+
+// launch runs the launch stage of a fresh campaign driven by the named
+// built-in strategy.
+func launch(acct *eaao.Account, cfg eaao.AttackConfig, strategy string) (*eaao.CampaignResult, error) {
+	strat, err := eaao.AttackStrategyByName(strategy)
+	if err != nil {
+		return nil, err
+	}
+	camp, err := eaao.NewAttackCampaign(acct, cfg, eaao.Gen1, strat)
+	if err != nil {
+		return nil, err
+	}
+	return camp.Launch()
 }
 
 // attackerCleanup disconnects every live instance of a finished campaign.

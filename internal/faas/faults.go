@@ -179,6 +179,12 @@ type FaultCounters struct {
 	ProbeFaults int
 }
 
+// String renders the counters as one report clause.
+func (c FaultCounters) String() string {
+	return fmt.Sprintf("%d launch rejections, %d aborts (%d instances rolled back), %d preemptions, %d channel misfires, %d probe faults",
+		c.LaunchRejections, c.LaunchAborts, c.InstancesRolledBack, c.Preemptions, c.ChannelMisfires, c.ProbeFaults)
+}
+
 // FaultCounters returns a snapshot of the faults injected so far.
 func (dc *DataCenter) FaultCounters() FaultCounters { return dc.faultCounters }
 

@@ -177,6 +177,17 @@ func TestFaultWorldDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultCountersString pins the report clause `eaao attack` prints for
+// both its single-region and fleet paths.
+func TestFaultCountersString(t *testing.T) {
+	c := FaultCounters{LaunchRejections: 1, LaunchAborts: 2, InstancesRolledBack: 3,
+		Preemptions: 4, ChannelMisfires: 5, ProbeFaults: 6}
+	want := "1 launch rejections, 2 aborts (3 instances rolled back), 4 preemptions, 5 channel misfires, 6 probe faults"
+	if got := c.String(); got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestPerChannelFaultRates(t *testing.T) {
 	// A zero PerChannel entry falls back to the scalar pair.
 	scalar := FaultPlan{ChannelFalsePositiveRate: 0.1, ChannelFalseNegativeRate: 0.2}
