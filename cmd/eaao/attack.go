@@ -4,7 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"time"
 
@@ -13,9 +13,10 @@ import (
 
 // runAttack implements `eaao attack`: a parameterized attacker-vs-victim
 // campaign on a fresh simulated platform, printing the coverage report and
-// campaign cost. It is the CLI face of examples/colocation-attack.
-func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPolicy, faults eaao.FaultPlan, load float64) error {
-	fs := flag.NewFlagSet("attack", flag.ExitOnError)
+// campaign cost to stdout. It is the CLI face of examples/colocation-attack.
+// A bad flag is reported on stderr and returned as a usageError.
+func runAttack(stdout, stderr io.Writer, args []string, seed uint64, quick bool, policy eaao.PlacementPolicy, faults eaao.FaultPlan, load float64) error {
+	fs := flag.NewFlagSet("attack", flag.ContinueOnError)
 	region := fs.String("region", string(eaao.USEast1), "target region (us-east1, us-central1, us-west1)")
 	channel := fs.String("channel", "", "covert channel for verification: rng, llc, membus, combined (empty = rng)")
 	regions := fs.String("regions", "", "comma-separated regions for a multi-region fleet campaign (overrides -region)")
@@ -28,9 +29,9 @@ func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPoli
 	strategy := fs.String("strategy", "optimized", "naive, optimized, or adaptive")
 	gen2 := fs.Bool("gen2", false, "use the Gen 2 (VM) environment on both sides")
 	recovery := fs.String("recovery", "none", "recovery preset: none, faults (launch, vote and probe retry budgets), noise (faults plus the noise-hardening ladder; needs a single channel)")
-	fs.SetOutput(os.Stderr)
+	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 
 	// The experiments' region set: quick scale, policy, faults and load
@@ -70,7 +71,7 @@ func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPoli
 	}
 
 	if *regions != "" {
-		return runFleetAttack(seed, profiles, strings.Split(*regions, ","),
+		return runFleetAttack(stdout, seed, profiles, strings.Split(*regions, ","),
 			*planner, cfg, gen, strat, *victims, faults, load)
 	}
 
@@ -104,19 +105,19 @@ func runAttack(args []string, seed uint64, quick bool, policy eaao.PlacementPoli
 	}
 	st := camp.Stats()
 
-	fmt.Printf("region:            %s (%s, %s strategy, %s channel)\n",
+	fmt.Fprintf(stdout, "region:            %s (%s, %s strategy, %s channel)\n",
 		dc.Region(), gen, strat.Name(), channelLabel(cfg.Channel))
-	fmt.Printf("campaign:          %d services × %d launches × %d instances @ %v\n",
+	fmt.Fprintf(stdout, "campaign:          %d services × %d launches × %d instances @ %v\n",
 		cfg.Services, cfg.Launches, cfg.InstancesPerLaunch, cfg.Interval)
-	fmt.Printf("attacker footprint: %d apparent hosts, %d live instances\n",
+	fmt.Fprintf(stdout, "attacker footprint: %d apparent hosts, %d live instances\n",
 		res.Footprint.Cumulative(), len(res.Live))
-	fmt.Printf("victim coverage:   %s\n", cov)
-	fmt.Printf("co-located spies:  %d\n", len(spies))
-	fmt.Println(st.String())
+	fmt.Fprintf(stdout, "victim coverage:   %s\n", cov)
+	fmt.Fprintf(stdout, "co-located spies:  %d\n", len(spies))
+	fmt.Fprintln(stdout, st.String())
 	if faults.Enabled() {
-		fmt.Printf("injected faults:   %s\n", dc.FaultCounters())
+		fmt.Fprintf(stdout, "injected faults:   %s\n", dc.FaultCounters())
 	}
-	fmt.Printf("(simulated in %v)\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "(simulated in %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -145,7 +146,7 @@ func launchVictims(dc *eaao.DataCenter, gen eaao.Gen, n int) ([]*eaao.Instance, 
 // runFleetAttack is the -regions path: one sharded campaign across a fleet
 // of region worlds, with the budget planner reallocating launch rounds
 // between them, printing per-region and fleet-wide ledgers.
-func runFleetAttack(seed uint64, profiles []eaao.RegionProfile, names []string,
+func runFleetAttack(stdout io.Writer, seed uint64, profiles []eaao.RegionProfile, names []string,
 	plannerName string, cfg eaao.AttackConfig, gen eaao.Gen,
 	strat eaao.LaunchStrategy, victims int, faults eaao.FaultPlan, load float64) error {
 	var selected []eaao.RegionProfile
@@ -200,25 +201,25 @@ func runFleetAttack(seed uint64, profiles []eaao.RegionProfile, names []string,
 		return err
 	}
 
-	fmt.Printf("fleet:             %d regions (%s, %s strategy, %s planner, %s channel)\n",
+	fmt.Fprintf(stdout, "fleet:             %d regions (%s, %s strategy, %s planner, %s channel)\n",
 		fleet.Size(), gen, strat.Name(), fc.Planner().Name(), channelLabel(cfg.Channel))
-	fmt.Printf("campaign:          %d services × %d launches × %d instances @ %v per region\n",
+	fmt.Fprintf(stdout, "campaign:          %d services × %d launches × %d instances @ %v per region\n",
 		cfg.Services, cfg.Launches, cfg.InstancesPerLaunch, cfg.Interval)
 	covs := make([]eaao.Coverage, 0, len(vers))
 	spies := 0
 	for _, v := range vers {
 		covs = append(covs, v.Coverage)
 		spies += len(v.Spies)
-		fmt.Printf("  %-12s %s, %d spies\n", v.Region+":", v.Coverage, len(v.Spies))
+		fmt.Fprintf(stdout, "  %-12s %s, %d spies\n", v.Region+":", v.Coverage, len(v.Spies))
 	}
-	fmt.Printf("fleet coverage:    %s\n", eaao.MergeCoverages(covs...))
-	fmt.Printf("co-located spies:  %d\n", spies)
-	fmt.Println(fc.Stats().String())
+	fmt.Fprintf(stdout, "fleet coverage:    %s\n", eaao.MergeCoverages(covs...))
+	fmt.Fprintf(stdout, "co-located spies:  %d\n", spies)
+	fmt.Fprintln(stdout, fc.Stats().String())
 	if faults.Enabled() {
 		for _, dc := range fleet.Shards() {
-			fmt.Printf("injected faults (%s): %s\n", dc.Region(), dc.FaultCounters())
+			fmt.Fprintf(stdout, "injected faults (%s): %s\n", dc.Region(), dc.FaultCounters())
 		}
 	}
-	fmt.Printf("(simulated in %v)\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "(simulated in %v)\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

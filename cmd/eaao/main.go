@@ -24,8 +24,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -37,39 +39,51 @@ import (
 func main() {
 	// All work happens in run so that deferred teardown (profile writers)
 	// executes before the process exits.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	seed := flag.Uint64("seed", 9, "root random seed")
-	quick := flag.Bool("quick", false, "reduced scale for fast runs")
-	big := flag.Bool("big", false, "headroom scale for the scale experiment (80k hosts, 640 tenants, >1M instances created)")
-	csv := flag.Bool("csv", false, "print tables as CSV too")
-	svgDir := flag.String("svg", "", "directory to write figure SVGs into")
-	jsonOut := flag.Bool("json", false, "emit results as JSON instead of text")
-	parallel := flag.Bool("parallel", false, "run experiments concurrently (each owns its own simulated world)")
-	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent trial workers (1 = fully sequential)")
-	policyName := flag.String("policy", "", "override the placement policy in every region (cloudrun, random-uniform, least-loaded)")
-	faultLevel := flag.Float64("faults", 0, "uniform injected fault level in [0,1] (0 = fault-free; scales launch, preemption, channel and probe fault rates together)")
-	load := flag.Float64("load", 0, "background-tenant target utilization in [0, 1.5] (0 = quiet fleet, byte-identical to a traffic-free build)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	flag.Usage = usage
-	flag.Parse()
+// run parses args (the command line without the program name), runs the
+// subcommand writing results to stdout and diagnostics to stderr, and
+// returns the process exit code: 0 on success, 1 when a run fails, 2 on a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("eaao", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 9, "root random seed")
+	quick := fs.Bool("quick", false, "reduced scale for fast runs")
+	big := fs.Bool("big", false, "headroom scale for the scale experiment (80k hosts, 640 tenants, >1M instances created)")
+	csv := fs.Bool("csv", false, "print tables as CSV too")
+	svgDir := fs.String("svg", "", "directory to write figure SVGs into")
+	jsonOut := fs.Bool("json", false, "emit results as JSON instead of text")
+	parallel := fs.Bool("parallel", false, "run experiments concurrently (each owns its own simulated world)")
+	jobs := fs.Int("jobs", runtime.NumCPU(), "max concurrent trial workers (1 = fully sequential)")
+	policyName := fs.String("policy", "", "override the placement policy in every region (cloudrun, random-uniform, least-loaded)")
+	faultLevel := fs.Float64("faults", 0, "uniform injected fault level in [0,1] (0 = fault-free; scales launch, preemption, channel and probe fault rates together)")
+	load := fs.Float64("load", 0, "background-tenant target utilization in [0, 1.5] (0 = quiet fleet, byte-identical to a traffic-free build)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		return flagExit(err)
+	}
 
-	args := flag.Args()
+	args = fs.Args()
 	if len(args) > 0 && (args[0] == "run" || args[0] == "list") {
-		// Accept global flags after the subcommand too (flag.Parse stops at
-		// the first positional, so `eaao run fig11a -quick` would otherwise
-		// read -quick as an experiment id). The attack subcommand keeps its
-		// own flag set and is left alone.
-		args = append(args[:1], reparseTail(args[1:])...)
+		// Accept global flags after the subcommand too (Parse stops at the
+		// first positional, so `eaao run fig11a -quick` would otherwise read
+		// -quick as an experiment id). The attack subcommand keeps its own
+		// flag set and is left alone.
+		tail, err := reparseTail(fs, args[1:])
+		if err != nil {
+			return flagExit(err)
+		}
+		args = append(args[:1], tail...)
 	}
 
 	if *cpuProfile != "" {
 		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "eaao: %v\n", err)
+			fmt.Fprintf(stderr, "eaao: %v\n", err)
 			return 1
 		}
 		defer stop()
@@ -77,7 +91,7 @@ func run() int {
 	if *memProfile != "" {
 		defer func() {
 			if err := writeMemProfile(*memProfile); err != nil {
-				fmt.Fprintf(os.Stderr, "eaao: %v\n", err)
+				fmt.Fprintf(stderr, "eaao: %v\n", err)
 			}
 		}()
 	}
@@ -87,41 +101,45 @@ func run() int {
 		var err error
 		policy, err = eaao.PlacementPolicyByName(*policyName)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "eaao: %v\n", err)
+			fmt.Fprintf(stderr, "eaao: %v\n", err)
 			return 2
 		}
 	}
 
 	faults := eaao.UniformFaultPlan(*faultLevel)
 	if err := faults.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "eaao: %v\n", err)
+		fmt.Fprintf(stderr, "eaao: %v\n", err)
 		return 2
 	}
 
 	if *load < 0 || *load > 1.5 {
-		fmt.Fprintf(os.Stderr, "eaao: -load %v out of range [0, 1.5]\n", *load)
+		fmt.Fprintf(stderr, "eaao: -load %v out of range [0, 1.5]\n", *load)
 		return 2
 	}
 
 	if len(args) == 0 {
-		usage()
+		usage(fs)
 		return 2
 	}
 
 	switch args[0] {
 	case "attack":
-		if err := runAttack(args[1:], *seed, *quick, policy, faults, *load); err != nil {
-			fmt.Fprintf(os.Stderr, "eaao attack: %v\n", err)
+		if err := runAttack(stdout, stderr, args[1:], *seed, *quick, policy, faults, *load); err != nil {
+			var ue usageError
+			if errors.As(err, &ue) {
+				return flagExit(ue.err)
+			}
+			fmt.Fprintf(stderr, "eaao attack: %v\n", err)
 			return 1
 		}
 	case "list":
 		for _, d := range eaao.Experiments() {
-			fmt.Printf("%-12s %-55s %s\n", d.ID, d.Title, d.PaperRef)
+			fmt.Fprintf(stdout, "%-12s %-55s %s\n", d.ID, d.Title, d.PaperRef)
 		}
 	case "run":
 		ids := args[1:]
 		if len(ids) == 0 {
-			fmt.Fprintln(os.Stderr, "eaao run: no experiment ids (try 'eaao list' or 'eaao run all')")
+			fmt.Fprintln(stderr, "eaao run: no experiment ids (try 'eaao list' or 'eaao run all')")
 			return 2
 		}
 		if len(ids) == 1 && ids[0] == "all" {
@@ -150,71 +168,88 @@ func run() int {
 		failures := 0
 		for _, oc := range outcomes {
 			if oc.Err != nil {
-				fmt.Fprintf(os.Stderr, "eaao: %s: %v\n", oc.ID, oc.Err)
+				fmt.Fprintf(stderr, "eaao: %s: %v\n", oc.ID, oc.Err)
 				failures++
 				continue
 			}
 			res := oc.Res
 			if *jsonOut {
-				enc := json.NewEncoder(os.Stdout)
+				enc := json.NewEncoder(stdout)
 				enc.SetIndent("", "  ")
 				if err := enc.Encode(res); err != nil {
-					fmt.Fprintf(os.Stderr, "eaao: %s: %v\n", oc.ID, err)
+					fmt.Fprintf(stderr, "eaao: %s: %v\n", oc.ID, err)
 					failures++
 					continue
 				}
 			} else {
-				fmt.Print(res.String())
+				fmt.Fprint(stdout, res.String())
 			}
 			if *csv {
 				for _, t := range res.Tables {
-					fmt.Println(t.CSV())
+					fmt.Fprintln(stdout, t.CSV())
 				}
 			}
 			if *svgDir != "" {
-				if err := writeSVGs(*svgDir, res); err != nil {
-					fmt.Fprintf(os.Stderr, "eaao: %s: %v\n", oc.ID, err)
+				if err := writeSVGs(stderr, *svgDir, res); err != nil {
+					fmt.Fprintf(stderr, "eaao: %s: %v\n", oc.ID, err)
 					failures++
 					continue
 				}
 			}
 			if !*jsonOut {
 				elapsed := time.Duration(res.Metrics["runtime_wall_s"] * float64(time.Second))
-				fmt.Printf("(%s completed in %v)\n\n", oc.ID, elapsed.Round(time.Millisecond))
+				fmt.Fprintf(stdout, "(%s completed in %v)\n\n", oc.ID, elapsed.Round(time.Millisecond))
 			}
 		}
 		if failures > 0 {
-			fmt.Fprintf(os.Stderr, "eaao: %d of %d experiments failed\n", failures, len(outcomes))
+			fmt.Fprintf(stderr, "eaao: %d of %d experiments failed\n", failures, len(outcomes))
 			return 1
 		}
 	default:
-		usage()
+		usage(fs)
 		return 2
 	}
 	return 0
 }
 
 // reparseTail separates positional arguments from global flags that appear
-// after the subcommand, feeding each flag run back through the command-line
-// flag set. Returns the positionals in order.
-func reparseTail(args []string) []string {
+// after the subcommand, feeding each flag run back through fs. Returns the
+// positionals in order.
+func reparseTail(fs *flag.FlagSet, args []string) ([]string, error) {
 	var pos []string
 	for len(args) > 0 {
 		a := args[0]
 		if len(a) > 1 && a[0] == '-' {
-			flag.CommandLine.Parse(args)
-			args = flag.CommandLine.Args()
+			if err := fs.Parse(args); err != nil {
+				return nil, err
+			}
+			args = fs.Args()
 			continue
 		}
 		pos = append(pos, a)
 		args = args[1:]
 	}
-	return pos
+	return pos, nil
+}
+
+// usageError marks a flag-parsing failure inside a subcommand; the flag set
+// has already reported it.
+type usageError struct{ err error }
+
+func (e usageError) Error() string { return e.err.Error() }
+
+// flagExit maps a flag-parsing error to the exit code flag.ExitOnError
+// would have used: 0 for -h/-help, 2 otherwise.
+func flagExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }
 
 // writeSVGs renders every figure of a result into dir. Figures whose x axis
 // spans several orders of magnitude (the p_boot sweep) use a log scale.
-func writeSVGs(dir string, res *eaao.ExperimentResult) error {
+func writeSVGs(stderr io.Writer, dir string, res *eaao.ExperimentResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -229,13 +264,13 @@ func writeSVGs(dir string, res *eaao.ExperimentResult) error {
 		if err := os.WriteFile(path, []byte(fig.SVG(720, 400, logX)), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		fmt.Fprintf(stderr, "wrote %s\n", path)
 	}
 	return nil
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `eaao — "Everywhere All at Once" (ASPLOS 2024) reproduction
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(), `eaao — "Everywhere All at Once" (ASPLOS 2024) reproduction
 
 usage:
   eaao [flags] list
@@ -246,5 +281,5 @@ usage:
 
 flags:
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,7 @@ func TestWriteSVGs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSVGs(dir, res); err != nil {
+	if err := writeSVGs(io.Discard, dir, res); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig6.svg"))
@@ -35,7 +36,7 @@ func TestWriteSVGsLogAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeSVGs(dir, res); err != nil {
+	if err := writeSVGs(io.Discard, dir, res); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig4.svg"))
@@ -93,7 +94,7 @@ func TestRunAttackSmoke(t *testing.T) {
 		"-launches", "3",
 		"-victims", "30",
 	}
-	if err := runAttack(args, 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
+	if err := runAttack(io.Discard, io.Discard, args, 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A policy override flows through to the platform build.
@@ -101,19 +102,19 @@ func TestRunAttackSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runAttack(args, 42, true, policy, eaao.FaultPlan{}, 0); err != nil {
+	if err := runAttack(io.Discard, io.Discard, args, 42, true, policy, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A channel override flows through to the campaign's tester.
 	for _, ch := range []string{"llc", "combined"} {
-		if err := runAttack(append([]string{"-channel", ch}, args...), 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
+		if err := runAttack(io.Discard, io.Discard, append([]string{"-channel", ch}, args...), 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
 			t.Fatalf("-channel %s: %v", ch, err)
 		}
 	}
 	// Background traffic (-load) flows through to the platform build; the
 	// noise preset carries the fault budgets because a loaded world sheds
 	// launches.
-	if err := runAttack(append([]string{"-recovery", "noise"}, args...), 42, true, nil, eaao.FaultPlan{}, 0.4); err != nil {
+	if err := runAttack(io.Discard, io.Discard, append([]string{"-recovery", "noise"}, args...), 42, true, nil, eaao.FaultPlan{}, 0.4); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown strategy, region, channel and recovery errors surface.
@@ -123,13 +124,13 @@ func TestRunAttackSmoke(t *testing.T) {
 		{"-channel", "hyperlane"},
 		{"-recovery", "bogus"},
 	} {
-		if err := runAttack(bad, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
+		if err := runAttack(io.Discard, io.Discard, bad, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
 			t.Errorf("%v accepted", bad)
 		}
 	}
 	// The noise ladder quarantines on one channel's solo samples, so the
 	// combined channel is a configuration error, not a panic.
-	err = runAttack(append([]string{"-channel", "combined", "-recovery", "noise"}, args...), 42, true, nil, eaao.FaultPlan{}, 0)
+	err = runAttack(io.Discard, io.Discard, append([]string{"-channel", "combined", "-recovery", "noise"}, args...), 42, true, nil, eaao.FaultPlan{}, 0)
 	if err == nil || !strings.Contains(err.Error(), "QuarantineAfter needs a single channel") {
 		t.Errorf("-channel combined -recovery noise: err = %v", err)
 	}
@@ -140,10 +141,10 @@ func TestRunAttackSmoke(t *testing.T) {
 // and -recovery faults carries it through.
 func TestRunAttackRecoveryFaults(t *testing.T) {
 	faults := eaao.UniformFaultPlan(0.05)
-	if err := runAttack([]string{"-recovery", "faults"}, 9, true, nil, faults, 0); err != nil {
+	if err := runAttack(io.Discard, io.Discard, []string{"-recovery", "faults"}, 9, true, nil, faults, 0); err != nil {
 		t.Fatalf("-recovery faults: %v", err)
 	}
-	err := runAttack([]string{"-recovery", "none"}, 9, true, nil, faults, 0)
+	err := runAttack(io.Discard, io.Discard, []string{"-recovery", "none"}, 9, true, nil, faults, 0)
 	if err == nil || !strings.Contains(err.Error(), "probe failed") {
 		t.Errorf("-recovery none: err = %v, want the probe-fault error", err)
 	}
@@ -158,18 +159,18 @@ func TestRunFleetAttackSmoke(t *testing.T) {
 		"-launches", "3",
 		"-victims", "30",
 	}
-	if err := runAttack(args, 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
+	if err := runAttack(io.Discard, io.Discard, args, 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A channel override reaches every shard campaign.
-	if err := runAttack(append([]string{"-channel", "llc"}, args...), 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
+	if err := runAttack(io.Discard, io.Discard, append([]string{"-channel", "llc"}, args...), 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown fleet regions and planners error out.
-	if err := runAttack([]string{"-regions", "us-east1,mars"}, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
+	if err := runAttack(io.Discard, io.Discard, []string{"-regions", "us-east1,mars"}, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
 		t.Error("bogus fleet region accepted")
 	}
-	if err := runAttack([]string{"-regions", "us-east1", "-planner", "bogus"}, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
+	if err := runAttack(io.Discard, io.Discard, []string{"-regions", "us-east1", "-planner", "bogus"}, 42, true, nil, eaao.FaultPlan{}, 0); err == nil {
 		t.Error("bogus planner accepted")
 	}
 }
@@ -186,34 +187,12 @@ func TestRunAttackQuickKeepsExplicitInstances(t *testing.T) {
 		{nil, "1 services × 1 launches × 200 instances"},
 		{[]string{"-instances", "800"}, "1 services × 1 launches × 800 instances"},
 	} {
-		out := captureStdout(t, func() error {
-			return runAttack(append(tc.args, base...), 42, true, nil, eaao.FaultPlan{}, 0)
-		})
-		if !strings.Contains(out, "campaign:          "+tc.want) {
-			t.Errorf("%v: campaign line does not read %q:\n%s", tc.args, tc.want, out)
+		var out strings.Builder
+		if err := runAttack(&out, io.Discard, append(tc.args, base...), 42, true, nil, eaao.FaultPlan{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "campaign:          "+tc.want) {
+			t.Errorf("%v: campaign line does not read %q:\n%s", tc.args, tc.want, out.String())
 		}
 	}
-}
-
-// captureStdout runs f with os.Stdout redirected to a temporary file and
-// returns what it printed.
-func captureStdout(t *testing.T, f func() error) string {
-	t.Helper()
-	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tmp.Close()
-	stdout := os.Stdout
-	os.Stdout = tmp
-	err = f()
-	os.Stdout = stdout
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := os.ReadFile(tmp.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
 }

@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -355,5 +356,37 @@ func TestWarmHostsStartFaster(t *testing.T) {
 		if inst.ReadyAt().After(dc.Now()) {
 			t.Fatal("warm-reused instance not ready")
 		}
+	}
+}
+
+// TestProbeContentionNoisePinned pins the background-noise draw of
+// ProbeContention: a spy alone on its host reads a unit only when its host's
+// noise stream fires (0.8% of probes), so the indices of those probes are a
+// fingerprint of the stream's position. An extra or reordered draw on the
+// host noise stream before or inside the probe moves them.
+func TestProbeContentionNoisePinned(t *testing.T) {
+	dc := newTestDC(t, 44)
+	insts, err := dc.Account("spy").DeployService("s", ServiceConfig{}).Launch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := insts[0]
+	if n := len(spy.host.instances); n != 1 {
+		t.Fatalf("spy shares its host with %d instances, want none", n-1)
+	}
+	var hits []int
+	for i := 0; i < 4000; i++ {
+		u, err := ProbeContention(spy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u > 0 {
+			hits = append(hits, i)
+		}
+	}
+	want := []int{61, 102, 151, 176, 433, 602, 645, 778, 1223, 1263, 1280, 1303, 1410, 1430, 1500, 1509,
+		1929, 2160, 2186, 2335, 2400, 2517, 2752, 2782, 2791, 3377, 3544, 3598, 3753, 3913, 3918, 3950}
+	if !slices.Equal(hits, want) {
+		t.Errorf("noisy probes at %v\nwant %v", hits, want)
 	}
 }
