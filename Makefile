@@ -11,7 +11,8 @@ GO ?= go
 # fault plane, its attack-side recovery paths, the fleet campaign, and the
 # one worker pool (internal/par) with the trial engine that runs on it,
 # a few seconds of each native fuzz target (the Bernoulli-threshold closed
-# form in randx, the brand-string frequency parser in cpu),
+# form in randx, the brand-string frequency parser in cpu, fixed-delay lanes
+# against the plain heap in simtime),
 # and quick fault-sweep/multiregion/channel-ablation/noise-sweep smoke runs.
 # The `eaao attack` variants (main's split of global flags such as -faults
 # and -load from the attack subcommand's own included) are pinned by
@@ -27,6 +28,7 @@ check: lint
 	$(GO) test -race -run 'TestRunTrials|TestRunAll|TestParallelOutputByteIdentical' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoolThreshold$$' -fuzztime 3s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBaseFrequency$$' -fuzztime 3s ./internal/cpu/
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerLanes$$' -fuzztime 3s ./internal/simtime/
 	@$(GO) run ./cmd/eaao -quick run faultsweep >/dev/null
 	@echo "faultsweep smoke OK"
 	@$(GO) run ./cmd/eaao -quick run multiregion >/dev/null
@@ -51,7 +53,8 @@ race:
 	$(GO) test -race ./...
 
 # Layer microbenchmarks where perfbench has no boundary (placement, the
-# simtime heap, randx hashing, fingerprint collection). End-to-end and
+# simtime heap and its fixed-delay lanes, randx hashing, fingerprint
+# collection). End-to-end and
 # per-layer campaign numbers come from perfbench (see perfbench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...

@@ -14,7 +14,7 @@ import (
 // runAttack implements `eaao attack`: a parameterized attacker-vs-victim
 // campaign on a fresh simulated platform, printing the coverage report and
 // campaign cost to stdout. It is the CLI face of examples/colocation-attack.
-// A bad flag is reported on stderr and returned as a usageError.
+// A bad flag is reported on stderr and returned wrapping errUsage.
 func runAttack(stdout, stderr io.Writer, args []string, seed uint64, quick bool, policy eaao.PlacementPolicy, faults eaao.FaultPlan, load float64) error {
 	fs := flag.NewFlagSet("attack", flag.ContinueOnError)
 	region := fs.String("region", string(eaao.USEast1), "target region (us-east1, us-central1, us-west1)")
@@ -31,7 +31,7 @@ func runAttack(stdout, stderr io.Writer, args []string, seed uint64, quick bool,
 	recovery := fs.String("recovery", "none", "recovery preset: none, faults (launch, vote and probe retry budgets), noise (faults plus the noise-hardening ladder; needs a single channel)")
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+		return fmt.Errorf("%w: %w", errUsage, err)
 	}
 
 	// The experiments' region set: quick scale, policy, faults and load

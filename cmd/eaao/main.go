@@ -7,19 +7,7 @@
 //	eaao run all                   # regenerate everything
 //	eaao -faults 0.05 attack -recovery faults  # ad-hoc campaign (global flags go first)
 //
-// Flags:
-//
-//	-seed N    root seed (default 9)
-//	-quick     reduced scale (~4x smaller fleet, fewer reps)
-//	-big       headroom scale for the scale experiment (80k hosts, 640 tenants, >1M instances)
-//	-jobs N    worker-pool width for trial repetitions (default NumCPU; 1 = sequential)
-//	-parallel  run whole experiments concurrently through the same bounded pool
-//	-policy P  override every region's placement policy (cloudrun, random-uniform, least-loaded)
-//	-faults L  inject deterministic faults at uniform level L in [0,1] (0 = fault-free)
-//	-load U    background-tenant traffic at target utilization U in [0, 1.5] (0 = quiet fleet)
-//	-csv       also print each table as CSV
-//	-cpuprofile F  write a CPU profile of the run to F (runtime/pprof)
-//	-memprofile F  write an allocation profile at exit to F
+// Run `eaao -h` for the global flags and `eaao attack -h` for the attack's.
 package main
 
 import (
@@ -42,10 +30,8 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run parses args (the command line without the program name), runs the
-// subcommand writing results to stdout and diagnostics to stderr, and
-// returns the process exit code: 0 on success, 1 when a run fails, 2 on a
-// usage error.
+// run runs the command line args (without the program name) and returns the
+// exit code: 0 on success, 1 when a run fails, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("eaao", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -125,9 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch args[0] {
 	case "attack":
 		if err := runAttack(stdout, stderr, args[1:], *seed, *quick, policy, faults, *load); err != nil {
-			var ue usageError
-			if errors.As(err, &ue) {
-				return flagExit(ue.err)
+			if errors.Is(err, errUsage) {
+				return flagExit(err)
 			}
 			fmt.Fprintf(stderr, "eaao attack: %v\n", err)
 			return 1
@@ -232,11 +217,9 @@ func reparseTail(fs *flag.FlagSet, args []string) ([]string, error) {
 	return pos, nil
 }
 
-// usageError marks a flag-parsing failure inside a subcommand; the flag set
-// has already reported it.
-type usageError struct{ err error }
-
-func (e usageError) Error() string { return e.err.Error() }
+// errUsage marks a subcommand's flag-parsing failure, which its flag set has
+// already reported.
+var errUsage = errors.New("usage")
 
 // flagExit maps a flag-parsing error to the exit code flag.ExitOnError
 // would have used: 0 for -h/-help, 2 otherwise.

@@ -85,7 +85,7 @@ func (s *Service) autoscaleTick(now simtime.Time) {
 		s.autoscaling = false
 		return
 	}
-	s.account.dc.platform.sched.ArmHandlerAfter(&s.tickEvent, autoscaleInterval, s)
+	s.account.dc.platform.sched.ArmLane(&s.tickEvent, autoscaleInterval, s)
 }
 
 // scaleIn idles the n most recently created active instances (LIFO: the

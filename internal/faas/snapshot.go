@@ -106,7 +106,7 @@ func clonePlatform(src *Platform) (*Platform, error) {
 		return nil, cl.err
 	}
 	if err != nil {
-		return nil, fmt.Errorf("faas: snapshot: %w (experiment-scheduled closures cannot be snapshotted)", err)
+		return nil, fmt.Errorf("faas: snapshot: %w", err)
 	}
 	np.sched = sched
 	return np, nil

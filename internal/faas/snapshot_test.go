@@ -271,9 +271,15 @@ func TestSnapshotRejectsOutsideState(t *testing.T) {
 	})
 	t.Run("experiment closure event", func(t *testing.T) {
 		p, _ := newWorld()
-		p.Scheduler().After(time.Hour, func(simtime.Time) {})
+		var ev simtime.Event
+		p.Scheduler().ArmHandlerAfter(&ev, time.Hour, closureHandler(func(simtime.Time) {}))
 		if _, err := p.Snapshot(); err == nil {
 			t.Fatal("snapshot accepted a pending closure event")
 		}
 	})
 }
+
+// closureHandler fires a closure the experiment owns, outside the world.
+type closureHandler func(simtime.Time)
+
+func (f closureHandler) HandleEvent(_ *simtime.Event, now simtime.Time) { f(now) }

@@ -58,7 +58,7 @@ func TestCancelledSlotReArms(t *testing.T) {
 		t.Fatal("cancelled event still pending")
 	}
 	s.ArmHandler(&e, 5, owner)
-	s.Drain(0)
+	drain(s)
 	if owner.fired != 1 {
 		t.Fatalf("fired %d, want 1 (the re-arm only)", owner.fired)
 	}
@@ -185,9 +185,9 @@ func TestCloneReplaysIdentically(t *testing.T) {
 			cs.Now(), s.Now(), cs.Executed(), s.Executed(), cs.Pending(), s.Pending())
 	}
 
-	cs.Drain(0) // run the fork first: must not disturb the original
+	drain(cs) // run the fork first: must not disturb the original
 	origBefore := len(origLog)
-	s.Drain(0)
+	drain(s)
 	tail := origLog[origBefore:]
 	if len(tail) != len(cloneLog) {
 		t.Fatalf("fork ran %d events, original tail %d", len(cloneLog), len(tail))
@@ -201,14 +201,6 @@ func TestCloneReplaysIdentically(t *testing.T) {
 		t.Fatalf("executed diverged after drain: %d vs %d", cs.Executed(), s.Executed())
 	}
 	_ = origLog
-}
-
-func TestCloneRejectsClosureEvents(t *testing.T) {
-	s := NewScheduler(0)
-	s.At(10, func(Time) {})
-	if _, err := s.Clone(func(*Event, Handler) (*Event, Handler) { return nil, nil }); err == nil {
-		t.Fatal("Clone accepted a pending closure event")
-	}
 }
 
 func TestCloneRejectsBadRemap(t *testing.T) {
@@ -231,7 +223,7 @@ func TestCloneEmptyQueue(t *testing.T) {
 	s := NewScheduler(42)
 	var e Event
 	s.ArmHandler(&e, 50, &countHandler{})
-	s.Drain(0)
+	drain(s)
 	c, err := s.Clone(func(*Event, Handler) (*Event, Handler) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)

@@ -46,14 +46,14 @@ func FromSeconds(s float64) Time { return Time(s * 1e9) }
 // String renders t as the anchored wall-clock instant.
 func (t Time) String() string { return t.Real().Format(time.RFC3339Nano) }
 
-// Event is a scheduled callback, and the handle used to cancel it. Events
-// come in two flavours: Schedule allocates one per call (fire-and-forget),
-// while ArmHandler inserts a caller-owned Event — typically embedded by value
-// in the owning object — so a timer that is re-armed over and over (the
-// lifecycle kernel's per-instance churn timers, the autoscaler's tick) costs
-// zero allocations per arm. A cancelled event is removed from the queue
-// immediately (O(log n)), so abandoned timers do not leak dead entries into
-// every subsequent heap operation.
+// Event is a scheduled callback, and the handle used to cancel it. It is
+// caller-owned — typically embedded by value in the owning object — so a
+// timer that is re-armed over and over (the lifecycle kernel's per-instance
+// churn timers, the autoscaler's tick) costs zero allocations per arm. A
+// cancelled heap event is removed from the queue immediately (O(log n)), so
+// abandoned timers do not leak dead entries into every subsequent heap
+// operation. A timer that is always re-armed with one fixed delay can use
+// ArmLane instead, which keeps it out of the heap.
 //
 // The zero Event is ready to arm. An Event must not be armed again while it
 // is still pending (Cancel it first); it may be re-armed freely from inside
@@ -61,9 +61,8 @@ func (t Time) String() string { return t.Real().Format(time.RFC3339Nano) }
 type Event struct {
 	at  Time
 	seq uint64 // insertion order; breaks ties deterministically
-	fn  func(Time)
 	h   Handler
-	pos int // heap index + 1; 0 = not queued (so the zero Event is idle)
+	pos int // heap index + 1; -1 in a lane; 0 = not queued (so the zero Event is idle)
 }
 
 // Handler receives intrusive-event callbacks without any closure: storing a
@@ -164,6 +163,42 @@ func (h *eventHeap) remove(i int) {
 	}
 }
 
+// lane is the FIFO of events armed through ArmLane with one delay d. Each
+// arm lands at now+d with a larger seq and the clock never runs back, so the
+// slots are in (at, seq) order. Cancel leaves its slot behind: a slot whose
+// seq no longer matches its event's is stale, dropped when it reaches the
+// head. A full slice whose first half is spent is compacted, not grown, so a
+// steady tick population reuses one backing array.
+type lane struct {
+	d    time.Duration
+	q    []laneSlot // slots from head on are queued, stale ones included
+	head int
+}
+
+type laneSlot struct {
+	e   *Event
+	seq uint64
+}
+
+func (l *lane) push(e *Event) {
+	if len(l.q) == cap(l.q) && 2*l.head >= len(l.q) {
+		l.q, l.head = l.q[:copy(l.q, l.q[l.head:])], 0
+	}
+	l.q = append(l.q, laneSlot{e, e.seq})
+}
+
+// first returns the lane's earliest pending event, dropping stale slots on
+// the way, or nil when it holds none.
+func (l *lane) first() *Event {
+	for ; l.head < len(l.q); l.head++ {
+		if sl := l.q[l.head]; sl.e.seq == sl.seq {
+			return sl.e
+		}
+		l.q[l.head] = laneSlot{}
+	}
+	return nil
+}
+
 // Scheduler is a deterministic discrete-event scheduler. Events scheduled for
 // the same instant fire in the order they were scheduled. Scheduler is not
 // safe for concurrent use; the simulator is single-threaded by design so runs
@@ -172,6 +207,8 @@ type Scheduler struct {
 	now      Time
 	nextID   uint64
 	queue    eventHeap
+	lanes    []lane
+	laneLive int // pending events across all lanes
 	executed uint64
 }
 
@@ -183,37 +220,16 @@ func NewScheduler(start Time) *Scheduler {
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// At schedules fn to run at the absolute time at. Scheduling in the past
-// panics: it always indicates a simulator bug, and silently reordering events
-// would destroy determinism.
-func (s *Scheduler) At(at Time, fn func(Time)) { s.Schedule(at, fn) }
-
-// Schedule is At returning the event as a cancellation handle.
-func (s *Scheduler) Schedule(at Time, fn func(Time)) *Event {
-	e := &Event{fn: fn}
-	s.arm(e, at)
-	return e
-}
-
-// After schedules fn to run d after the current time.
-func (s *Scheduler) After(d time.Duration, fn func(Time)) { s.ScheduleAfter(d, fn) }
-
-// ScheduleAfter is After returning the event as a cancellation handle.
-func (s *Scheduler) ScheduleAfter(d time.Duration, fn func(Time)) *Event {
-	if d < 0 {
-		panic("simtime: negative delay")
-	}
-	return s.Schedule(s.now.Add(d), fn)
-}
-
 // ArmHandler inserts a caller-owned event with an interface callback — fully
 // allocation-free per arm (see Handler). Arming an event that is still
 // pending panics: a caller juggling overlapping deadlines for one event has a
 // state bug, and silently dropping either deadline would destroy determinism.
-// Cancel it first to re-target.
+// Cancel it first to re-target. Arming in the past panics too (a simulator
+// bug, which silent reordering would turn into nondeterminism).
 func (s *Scheduler) ArmHandler(e *Event, at Time, h Handler) {
-	s.arm(e, at)
+	s.stamp(e, at)
 	e.h = h
+	s.queue.push(e)
 }
 
 // ArmHandlerAfter is ArmHandler with a relative deadline.
@@ -224,7 +240,30 @@ func (s *Scheduler) ArmHandlerAfter(e *Event, d time.Duration, h Handler) {
 	s.ArmHandler(e, s.now.Add(d), h)
 }
 
-func (s *Scheduler) arm(e *Event, at Time) {
+// ArmLane is ArmHandlerAfter for a timer always armed with the same delay d,
+// such as a periodic tick. The event fires at the time and in the order
+// ArmHandlerAfter would give it, but it waits in d's FIFO lane instead of
+// the heap, so arming and firing it cost O(1): Step fires whichever of the
+// heap top and the lane heads comes first by (at, seq).
+func (s *Scheduler) ArmLane(e *Event, d time.Duration, h Handler) {
+	if d < 0 {
+		panic("simtime: negative delay")
+	}
+	i := 0
+	for i < len(s.lanes) && s.lanes[i].d != d {
+		i++
+	}
+	if i == len(s.lanes) {
+		s.lanes = append(s.lanes, lane{d: d})
+	}
+	s.stamp(e, s.now.Add(d))
+	e.h, e.pos = h, -1
+	s.lanes[i].push(e)
+	s.laneLive++
+}
+
+// stamp checks that e may be armed at at and gives it the next seq.
+func (s *Scheduler) stamp(e *Event, at Time) {
 	if e.pos != 0 {
 		panic("simtime: arming an event that is still pending")
 	}
@@ -233,7 +272,6 @@ func (s *Scheduler) arm(e *Event, at Time) {
 	}
 	s.nextID++
 	e.at, e.seq = at, s.nextID
-	s.queue.push(e)
 }
 
 // Cancel removes a pending event from the queue without running it. It
@@ -246,13 +284,19 @@ func (s *Scheduler) Cancel(e *Event) bool {
 	if e == nil || e.pos == 0 {
 		return false
 	}
-	s.queue.remove(e.pos - 1)
-	e.fn, e.h = nil, nil
+	if e.pos > 0 {
+		s.queue.remove(e.pos - 1)
+	} else {
+		// Zeroing seq marks the lane slot stale (armed seqs start at 1).
+		e.pos, e.seq = 0, 0
+		s.laneLive--
+	}
+	e.h = nil
 	return true
 }
 
 // Pending reports the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return len(s.queue) + s.laneLive }
 
 // Executed reports the total number of events run since construction. It is
 // the denominator of the event kernel's throughput metrics (events/sec,
@@ -263,23 +307,52 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 // Step runs the next event, advancing the clock to its deadline. It reports
 // whether an event was run.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+	var e *Event
+	switch {
+	case s.laneLive > 0:
+		e = s.popEarliest()
+	case len(s.queue) > 0:
+		e = s.queue.popMin()
+	default:
 		return false
 	}
-	e := s.queue.popMin()
 	s.now = e.at
 	s.executed++
-	// Detach the callback before running it: the callback may re-arm e (the
-	// self-rescheduling pattern), and a fired one-shot must not pin its
-	// closure for the garbage collector.
-	fn, h := e.fn, e.h
-	e.fn, e.h = nil, nil
-	if fn != nil {
-		fn(s.now)
-	} else {
-		h.HandleEvent(e, s.now)
-	}
+	// Detach the handler before running it: the callback may re-arm e (the
+	// self-rescheduling pattern), and a fired event must not pin its owner.
+	h := e.h
+	e.h = nil
+	h.HandleEvent(e, s.now)
 	return true
+}
+
+// earliest returns the first by (at, seq) of the heap top and every lane
+// head, and its lane (nil for the heap). Step and RunUntil call it only while
+// a lane event is pending; otherwise they read the heap top at its own cost.
+func (s *Scheduler) earliest() (top *Event, in *lane) {
+	if len(s.queue) > 0 {
+		top = s.queue[0]
+	}
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if e := l.first(); e != nil && (top == nil || e.at < top.at || e.at == top.at && e.seq < top.seq) {
+			top, in = e, l
+		}
+	}
+	return top, in
+}
+
+// popEarliest pops the earliest event while a lane event is pending.
+func (s *Scheduler) popEarliest() *Event {
+	e, l := s.earliest()
+	if l == nil {
+		return s.queue.popMin()
+	}
+	l.q[l.head] = laneSlot{}
+	l.head++
+	e.pos = 0
+	s.laneLive--
+	return e
 }
 
 // Clone returns a deep copy of the scheduler for world snapshotting: the
@@ -289,23 +362,13 @@ func (s *Scheduler) Step() bool {
 // duplicate itself; remap is called once per pending event and must return
 // the cloned world's counterpart Event (typically the same field embedded in
 // the cloned owner) together with the handler it should fire into. The
-// queue is copied slot for slot, so each cloned event keeps the original's
-// deadline, tie-break sequence, and heap position — firing order is
-// byte-identical by construction.
-//
-// Closure events (Schedule/At) cannot be remapped — a closure captures the
-// old world — so a queue containing one is a Clone error. The event kernel
-// and every intrusive timer use Handler events.
+// heap is copied slot for slot, then each lane's pending events in order, so
+// each cloned event keeps the original's deadline, tie-break sequence, and
+// heap or lane position — firing order is byte-identical by construction.
 func (s *Scheduler) Clone(remap func(old *Event, h Handler) (*Event, Handler)) (*Scheduler, error) {
-	c := &Scheduler{now: s.now, nextID: s.nextID, executed: s.executed}
-	if len(s.queue) == 0 {
-		return c, nil
-	}
-	c.queue = make(eventHeap, len(s.queue))
-	for i, e := range s.queue {
-		if e.fn != nil {
-			return nil, fmt.Errorf("simtime: cannot clone pending closure event (deadline %v); only Handler events are remappable", e.at)
-		}
+	c := &Scheduler{now: s.now, nextID: s.nextID, executed: s.executed, laneLive: s.laneLive,
+		queue: make(eventHeap, len(s.queue)), lanes: make([]lane, len(s.lanes))}
+	counterpart := func(e *Event) (*Event, error) {
 		ne, h := remap(e, e.h)
 		if ne == nil {
 			return nil, fmt.Errorf("simtime: remap returned no counterpart for pending event (deadline %v)", e.at)
@@ -314,7 +377,26 @@ func (s *Scheduler) Clone(remap func(old *Event, h Handler) (*Event, Handler)) (
 			return nil, fmt.Errorf("simtime: remap returned an event that is already pending (deadline %v)", e.at)
 		}
 		ne.at, ne.seq, ne.h, ne.pos = e.at, e.seq, h, e.pos
-		c.queue[i] = ne
+		return ne, nil
+	}
+	var err error
+	for i, e := range s.queue {
+		if c.queue[i], err = counterpart(e); err != nil {
+			return nil, err
+		}
+	}
+	for i, l := range s.lanes {
+		c.lanes[i] = lane{d: l.d, q: make([]laneSlot, 0, len(l.q)-l.head)}
+		for _, sl := range l.q[l.head:] {
+			if sl.e.seq != sl.seq {
+				continue
+			}
+			ne, err := counterpart(sl.e)
+			if err != nil {
+				return nil, err
+			}
+			c.lanes[i].push(ne)
+		}
 	}
 	return c, nil
 }
@@ -326,7 +408,16 @@ func (s *Scheduler) RunUntil(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: RunUntil(%v) before now %v", t, s.now))
 	}
-	for len(s.queue) > 0 && s.queue[0].at <= t {
+	for {
+		var e *Event
+		if s.laneLive > 0 {
+			e, _ = s.earliest()
+		} else if len(s.queue) > 0 {
+			e = s.queue[0]
+		}
+		if e == nil || e.at > t {
+			break
+		}
 		s.Step()
 	}
 	s.now = t
@@ -338,14 +429,4 @@ func (s *Scheduler) Advance(d time.Duration) {
 		panic("simtime: negative advance")
 	}
 	s.RunUntil(s.now.Add(d))
-}
-
-// Drain runs events until the queue is empty or limit events have run,
-// returning the number of events executed. A limit of 0 means no limit.
-func (s *Scheduler) Drain(limit int) int {
-	ran := 0
-	for (limit == 0 || ran < limit) && s.Step() {
-		ran++
-	}
-	return ran
 }

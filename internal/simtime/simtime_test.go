@@ -31,13 +31,31 @@ func TestRealAnchoredAtEpoch(t *testing.T) {
 	}
 }
 
+// fnHandler adapts a func to Handler for one-off test callbacks.
+type fnHandler func(Time)
+
+func (f fnHandler) HandleEvent(_ *Event, now Time) { f(now) }
+
+// drain runs events until none is pending.
+func drain(s *Scheduler) {
+	for s.Step() {
+	}
+}
+
+// schedule arms a one-off callback at t and returns its event.
+func schedule(s *Scheduler, t Time, fn func(Time)) *Event {
+	e := new(Event)
+	s.ArmHandler(e, t, fnHandler(fn))
+	return e
+}
+
 func TestSchedulerOrdering(t *testing.T) {
 	s := NewScheduler(0)
 	var order []int
-	s.At(FromSeconds(3), func(Time) { order = append(order, 3) })
-	s.At(FromSeconds(1), func(Time) { order = append(order, 1) })
-	s.At(FromSeconds(2), func(Time) { order = append(order, 2) })
-	s.Drain(0)
+	schedule(s, FromSeconds(3), func(Time) { order = append(order, 3) })
+	schedule(s, FromSeconds(1), func(Time) { order = append(order, 1) })
+	schedule(s, FromSeconds(2), func(Time) { order = append(order, 2) })
+	drain(s)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events ran out of order: %v", order)
 	}
@@ -49,9 +67,9 @@ func TestSchedulerTieBreakInsertionOrder(t *testing.T) {
 	at := FromSeconds(5)
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(at, func(Time) { order = append(order, i) })
+		schedule(s, at, func(Time) { order = append(order, i) })
 	}
-	s.Drain(0)
+	drain(s)
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("same-instant events ran out of insertion order: %v", order)
@@ -62,7 +80,7 @@ func TestSchedulerTieBreakInsertionOrder(t *testing.T) {
 func TestRunUntilAdvancesClock(t *testing.T) {
 	s := NewScheduler(0)
 	fired := false
-	s.At(FromSeconds(10), func(Time) { fired = true })
+	schedule(s, FromSeconds(10), func(Time) { fired = true })
 	s.RunUntil(FromSeconds(5))
 	if fired {
 		t.Error("future event fired early")
@@ -79,10 +97,10 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	s := NewScheduler(0)
 	var order []string
-	s.At(FromSeconds(1), func(now Time) {
+	schedule(s, FromSeconds(1), func(now Time) {
 		order = append(order, "a")
-		s.At(now.Add(time.Second), func(Time) { order = append(order, "b") })
-		s.At(now.Add(10*time.Second), func(Time) { order = append(order, "late") })
+		schedule(s, now.Add(time.Second), func(Time) { order = append(order, "b") })
+		schedule(s, now.Add(10*time.Second), func(Time) { order = append(order, "late") })
 	})
 	s.RunUntil(FromSeconds(5))
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
@@ -96,8 +114,8 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestEventSeesItsDeadlineAsNow(t *testing.T) {
 	s := NewScheduler(0)
 	var at Time
-	s.At(FromSeconds(7), func(now Time) { at = now })
-	s.Drain(0)
+	schedule(s, FromSeconds(7), func(now Time) { at = now })
+	drain(s)
 	if at != FromSeconds(7) {
 		t.Errorf("event saw now=%v, want 7s", at)
 	}
@@ -113,7 +131,7 @@ func TestPastSchedulingPanics(t *testing.T) {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	s.At(FromSeconds(50), func(Time) {})
+	schedule(s, FromSeconds(50), func(Time) {})
 }
 
 func TestRunUntilPastPanics(t *testing.T) {
@@ -130,7 +148,7 @@ func TestAdvance(t *testing.T) {
 	s := NewScheduler(0)
 	count := 0
 	for i := 1; i <= 5; i++ {
-		s.At(FromSeconds(float64(i)), func(Time) { count++ })
+		schedule(s, FromSeconds(float64(i)), func(Time) { count++ })
 	}
 	s.Advance(3 * time.Second)
 	if count != 3 {
@@ -142,19 +160,6 @@ func TestAdvance(t *testing.T) {
 	}
 }
 
-func TestDrainLimit(t *testing.T) {
-	s := NewScheduler(0)
-	for i := 0; i < 10; i++ {
-		s.At(FromSeconds(float64(i)), func(Time) {})
-	}
-	if ran := s.Drain(4); ran != 4 {
-		t.Errorf("Drain(4) ran %d events", ran)
-	}
-	if s.Pending() != 6 {
-		t.Errorf("pending = %d, want 6", s.Pending())
-	}
-}
-
 // Property: however events are inserted, they execute in nondecreasing time
 // order.
 func TestEventOrderProperty(t *testing.T) {
@@ -163,9 +168,9 @@ func TestEventOrderProperty(t *testing.T) {
 		var fired []Time
 		for _, off := range offsets {
 			at := FromSeconds(float64(off))
-			s.At(at, func(now Time) { fired = append(fired, now) })
+			schedule(s, at, func(now Time) { fired = append(fired, now) })
 		}
-		s.Drain(0)
+		drain(s)
 		if len(fired) != len(offsets) {
 			return false
 		}
@@ -179,14 +184,16 @@ func TestEventOrderProperty(t *testing.T) {
 func TestExecutedCountsEveryEvent(t *testing.T) {
 	s := NewScheduler(0)
 	for i := 0; i < 7; i++ {
-		s.At(FromSeconds(float64(i)), func(Time) {})
+		schedule(s, FromSeconds(float64(i)), func(Time) {})
 	}
 	if got := s.Executed(); got != 0 {
 		t.Fatalf("Executed = %d before any Step", got)
 	}
-	s.Drain(3)
+	for i := 0; i < 3; i++ {
+		s.Step()
+	}
 	if got := s.Executed(); got != 3 {
-		t.Fatalf("Executed = %d after Drain(3)", got)
+		t.Fatalf("Executed = %d after 3 steps", got)
 	}
 	s.RunUntil(FromSeconds(100))
 	if got := s.Executed(); got != 7 {
@@ -197,9 +204,9 @@ func TestExecutedCountsEveryEvent(t *testing.T) {
 func TestCancelRemovesPendingEvent(t *testing.T) {
 	s := NewScheduler(0)
 	var fired []string
-	s.At(FromSeconds(1), func(Time) { fired = append(fired, "a") })
-	b := s.Schedule(FromSeconds(2), func(Time) { fired = append(fired, "b") })
-	s.At(FromSeconds(3), func(Time) { fired = append(fired, "c") })
+	schedule(s, FromSeconds(1), func(Time) { fired = append(fired, "a") })
+	b := schedule(s, FromSeconds(2), func(Time) { fired = append(fired, "b") })
+	schedule(s, FromSeconds(3), func(Time) { fired = append(fired, "c") })
 
 	if !s.Cancel(b) {
 		t.Fatal("Cancel returned false for a pending event")
@@ -218,7 +225,7 @@ func TestCancelRemovesPendingEvent(t *testing.T) {
 		t.Fatalf("Executed = %d, want 2 (cancelled events are not counted)", got)
 	}
 	// Cancelling an event that has already fired is a no-op.
-	e := s.Schedule(FromSeconds(11), func(Time) {})
+	e := schedule(s, FromSeconds(11), func(Time) {})
 	s.RunUntil(FromSeconds(12))
 	if s.Cancel(e) {
 		t.Fatal("Cancel of a fired event returned true")
@@ -229,20 +236,72 @@ func TestCancelRemovesPendingEvent(t *testing.T) {
 }
 
 // rearm re-arms every event it fires a pseudo-random delay ahead (an LCG
-// step), so the scheduler's pending depth stays constant under Step.
+// step), so the scheduler's pending depth stays constant under Step. The
+// delay is uniform below span, or the LCG's top 24 bits in ns when span is 0.
 type rearm struct {
-	s *Scheduler
-	x uint64
+	s    *Scheduler
+	x    uint64
+	span time.Duration
 }
 
 func (r *rearm) HandleEvent(e *Event, now Time) {
 	r.x = r.x*6364136223846793005 + 1442695040888963407
-	r.s.ArmHandler(e, now.Add(time.Duration(r.x>>40)), r)
+	d := time.Duration(r.x >> 40)
+	if r.span > 0 {
+		d = time.Duration((r.x >> 11) % uint64(r.span))
+	}
+	r.s.ArmHandler(e, now.Add(d), r)
+}
+
+// ticker is a self-rescheduling autoscale-style tick: it re-arms every 15 s,
+// through a lane or through the heap.
+type ticker struct {
+	s    *Scheduler
+	lane bool
+}
+
+const tickEvery = 15 * time.Second
+
+func (t *ticker) HandleEvent(e *Event, _ Time) {
+	if t.lane {
+		t.s.ArmLane(e, tickEvery, t)
+	} else {
+		t.s.ArmHandlerAfter(e, tickEvery, t)
+	}
 }
 
 // BenchmarkScheduleStep prices one kernel event — pop the earliest deadline,
-// fire it, re-arm it — at heap depths from a quick world's to a -big one's.
+// fire it, re-arm it — at heap depths from a quick world's to a -big one's,
+// and in a loaded world's mix: 2,000 pending, 1,800 of them 15 s ticks
+// (about 90% of the events fired) beside 200 timers re-armed uniformly
+// within 30 s, with the ticks armed through the heap or through a lane.
 func BenchmarkScheduleStep(b *testing.B) {
+	for _, lane := range []bool{false, true} {
+		name := "ticks=heap"
+		if lane {
+			name = "ticks=lane"
+		}
+		b.Run(name+"/pending=2000", func(b *testing.B) {
+			s := NewScheduler(0)
+			r := &rearm{s: s, x: 1, span: 2 * tickEvery}
+			t := &ticker{s: s, lane: lane}
+			evs := make([]Event, 2000)
+			for i := range evs[:200] {
+				r.HandleEvent(&evs[i], 0)
+			}
+			for i := range evs[200:] {
+				// Spread the first ticks over one period, as services
+				// start autoscaling at scattered times.
+				s.ArmHandler(&evs[200+i], Time(tickEvery)*Time(i)/1800, t)
+			}
+			s.RunUntil(Time(2 * tickEvery)) // every tick now re-arms itself
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+		})
+	}
 	for _, depth := range []int{1e3, 1e4, 1e5, 1e6} {
 		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
 			s := NewScheduler(0)
