@@ -52,8 +52,7 @@ func (t Time) String() string { return t.Real().Format(time.RFC3339Nano) }
 // churn timers, the autoscaler's tick) costs zero allocations per arm. A
 // cancelled heap event is removed from the queue immediately (O(log n)), so
 // abandoned timers do not leak dead entries into every subsequent heap
-// operation. A timer that is always re-armed with one fixed delay can use
-// ArmLane instead, which keeps it out of the heap.
+// operation.
 //
 // The zero Event is ready to arm. An Event must not be armed again while it
 // is still pending (Cancel it first); it may be re-armed freely from inside
@@ -165,10 +164,9 @@ func (h *eventHeap) remove(i int) {
 
 // lane is the FIFO of events armed through ArmLane with one delay d. Each
 // arm lands at now+d with a larger seq and the clock never runs back, so the
-// slots are in (at, seq) order. Cancel leaves its slot behind: a slot whose
-// seq no longer matches its event's is stale, dropped when it reaches the
-// head. A full slice whose first half is spent is compacted, not grown, so a
-// steady tick population reuses one backing array.
+// slots are in (at, seq) order. Cancel leaves its slot stale (its seq no
+// longer matches its event's) until it reaches the head. A full slice whose
+// first half is spent is compacted, not grown, so ticks reuse one array.
 type lane struct {
 	d    time.Duration
 	q    []laneSlot // slots from head on are queued, stale ones included
@@ -224,12 +222,10 @@ func (s *Scheduler) Now() Time { return s.now }
 // allocation-free per arm (see Handler). Arming an event that is still
 // pending panics: a caller juggling overlapping deadlines for one event has a
 // state bug, and silently dropping either deadline would destroy determinism.
-// Cancel it first to re-target. Arming in the past panics too (a simulator
-// bug, which silent reordering would turn into nondeterminism).
+// Cancel it first to re-target. Arming in the past panics too.
 func (s *Scheduler) ArmHandler(e *Event, at Time, h Handler) {
-	s.stamp(e, at)
+	s.arm(e, at, nil)
 	e.h = h
-	s.queue.push(e)
 }
 
 // ArmHandlerAfter is ArmHandler with a relative deadline.
@@ -256,14 +252,13 @@ func (s *Scheduler) ArmLane(e *Event, d time.Duration, h Handler) {
 	if i == len(s.lanes) {
 		s.lanes = append(s.lanes, lane{d: d})
 	}
-	s.stamp(e, s.now.Add(d))
-	e.h, e.pos = h, -1
-	s.lanes[i].push(e)
-	s.laneLive++
+	s.arm(e, s.now.Add(d), &s.lanes[i])
+	e.h = h
 }
 
-// stamp checks that e may be armed at at and gives it the next seq.
-func (s *Scheduler) stamp(e *Event, at Time) {
+// arm gives e its deadline and the next seq and queues it in lane l, or in
+// the heap when l is nil.
+func (s *Scheduler) arm(e *Event, at Time, l *lane) {
 	if e.pos != 0 {
 		panic("simtime: arming an event that is still pending")
 	}
@@ -272,6 +267,13 @@ func (s *Scheduler) stamp(e *Event, at Time) {
 	}
 	s.nextID++
 	e.at, e.seq = at, s.nextID
+	if l == nil {
+		s.queue.push(e)
+		return
+	}
+	e.pos = -1
+	l.push(e)
+	s.laneLive++
 }
 
 // Cancel removes a pending event from the queue without running it. It
@@ -326,9 +328,8 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// earliest returns the first by (at, seq) of the heap top and every lane
-// head, and its lane (nil for the heap). Step and RunUntil call it only while
-// a lane event is pending; otherwise they read the heap top at its own cost.
+// earliest returns the first of the heap top and the lane heads by (at, seq)
+// and its lane (nil: the heap); it is used only while a lane event is pending.
 func (s *Scheduler) earliest() (top *Event, in *lane) {
 	if len(s.queue) > 0 {
 		top = s.queue[0]
@@ -388,14 +389,13 @@ func (s *Scheduler) Clone(remap func(old *Event, h Handler) (*Event, Handler)) (
 	for i, l := range s.lanes {
 		c.lanes[i] = lane{d: l.d, q: make([]laneSlot, 0, len(l.q)-l.head)}
 		for _, sl := range l.q[l.head:] {
-			if sl.e.seq != sl.seq {
-				continue
+			if sl.e.seq == sl.seq {
+				ne, err := counterpart(sl.e)
+				if err != nil {
+					return nil, err
+				}
+				c.lanes[i].push(ne)
 			}
-			ne, err := counterpart(sl.e)
-			if err != nil {
-				return nil, err
-			}
-			c.lanes[i].push(ne)
 		}
 	}
 	return c, nil
