@@ -217,8 +217,7 @@ func reparseTail(fs *flag.FlagSet, args []string) ([]string, error) {
 	return pos, nil
 }
 
-// errUsage marks a subcommand's flag-parsing failure, which its flag set has
-// already reported.
+// errUsage marks a subcommand flag error its flag set has already reported.
 var errUsage = errors.New("usage")
 
 // flagExit maps a flag-parsing error to the exit code flag.ExitOnError

@@ -11,6 +11,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -90,10 +91,10 @@ func parseBaseFrequency(name string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cpu: bad frequency value in %q: %w", name, err)
 	}
-	if v <= 0 {
-		return 0, fmt.Errorf("cpu: non-positive frequency in %q", name)
+	if hz := v * mult; hz > 0 && hz <= math.MaxFloat64 {
+		return hz, nil
 	}
-	return v * mult, nil
+	return 0, fmt.Errorf("cpu: non-positive or non-finite frequency in %q", name)
 }
 
 // mustModel builds a Model, panicking if the name does not carry a parseable
