@@ -54,7 +54,7 @@ race:
 
 # Layer microbenchmarks where perfbench has no boundary (placement, the
 # simtime heap and its fixed-delay lanes, randx hashing, fingerprint
-# collection). End-to-end and
+# collection, snapshot restore of a busy world). End-to-end and
 # per-layer campaign numbers come from perfbench (see perfbench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...

@@ -11,10 +11,11 @@ import (
 	"testing"
 )
 
-// groundTruth lists the faas selectors that reveal what a real tenant cannot
-// see: host identity, true host counts, host boot instants, residency, the
-// materialized fleet and the injected-fault counters. Experiments score
-// against them; attack code must not read them.
+// groundTruth lists the faas and sandbox selectors that reveal what a real
+// tenant cannot see: host identity, true host counts, host boot instants,
+// residency (a guest's own included), the materialized fleet and the
+// injected-fault counters. Experiments score against them; attack code must
+// not read them.
 var groundTruth = map[string]bool{
 	"HostID":            true,
 	"TrueHostCount":     true,
@@ -22,6 +23,7 @@ var groundTruth = map[string]bool{
 	"ResidentCount":     true,
 	"MaterializedHosts": true,
 	"FaultCounters":     true,
+	"RunsOn":            true,
 }
 
 // TestObservationBoundary enforces the attacker's real position: no

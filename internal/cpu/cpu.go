@@ -47,9 +47,6 @@ func (m Model) Vendor() string {
 	return "GenuineIntel"
 }
 
-// TotalCores returns physical cores across all sockets.
-func (m Model) TotalCores() int { return m.Cores * m.Sockets }
-
 // ReportedTSCHz returns the TSC frequency the guest infers for this model:
 // cpuid does not expose it, so the labeled base frequency is used (method 1
 // of §4.2).

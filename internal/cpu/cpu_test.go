@@ -139,8 +139,5 @@ func TestCacheHierarchy(t *testing.T) {
 		if m.CacheLineBytes != 64 {
 			t.Errorf("%q: cache line %d", m.Name, m.CacheLineBytes)
 		}
-		if m.TotalCores() != m.Cores*m.Sockets {
-			t.Errorf("%q: TotalCores wrong", m.Name)
-		}
 	}
 }

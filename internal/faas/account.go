@@ -26,9 +26,11 @@ const (
 // assigns each account a stable base-host pool (Obs. 3/4) derived
 // deterministically from the account identity.
 type Account struct {
-	dc  *DataCenter
-	id  string
-	rng *randx.Source
+	dc *DataCenter
+	id string
+	// seed derives the account's pool draws and its services' streams; the
+	// account itself never draws.
+	seed uint64
 
 	group    int
 	basePool []*Host // preference-ordered
@@ -45,16 +47,16 @@ type Account struct {
 }
 
 func newAccount(dc *DataCenter, id string) *Account {
-	rng := dc.rng.Derive("account", id)
+	seed := randx.DeriveSeed(dc.seed, "account", id)
 	a := &Account{
 		dc:       dc,
 		id:       id,
-		rng:      rng,
-		group:    int(rng.DeriveInto(&dc.deriveScratch, "group").Uint64() % uint64(dc.profile.PlacementGroups)),
+		seed:     seed,
+		group:    int(dc.deriveScratch.Reseed(randx.DeriveSeed(seed, "group")).Uint64() % uint64(dc.profile.PlacementGroups)),
 		services: make(map[string]*Service),
 	}
-	a.basePool = a.sampleBasePool(rng.DeriveInto(&dc.deriveScratch, "base"))
-	a.helpers = a.noisyTopSample(rng.DeriveInto(&dc.deriveScratch, "helpers"), dc.hosts, dc.profile.AccountHelperPool, sigmaHelper, noExclusion)
+	a.basePool = a.sampleBasePool(dc.deriveScratch.Reseed(randx.DeriveSeed(seed, "base")))
+	a.helpers = a.noisyTopSample(dc.deriveScratch.Reseed(randx.DeriveSeed(seed, "helpers")), dc.hosts, dc.profile.AccountHelperPool, sigmaHelper, noExclusion)
 	a.quota = dc.profile.NewAccountQuota
 	return a
 }
@@ -145,13 +147,13 @@ func (a *Account) resampleBasePool(frac float64) {
 	}
 	// Loose preference: spread well beyond the fleet's most desirable tier.
 	const sigmaDynamic = 1.0
-	fresh := a.noisyTopSample(a.rng.DeriveInto(&a.dc.deriveScratch, "resample"), a.dc.hosts, n, sigmaDynamic, mark)
+	fresh := a.noisyTopSample(a.dc.deriveScratch.Reseed(randx.DeriveSeed(a.seed, "resample")), a.dc.hosts, n, sigmaDynamic, mark)
 	// Replace entries at random positions — including the high-preference
 	// head. This is what makes us-central1 placement "more dynamic": a
 	// tenant's instances keep landing on partially new hosts, which in turn
 	// caps how well any attacker footprint can cover them (the paper's
 	// 61-90% coverage band there, vs ~100% elsewhere).
-	perm := a.rng.DeriveInto(&a.dc.deriveScratch, "resample-pos").Perm(len(a.basePool))
+	perm := a.dc.deriveScratch.Reseed(randx.DeriveSeed(a.seed, "resample-pos")).Perm(len(a.basePool))
 	for i, h := range fresh {
 		a.basePool[perm[i]] = h
 	}

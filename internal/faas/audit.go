@@ -1,0 +1,84 @@
+package faas
+
+import "fmt"
+
+// Audit checks that the region holds only its own objects and that
+// residency and service slots agree. It returns the first violation found:
+//
+//   - every host is dc.hosts[id] and belongs to dc, and every host an
+//     account's pools, a service's CloudRun helper set, an instance or a
+//     guest's environment points at is one of them;
+//   - every live instance sits at its slot in both its host's resident list
+//     and its service's instance list, every resident is such an instance,
+//     and each service's tombstone count is deadInsts;
+//   - every non-terminated member of the current nursery cohort is one of
+//     the region's live instances (terminated members stay until the
+//     boundary, which skips them).
+//
+// Snapshot tests run it on the original world and on every fork: a fork
+// that points back into the snapshot fails it.
+func (dc *DataCenter) Audit() error {
+	residents, live := 0, 0
+	for i, h := range dc.hosts {
+		if int(h.id) != i || h.dc != dc {
+			return fmt.Errorf("faas: audit: dc.hosts[%d] is not this region's host %d", i, i)
+		}
+		for slot, inst := range h.instances {
+			if inst == nil || inst.host != h || inst.hostSlot != slot {
+				return fmt.Errorf("faas: audit: host %d resident slot %d does not hold its instance", h.id, slot)
+			}
+		}
+		residents += len(h.instances)
+	}
+	for _, a := range dc.acctSeq {
+		pools := [][]*Host{a.basePool, a.helpers}
+		for _, s := range a.svcSeq {
+			if st, ok := s.policyState.(*cloudRunState); ok {
+				pools = append(pools, st.helpers)
+			}
+			dead := 0
+			for slot, inst := range s.insts {
+				switch {
+				case inst == nil:
+					dead++
+				case inst.service != s || inst.slot != slot || inst.state == StateTerminated:
+					return fmt.Errorf("faas: audit: service %s/%s slot %d holds instance %s of another slot or service, or terminated", a.id, s.name, slot, inst.ID())
+				case !dc.ownsHost(inst.host) || inst.hostSlot >= len(inst.host.instances) || inst.host.instances[inst.hostSlot] != inst:
+					return fmt.Errorf("faas: audit: instance %s is not resident at its slot on one of the region's hosts", inst.ID())
+				case inst.guest != &inst.guestStore || !inst.guest.RunsOn(inst.host):
+					return fmt.Errorf("faas: audit: instance %s's guest runs on another host", inst.ID())
+				}
+			}
+			if dead != s.deadInsts {
+				return fmt.Errorf("faas: audit: service %s/%s has %d tombstones, deadInsts %d", a.id, s.name, dead, s.deadInsts)
+			}
+			live += len(s.insts) - dead
+		}
+		for _, pool := range pools {
+			for _, h := range pool {
+				if !dc.ownsHost(h) {
+					return fmt.Errorf("faas: audit: a host pool of account %s holds host %d of another world", a.id, h.id)
+				}
+			}
+		}
+	}
+	if live != residents {
+		return fmt.Errorf("faas: audit: %d live instances but %d host residents", live, residents)
+	}
+	if c := dc.nursery; c != nil {
+		for _, inst := range c.insts {
+			s := inst.service
+			a := s.account
+			owned := dc.accounts[a.id] == a && a.services[s.name] == s && inst.slot < len(s.insts) && s.insts[inst.slot] == inst
+			if inst.state != StateTerminated && !owned {
+				return fmt.Errorf("faas: audit: nursery member %s is not one of the region's instances", inst.ID())
+			}
+		}
+	}
+	return nil
+}
+
+// ownsHost reports whether h is one of the region's hosts.
+func (dc *DataCenter) ownsHost(h *Host) bool {
+	return h != nil && int(h.id) < len(dc.hosts) && dc.hosts[h.id] == h
+}

@@ -107,7 +107,7 @@ func (h *Host) materialize() {
 	// The indexed stream is drained within this call (noiseRNG below lives
 	// on), so reseeding the region scratch in place avoids one 5 KiB state
 	// allocation per materialized host.
-	rng := dc.rng.DeriveIndexedInto(&dc.matScratch, "host", i)
+	rng := dc.matScratch.Reseed(randx.DeriveIndexedSeed(dc.seed, "host", i))
 	// The noise stream's slab slot is first scratch for the problematic draw.
 	if len(dc.noiseSlab) == 0 {
 		dc.noiseChunk = min(2*dc.noiseChunk+1, 32)

@@ -73,7 +73,7 @@ func hazardPerHour(p float64) float64 {
 func (dc *DataCenter) initLifecycleKernel() {
 	dc.churnHazard = hazardPerHour(dc.profile.InstanceChurnPerHour)
 	dc.preemptHazard = hazardPerHour(dc.faults.PreemptionRatePerHour)
-	dc.lifeSeed = dc.rng.DeriveSeed("lifecycle")
+	dc.lifeSeed = randx.DeriveSeed(dc.seed, "lifecycle")
 	dc.lifeMix1 = randx.MixInit(dc.lifeSeed)
 }
 

@@ -13,8 +13,10 @@ import (
 // or more data centers. All mutation happens on the single simulator thread;
 // Platform is not safe for concurrent use (by design, for determinism).
 type Platform struct {
-	sched   *simtime.Scheduler
-	rng     *randx.Source
+	sched *simtime.Scheduler
+	// seed is the world seed. Regions derive their seeds from it; nothing
+	// draws from the platform itself, so it holds a seed, not a stream.
+	seed    uint64
 	regions map[Region]*DataCenter
 	order   []Region
 
@@ -39,7 +41,7 @@ func NewPlatform(seed uint64, profiles ...RegionProfile) (*Platform, error) {
 	}
 	p := &Platform{
 		sched:   simtime.NewScheduler(0),
-		rng:     randx.New(seed),
+		seed:    seed,
 		regions: make(map[Region]*DataCenter, len(profiles)),
 	}
 	for _, prof := range profiles {
@@ -97,14 +99,16 @@ func (p *Platform) Regions() []Region { return append([]Region(nil), p.order...)
 // Seed returns the world seed the platform was built from. Observers use it
 // to derive their own randomness streams (via randx.Derive labels disjoint
 // from the platform's) without touching platform state.
-func (p *Platform) Seed() uint64 { return p.rng.Seed() }
+func (p *Platform) Seed() uint64 { return p.seed }
 
 // DataCenter is one simulated region.
 type DataCenter struct {
 	platform *Platform
 	profile  RegionProfile
-	rng      *randx.Source
-	hosts    []*Host
+	// seed derives every stream of the region (hosts, accounts, boots,
+	// faults, traffic, lifecycle); the region itself never draws.
+	seed  uint64
+	hosts []*Host
 	// bootTimes holds every host's boot instant, sampled eagerly at
 	// construction: boots come from one shared sequential stream (maintenance
 	// batches correlate hosts), so they cannot be deferred per host without
@@ -179,7 +183,6 @@ type DataCenter struct {
 	// positive, which is what keeps a zero plan byte-identical.
 	faults          FaultPlan
 	launchFaultRNG  *randx.Source
-	preemptRNG      *randx.Source
 	channelFaultRNG *randx.Source
 	probeFaultRNG   *randx.Source
 	faultCounters   FaultCounters
@@ -196,16 +199,15 @@ func newDataCenter(p *Platform, prof RegionProfile) *DataCenter {
 	dc := &DataCenter{
 		platform: p,
 		profile:  prof,
-		rng:      p.rng.Derive("dc", string(prof.Name)),
+		seed:     randx.DeriveSeed(p.seed, "dc", string(prof.Name)),
 		accounts: make(map[string]*Account),
 		policy:   policyFor(prof),
 		faults:   prof.Faults,
 	}
-	dc.launchFaultRNG = dc.rng.Derive("faults", "launch")
-	dc.preemptRNG = dc.rng.Derive("faults", "preempt")
-	dc.channelFaultRNG = dc.rng.Derive("faults", "channel")
-	dc.probeFaultRNG = dc.rng.Derive("faults", "probe")
-	dc.bootTimes = sampleBootTimes(dc.rng.Derive("boots"), prof, p.sched.Now())
+	dc.launchFaultRNG = randx.New(randx.DeriveSeed(dc.seed, "faults", "launch"))
+	dc.channelFaultRNG = randx.New(randx.DeriveSeed(dc.seed, "faults", "channel"))
+	dc.probeFaultRNG = randx.New(randx.DeriveSeed(dc.seed, "faults", "probe"))
+	dc.bootTimes = sampleBootTimes(randx.New(randx.DeriveSeed(dc.seed, "boots")), prof, p.sched.Now())
 	// One contiguous backing array of host shells: identity fields only, no
 	// RNG state, no maps. A 10⁵-host region costs two allocations here; the
 	// expensive parts of a host are drawn on first contact (Host.materialize).

@@ -65,7 +65,7 @@ type Service struct {
 }
 
 func newService(a *Account, name string, cfg ServiceConfig) *Service {
-	rng := a.rng.Derive("service", name)
+	rng := randx.New(randx.DeriveSeed(a.seed, "service", name))
 	s := &Service{
 		account:        a,
 		name:           name,

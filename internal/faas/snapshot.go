@@ -6,7 +6,7 @@ import (
 	"eaao/internal/simtime"
 )
 
-// World snapshots: copy-on-write forking of a fully built platform.
+// World snapshots: deep-copy forking of a fully built platform.
 //
 // Trial fan-out (runTrials, campaign sweeps, fleet shards) historically
 // rebuilt the world from the root seed for every trial — at fleet scale,
@@ -19,13 +19,22 @@ import (
 // sequence numbers, and lazily-materialized hosts stay unmaterialized (a
 // fork pays only for the hosts the original had touched).
 //
+// A fork copies only state it can draw from or mutate. The platform, its
+// regions and accounts only derive sub-streams, which reads a seed and draws
+// nothing, so they hold a seed word; the streams that draw (services, host
+// noise, fault planes, congestion) are cloned at their position. Pointers
+// are remapped by index, not through identity maps: a host's counterpart is
+// the cloned region's hosts[id], and an instance's is the cloned service's
+// insts[slot], whose layout (tombstones included) is copied exactly.
+//
 // What cannot be snapshotted — all three capture state that lives outside
 // the world, which a deep copy cannot follow:
 //
-//   - pending closure events (Scheduler.At/After/Schedule), such as
-//     experiment-scheduled callbacks. The event kernel and every platform
-//     timer use intrusive Handler events, which remap cleanly; mid-callback
-//     snapshots error.
+//   - a pending event whose handler remapEvent does not know, such as an
+//     experiment's own timer. Every platform timer (idle reapers, lifecycle
+//     timers, nursery cohorts, demand decay, autoscale ticks, traffic
+//     re-draws) is an intrusive Handler event that remaps to its cloned
+//     owner.
 //   - instances carrying OnSIGTERM or SetWorkload callbacks.
 //   - an installed PlacementTracer.
 //
@@ -70,29 +79,25 @@ func (s *Snapshot) MustRestore() *Platform {
 	return p
 }
 
-// worldClone carries the old-to-new identity maps of one platform clone;
-// remapEvent consults them to rebind the scheduler's pending events to
-// their cloned owners.
+// worldClone carries the old-to-new region and service maps of one
+// platform clone; remapEvent consults them to rebind the scheduler's pending
+// events to their cloned owners. Hosts and instances remap by index.
 type worldClone struct {
-	dcs   map[*DataCenter]*DataCenter
-	hosts map[*Host]*Host
-	insts map[*Instance]*Instance
-	svcs  map[*Service]*Service
-	err   error
+	dcs  map[*DataCenter]*DataCenter
+	svcs map[*Service]*Service
+	err  error
 }
 
 func clonePlatform(src *Platform) (*Platform, error) {
 	np := &Platform{
-		rng:     src.rng.Clone(),
+		seed:    src.seed,
 		regions: make(map[Region]*DataCenter, len(src.regions)),
 		order:   append([]Region(nil), src.order...),
 		markSeq: src.markSeq,
 	}
 	cl := &worldClone{
-		dcs:   make(map[*DataCenter]*DataCenter, len(src.regions)),
-		hosts: make(map[*Host]*Host),
-		insts: make(map[*Instance]*Instance),
-		svcs:  make(map[*Service]*Service),
+		dcs:  make(map[*DataCenter]*DataCenter, len(src.regions)),
+		svcs: make(map[*Service]*Service),
 	}
 	for _, r := range src.order {
 		ndc, err := cloneDataCenter(np, src.regions[r], cl)
@@ -119,7 +124,7 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 	ndc := &DataCenter{
 		platform: np,
 		profile:  odc.profile,
-		rng:      odc.rng.Clone(),
+		seed:     odc.seed,
 		// bootTimes is immutable after construction and identical across
 		// forks; sharing it saves the largest remaining per-fork slice.
 		bootTimes:     odc.bootTimes,
@@ -143,7 +148,6 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 	// simulation, and remapEvent leases fresh slots for pending timers.
 	cl.dcs[odc] = ndc
 	ndc.launchFaultRNG = odc.launchFaultRNG.Clone()
-	ndc.preemptRNG = odc.preemptRNG.Clone()
 	ndc.channelFaultRNG = odc.channelFaultRNG.Clone()
 	ndc.probeFaultRNG = odc.probeFaultRNG.Clone()
 
@@ -161,12 +165,8 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 		if oh.noiseRNG != nil {
 			nh.noiseRNG = oh.noiseRNG.Clone()
 		}
-		nh.instances = nil
-		if n := len(oh.instances); n > 0 {
-			nh.instances = make([]*Instance, n)
-		}
+		nh.instances = make([]*Instance, len(oh.instances))
 		ndc.hosts[i] = nh
-		cl.hosts[oh] = nh
 	}
 
 	for _, oa := range odc.acctSeq {
@@ -196,15 +196,9 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 			tenants:   make([]trafficTenant, len(ot.tenants)),
 		}
 		for i := range ot.tenants {
-			o := &ot.tenants[i]
 			n := &nt.tenants[i]
-			n.state = nt
-			n.rank = o.rank
-			n.mixBase = o.mixBase
-			n.base = o.base
-			n.phase = o.phase
-			n.draws = o.draws
-			n.svc = cl.svcs[o.svc]
+			*n = ot.tenants[i]
+			n.state, n.svc, n.ev = nt, cl.svcs[n.svc], simtime.Event{}
 			if n.svc == nil {
 				return nil, fmt.Errorf("faas: snapshot: traffic tenant %d's service missing from the clone", i)
 			}
@@ -214,7 +208,7 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 
 	// Every slot of every host's resident list must have been claimed by a
 	// cloned instance (live instances are exactly the service-reachable
-	// ones); a hole means the identity maps are inconsistent.
+	// ones); a hole means residency and service slots disagree.
 	for i, nh := range ndc.hosts {
 		for slot, inst := range nh.instances {
 			if inst == nil {
@@ -229,10 +223,10 @@ func cloneAccount(ndc *DataCenter, oa *Account, cl *worldClone) (*Account, error
 	na := &Account{
 		dc:       ndc,
 		id:       oa.id,
-		rng:      oa.rng.Clone(),
+		seed:     oa.seed,
 		group:    oa.group,
-		basePool: remapHosts(oa.basePool, cl),
-		helpers:  remapHosts(oa.helpers, cl),
+		basePool: remapHosts(oa.basePool, ndc),
+		helpers:  remapHosts(oa.helpers, ndc),
 		services: make(map[string]*Service, len(oa.services)),
 		quota:    oa.quota,
 		bill:     oa.bill,
@@ -249,29 +243,20 @@ func cloneAccount(ndc *DataCenter, oa *Account, cl *worldClone) (*Account, error
 }
 
 func cloneService(na *Account, os *Service, cl *worldClone) (*Service, error) {
-	ns := &Service{
-		account:         na,
-		name:            os.name,
-		size:            os.size,
-		gen:             os.gen,
-		rng:             os.rng.Clone(),
-		deadInsts:       os.deadInsts,
-		hasLaunched:     os.hasLaunched,
-		lastLaunch:      os.lastLaunch,
-		hotStreak:       os.hotStreak,
-		maxConcurrency:  os.maxConcurrency,
-		demand:          os.demand,
-		autoscaling:     os.autoscaling,
-		activeCount:     os.activeCount,
-		seenHosts:       append(hostBitset(nil), os.seenHosts...),
-		coldLaunchHosts: os.coldLaunchHosts,
-		usedLaunchHosts: os.usedLaunchHosts,
-	}
+	// Value-copy, like hosts and instances; the stream, the host bitset, the
+	// instance list and the policy state become the fork's own below, and
+	// timers start detached (remapEvent rebinds the pending ones).
+	ns := new(Service)
+	*ns = *os
+	ns.account, ns.rng = na, os.rng.Clone()
+	ns.seenHosts = append(hostBitset(nil), os.seenHosts...)
+	ns.insts, ns.policyState = nil, nil
+	ns.decayEvent, ns.tickEvent = simtime.Event{}, simtime.Event{}
 	cl.svcs[os] = ns
 	switch st := os.policyState.(type) {
 	case nil:
 	case *cloudRunState:
-		ns.policyState = &cloudRunState{helpers: remapHosts(st.helpers, cl)}
+		ns.policyState = &cloudRunState{helpers: remapHosts(st.helpers, na.dc)}
 	default:
 		return nil, fmt.Errorf("faas: snapshot: service %s/%s has unsupported policy state %T", na.id, os.name, st)
 	}
@@ -284,7 +269,7 @@ func cloneService(na *Account, os *Service, cl *worldClone) (*Service, error) {
 			if oi == nil {
 				continue
 			}
-			ni, err := cloneInstance(ns, oi, cl)
+			ni, err := cloneInstance(ns, oi)
 			if err != nil {
 				return nil, err
 			}
@@ -294,7 +279,7 @@ func cloneService(na *Account, os *Service, cl *worldClone) (*Service, error) {
 	return ns, nil
 }
 
-func cloneInstance(ns *Service, oi *Instance, cl *worldClone) (*Instance, error) {
+func cloneInstance(ns *Service, oi *Instance) (*Instance, error) {
 	if oi.sigterm != nil {
 		return nil, fmt.Errorf("faas: snapshot: instance %s has an OnSIGTERM callback; callbacks capture state outside the world", oi.ID())
 	}
@@ -305,10 +290,7 @@ func cloneInstance(ns *Service, oi *Instance, cl *worldClone) (*Instance, error)
 	ni := ndc.allocInstance()
 	*ni = *oi
 	ni.service = ns
-	nh := cl.hosts[oi.host]
-	if nh == nil {
-		return nil, fmt.Errorf("faas: snapshot: instance %s resides on an unknown host", oi.ID())
-	}
+	nh := ndc.hosts[oi.host.id]
 	ni.host = nh
 	nh.instances[oi.hostSlot] = ni
 	// The guest's host-environment handle must point at the cloned host; all
@@ -320,19 +302,30 @@ func cloneInstance(ns *Service, oi *Instance, cl *worldClone) (*Instance, error)
 	// slot for a pending lifecycle timer).
 	ni.termEvent = simtime.Event{}
 	ni.lifeEvent = nil
-	cl.insts[oi] = ni
 	return ni, nil
 }
 
-func remapHosts(hosts []*Host, cl *worldClone) []*Host {
+// remapHosts returns the counterparts of hosts in the cloned region ndc.
+func remapHosts(hosts []*Host, ndc *DataCenter) []*Host {
 	if hosts == nil {
 		return nil
 	}
 	out := make([]*Host, len(hosts))
 	for i, h := range hosts {
-		out[i] = cl.hosts[h]
+		out[i] = ndc.hosts[h.id]
 	}
 	return out
+}
+
+// inst returns the counterpart of a live instance: the same slot of its
+// cloned service, or nil when oi is not live in a cloned service.
+func (cl *worldClone) inst(oi *Instance) *Instance {
+	os := oi.service
+	ns := cl.svcs[os]
+	if ns == nil || oi.slot >= len(os.insts) || os.insts[oi.slot] != oi {
+		return nil
+	}
+	return ns.insts[oi.slot]
 }
 
 // remapEvent rebinds one pending scheduler event to its cloned owner. The
@@ -341,7 +334,7 @@ func remapHosts(hosts []*Host, cl *worldClone) []*Host {
 func (cl *worldClone) remapEvent(old *simtime.Event, h simtime.Handler) (*simtime.Event, simtime.Handler) {
 	switch o := h.(type) {
 	case *Instance:
-		ni := cl.insts[o]
+		ni := cl.inst(o)
 		if ni == nil {
 			return cl.fail("pending timer of an instance missing from the clone")
 		}
@@ -384,7 +377,7 @@ func (cl *worldClone) remapEvent(old *simtime.Event, h simtime.Handler) (*simtim
 			if oi.state == StateTerminated {
 				continue
 			}
-			ni := cl.insts[oi]
+			ni := cl.inst(oi)
 			if ni == nil {
 				return cl.fail("nursery cohort member missing from the clone")
 			}

@@ -1,10 +1,12 @@
 package faas
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"eaao/internal/sandbox"
 	"eaao/internal/simtime"
 )
 
@@ -131,6 +133,17 @@ func driveWorld(t *testing.T, p *Platform) []string {
 	return log
 }
 
+// audited fails the test if any region of p fails its Audit, and returns p.
+func audited(t testing.TB, p *Platform) *Platform {
+	t.Helper()
+	for _, r := range p.Regions() {
+		if err := p.MustRegion(r).Audit(); err != nil {
+			t.Fatalf("region %s: %v", r, err)
+		}
+	}
+	return p
+}
+
 func diffLogs(t *testing.T, name string, want, got []string) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -154,19 +167,22 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 		snapPrologue(t, p)
 		return p
 	}
-	orig := build()
+	orig := audited(t, build())
 	snap, err := orig.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fork1 := snap.MustRestore()
-	fork2 := snap.MustRestore()
+	fork1 := audited(t, snap.MustRestore())
+	fork2 := audited(t, snap.MustRestore())
 
 	logOrig := driveWorld(t, orig)
 	logFork1 := driveWorld(t, fork1)
 	diffLogs(t, "fork1 vs original", logOrig, logFork1)
 	logFork2 := driveWorld(t, fork2)
 	diffLogs(t, "fork2 vs original", logOrig, logFork2)
+	// The driven worlds still hold only their own objects.
+	audited(t, orig)
+	audited(t, fork1)
 
 	// fork ≡ rebuild: a world rebuilt from the root seed and driven through
 	// the identical history reaches exactly the forks' trajectory.
@@ -180,7 +196,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 func TestSnapshotRestoreThenDiverge(t *testing.T) {
 	p := MustPlatform(23, snapProfile())
 	snapPrologue(t, p)
-	snap, err := p.Snapshot()
+	snap, err := audited(t, p).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,17 +209,17 @@ func TestSnapshotRestoreThenDiverge(t *testing.T) {
 		log = append(log, fmt.Sprintf("b now=%v executed=%d active=%d", w.Now(), w.Scheduler().Executed(), s1.ActiveCount()))
 		return log
 	}
-	logA1 := scriptA(snap.MustRestore())
-	logB1 := scriptB(snap.MustRestore())
-	logA2 := scriptA(snap.MustRestore())
-	logB2 := scriptB(snap.MustRestore())
+	logA1 := scriptA(audited(t, snap.MustRestore()))
+	logB1 := scriptB(audited(t, snap.MustRestore()))
+	logA2 := scriptA(audited(t, snap.MustRestore()))
+	logB2 := scriptB(audited(t, snap.MustRestore()))
 	diffLogs(t, "script A reproducible", logA1, logA2)
 	diffLogs(t, "script B reproducible", logB1, logB2)
 	if len(logA1) == len(logB1) && logA1[0] == logB1[0] {
 		t.Fatal("different scripts produced identical logs — forks are not independent")
 	}
 	// The frozen snapshot survives its forks' divergence.
-	logA3 := scriptA(snap.MustRestore())
+	logA3 := scriptA(audited(t, snap.MustRestore()))
 	diffLogs(t, "snapshot immutable under forking", logA1, logA3)
 }
 
@@ -223,16 +239,16 @@ func TestSnapshotFleetShardMatchesSolo(t *testing.T) {
 	snapPrologue(t, shard)
 	snapPrologue(t, solo)
 
-	shardSnap, err := shard.Snapshot()
+	shardSnap, err := audited(t, shard).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloSnap, err := solo.Snapshot()
+	soloSnap, err := audited(t, solo).Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	diffLogs(t, "fleet shard fork vs solo fork",
-		driveWorld(t, soloSnap.MustRestore()), driveWorld(t, shardSnap.MustRestore()))
+		driveWorld(t, audited(t, soloSnap.MustRestore())), driveWorld(t, audited(t, shardSnap.MustRestore())))
 }
 
 // TestSnapshotRejectsOutsideState pins every documented snapshot error:
@@ -283,3 +299,107 @@ func TestSnapshotRejectsOutsideState(t *testing.T) {
 type closureHandler func(simtime.Time)
 
 func (f closureHandler) HandleEvent(_ *simtime.Event, now simtime.Time) { f(now) }
+
+// loadedWorld builds perfbench's campaign-loaded set-up: quarter-scale
+// us-east1 (125 hosts) at 0.70 bystander load, warmed up for 2 h, with 60
+// Gen 1 victims launched (shed launches retried every 15 s, up to 8 times).
+func loadedWorld(tb testing.TB, seed uint64) *Platform {
+	tb.Helper()
+	p := USEast1Profile()
+	p.NumHosts = 125
+	p.PlacementGroups = 5
+	p.BasePoolSize = 24
+	p.AccountHelperPool = 65
+	p.ServiceHelperSize = 48
+	p.ServiceHelperFresh = 4
+	p.Traffic = DefaultTrafficModel(p.NumHosts, 0.70)
+	pl := MustPlatform(seed, p)
+	pl.Scheduler().Advance(2 * time.Hour)
+	svc := pl.MustRegion(p.Name).Account("victim").DeployService("v", ServiceConfig{Gen: sandbox.Gen1})
+	_, err := svc.Launch(60)
+	for tries := 0; errors.Is(err, ErrLaunchFault) && tries < 8; tries++ {
+		pl.Scheduler().Advance(15 * time.Second)
+		_, err = svc.Launch(60)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pl
+}
+
+// BenchmarkSnapshotRestore measures one fork of a busy world (loadedWorld),
+// the restore every campaign-loaded op pays.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	snap, err := loadedWorld(b, 1000).Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap.MustRestore()
+	}
+}
+
+// TestAuditCatchesCorruption corrupts one fork per Audit check and requires
+// the audit to fail; an untouched fork, and a terminated nursery member of
+// another world, must pass.
+func TestAuditCatchesCorruption(t *testing.T) {
+	p := MustPlatform(11, snapProfile())
+	snapPrologue(t, p)
+	snap, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// other is a second world built the same way: its hosts and instances
+	// match the fork's ids and slots, but are not the fork's.
+	other := MustPlatform(11, snapProfile())
+	snapPrologue(t, other)
+	odc := other.MustRegion("test-region")
+	oinst := odc.Account("a1").DeployService("s1", ServiceConfig{}).Instances()[0]
+
+	cases := []struct {
+		name    string
+		corrupt func(dc *DataCenter, s *Service, inst *Instance)
+		ok      bool
+	}{
+		{"untouched", func(*DataCenter, *Service, *Instance) {}, true},
+		{"host slice", func(dc *DataCenter, _ *Service, _ *Instance) { dc.hosts[3] = odc.hosts[3] }, false},
+		{"base pool", func(_ *DataCenter, s *Service, _ *Instance) {
+			s.account.basePool[0] = odc.hosts[s.account.basePool[0].id]
+		}, false},
+		{"account helpers", func(_ *DataCenter, s *Service, _ *Instance) {
+			s.account.helpers[0] = odc.hosts[s.account.helpers[0].id]
+		}, false},
+		{"service helper set", func(_ *DataCenter, s *Service, _ *Instance) {
+			st := s.policyState.(*cloudRunState)
+			st.helpers[0] = odc.hosts[st.helpers[0].id]
+		}, false},
+		{"instance host", func(_ *DataCenter, _ *Service, inst *Instance) { inst.host = odc.hosts[inst.host.id] }, false},
+		{"guest env", func(_ *DataCenter, _ *Service, inst *Instance) {
+			inst.guestStore.CloneInto(&inst.guestStore, odc.hosts[inst.host.id])
+		}, false},
+		{"host resident", func(_ *DataCenter, _ *Service, inst *Instance) { inst.host.instances[inst.hostSlot] = oinst }, false},
+		{"host slot", func(_ *DataCenter, _ *Service, inst *Instance) { inst.hostSlot++ }, false},
+		{"service slot", func(_ *DataCenter, s *Service, inst *Instance) { s.insts[inst.slot] = oinst }, false},
+		{"tombstones", func(_ *DataCenter, s *Service, _ *Instance) { s.deadInsts++ }, false},
+		{"nursery member", func(dc *DataCenter, _ *Service, _ *Instance) {
+			dc.nursery.insts = append(dc.nursery.insts, oinst)
+		}, false},
+		{"terminated nursery member", func(dc *DataCenter, _ *Service, _ *Instance) {
+			dead := *oinst
+			dead.state = StateTerminated
+			dc.nursery.insts = append(dc.nursery.insts, &dead)
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dc := snap.MustRestore().MustRegion("test-region")
+			s := dc.Account("a1").DeployService("s1", ServiceConfig{})
+			c.corrupt(dc, s, s.Instances()[0])
+			if err := dc.Audit(); (err == nil) != c.ok {
+				t.Fatalf("audit after corrupting the %s: %v", c.name, err)
+			}
+		})
+	}
+}

@@ -197,8 +197,8 @@ func (dc *DataCenter) initTraffic() {
 	ts := &trafficState{
 		dc:        dc,
 		model:     m,
-		mix1:      randx.MixInit(dc.rng.DeriveSeed("traffic")),
-		rejectRNG: dc.rng.Derive("traffic", "congestion"),
+		mix1:      randx.MixInit(randx.DeriveSeed(dc.seed, "traffic")),
+		rejectRNG: randx.New(randx.DeriveSeed(dc.seed, "traffic", "congestion")),
 		capacity:  dc.profile.NumHosts * dc.profile.BasePerHostCap,
 		tenants:   make([]trafficTenant, m.Tenants),
 	}

@@ -96,7 +96,7 @@ func TestTrafficSnapshotForkIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap, err := pl.Snapshot()
+	snap, err := audited(t, pl).Snapshot()
 	if err != nil {
 		t.Fatalf("loaded world refused to snapshot: %v", err)
 	}
@@ -114,8 +114,8 @@ func TestTrafficSnapshotForkIdentical(t *testing.T) {
 		return log
 	}
 	want := drive(pl)
-	diffLogs(t, "fork 1", want, drive(snap.MustRestore()))
-	diffLogs(t, "fork 2", want, drive(snap.MustRestore()))
+	diffLogs(t, "fork 1", want, drive(audited(t, snap.MustRestore())))
+	diffLogs(t, "fork 2", want, drive(audited(t, snap.MustRestore())))
 }
 
 // TestTrafficSnapshotStillRefusesWorkloadClosures scopes the snapshot

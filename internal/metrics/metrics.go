@@ -68,9 +68,6 @@ func CountPairs[L1, L2 comparable](predicted []L1, truth []L2) PairCounts {
 	return PairCounts{TP: tp, FP: fp, TN: tn, FN: fn}
 }
 
-// Total returns the number of classified pairs.
-func (c PairCounts) Total() int64 { return c.TP + c.FP + c.TN + c.FN }
-
 // Precision returns TP/(TP+FP). With no positive predictions it returns 1:
 // a labeling that predicts no co-location makes no false claims.
 func (c PairCounts) Precision() float64 {

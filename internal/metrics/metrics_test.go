@@ -91,19 +91,6 @@ func TestKnownFMI(t *testing.T) {
 	}
 }
 
-func TestTotalPairs(t *testing.T) {
-	pred := make([]int, 100)
-	truth := make([]int, 100)
-	for i := range pred {
-		pred[i] = i % 7
-		truth[i] = i % 13
-	}
-	c := CountPairs(pred, truth)
-	if c.Total() != 100*99/2 {
-		t.Errorf("Total = %d, want %d", c.Total(), 100*99/2)
-	}
-}
-
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

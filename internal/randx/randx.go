@@ -9,6 +9,7 @@ package randx
 import (
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Source is a deterministic random source. It wraps the simulator's
@@ -43,14 +44,15 @@ func New(seed uint64) *Source {
 }
 
 // Reseed reinitializes s in place to exactly the state New(seed) would
-// return: the same stream from the top, with no allocation. It exists for
-// scratch Sources that are derived, drained, and discarded in one scope
-// (per-host materialization, recycle draws, pool sampling) — the dominant
-// randx allocation sites once streams themselves got cheap.
-func (s *Source) Reseed(seed uint64) {
+// return, the same stream from the top with no allocation, and returns s. It
+// exists for scratch Sources that are derived, drained, and discarded in one
+// scope (per-host materialization, recycle draws, pool sampling) — the
+// dominant randx allocation sites once streams themselves got cheap.
+func (s *Source) Reseed(seed uint64) *Source {
 	s.seed = seed
 	s.st.Seed(int64(seed))
 	s.wire()
+	return s
 }
 
 // DeriveInto is Derive(labels...) into an existing Source: dst is reseeded
@@ -58,18 +60,7 @@ func (s *Source) Reseed(seed uint64) {
 // use by any live caller (the simulator's scratch sources are single-purpose
 // and the simulator is single-threaded, which is what makes this safe).
 func (s *Source) DeriveInto(dst *Source, labels ...string) *Source {
-	dst.Reseed(s.DeriveSeed(labels...))
-	return dst
-}
-
-// DeriveIndexedInto is DeriveInto(dst, label, strconv.Itoa(idx)) without
-// building the index string: the decimal digits are hashed directly. It
-// exists for per-entity stream derivation over dense integer identities (one
-// stream per host), where the throwaway label string was a measurable
-// allocation. Same aliasing contract as DeriveInto.
-func (s *Source) DeriveIndexedInto(dst *Source, label string, idx int) *Source {
-	dst.Reseed(s.deriveIndexedSeed(label, idx))
-	return dst
+	return dst.Reseed(s.DeriveSeed(labels...))
 }
 
 // Clone returns an independent copy of the source at its exact current
@@ -97,63 +88,51 @@ func (s *Source) Derive(labels ...string) *Source {
 	return New(s.DeriveSeed(labels...))
 }
 
-// DeriveSeed returns the seed Derive would build a stream from — the FNV-64a
-// hash of the parent seed (little-endian) and the NUL-separated labels —
-// without constructing the stream.
-func (s *Source) DeriveSeed(labels ...string) uint64 {
-	h := uint64(fnvOffset64)
-	for v, i := s.seed, 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
+// DeriveSeed returns the seed Derive would build a stream from, without
+// constructing the stream.
+func (s *Source) DeriveSeed(labels ...string) uint64 { return DeriveSeed(s.seed, labels...) }
+
+// DeriveSeed returns the seed of the stream a Source seeded with seed would
+// Derive with these labels: the FNV-64a hash of the parent seed
+// (little-endian) and the NUL-separated labels. Since derivation reads only
+// the parent's seed, an entity that derives sub-streams but never draws holds
+// its seed, not a Source.
+func DeriveSeed(seed uint64, labels ...string) uint64 {
+	h := hashSeed(seed)
 	for _, l := range labels {
-		h = (h ^ 0) * fnvPrime64 // separator so ("ab","c") != ("a","bc")
-		for i := 0; i < len(l); i++ {
-			h = (h ^ uint64(l[i])) * fnvPrime64
-		}
+		h = hashLabel(h, l)
 	}
 	return h
 }
 
-// deriveIndexedSeed is DeriveSeed(label, strconv.Itoa(idx)) with the digits
-// hashed from a stack buffer.
-func (s *Source) deriveIndexedSeed(label string, idx int) uint64 {
+// hashSeed starts a derivation hash with the parent seed's eight bytes.
+func hashSeed(seed uint64) uint64 {
 	h := uint64(fnvOffset64)
-	for v, i := s.seed, 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	h = (h ^ 0) * fnvPrime64
-	for i := 0; i < len(label); i++ {
-		h = (h ^ uint64(label[i])) * fnvPrime64
-	}
-	h = (h ^ 0) * fnvPrime64
-	var buf [20]byte
-	n := len(buf)
-	u := uint64(idx)
-	if idx < 0 {
-		u = uint64(-idx)
-	}
-	for {
-		n--
-		buf[n] = '0' + byte(u%10)
-		u /= 10
-		if u == 0 {
-			break
-		}
-	}
-	if idx < 0 {
-		n--
-		buf[n] = '-'
-	}
-	for ; n < len(buf); n++ {
-		h = (h ^ uint64(buf[n])) * fnvPrime64
+	for i := 0; i < 8; i++ {
+		h = (h ^ (seed & 0xff)) * fnvPrime64
+		seed >>= 8
 	}
 	return h
 }
 
-// Seed reports the seed this source was created with.
-func (s *Source) Seed() uint64 { return s.seed }
+// hashLabel folds one label into a derivation hash, after a NUL separator so
+// ("ab","c") != ("a","bc").
+func hashLabel(h uint64, l string) uint64 {
+	h *= fnvPrime64 // the NUL byte: (h ^ 0) * prime
+	for i := 0; i < len(l); i++ {
+		h = (h ^ uint64(l[i])) * fnvPrime64
+	}
+	return h
+}
+
+// DeriveIndexedSeed is DeriveSeed(seed, label, strconv.Itoa(idx)) with the
+// digits formatted into a stack buffer: per-entity derivation over dense
+// integer identities (one stream per host) allocates no label string.
+func DeriveIndexedSeed(seed uint64, label string, idx int) uint64 {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(idx), 10)
+	return hashLabel(hashLabel(hashSeed(seed), label), string(digits))
+}
 
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 { return s.float64() }

@@ -46,7 +46,7 @@ func TestDeriveSeparator(t *testing.T) {
 	root := New(7)
 	a := root.Derive("ab", "c")
 	b := root.Derive("a", "bc")
-	if a.Seed() == b.Seed() {
+	if a.seed == b.seed {
 		t.Fatal("label concatenation ambiguity: (ab,c) and (a,bc) derived the same seed")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -194,8 +195,8 @@ func TestSourceCloneIndependence(t *testing.T) {
 	if g, w := c.Uint64(), d.Uint64(); g != w {
 		t.Fatalf("clone affected by parent draws: %d != %d", g, w)
 	}
-	if c.Seed() != 9 {
-		t.Fatalf("clone seed = %d, want 9", c.Seed())
+	if c.seed != 9 {
+		t.Fatalf("clone seed = %d, want 9", c.seed)
 	}
 }
 
@@ -237,6 +238,21 @@ func TestDeriveSeedAllocFree(t *testing.T) {
 	labels := []string{"host", "123456"}
 	if n := testing.AllocsPerRun(100, func() { s.DeriveSeed(labels...) }); n != 0 {
 		t.Fatalf("DeriveSeed allocates %v per run, want 0", n)
+	}
+}
+
+// TestDeriveIndexedSeed pins the indexed form, which seeds every host's
+// stream, to DeriveSeed over the decimal label, allocation-free.
+func TestDeriveIndexedSeed(t *testing.T) {
+	for _, seed := range rngSeeds {
+		for _, idx := range []int{0, 1, 9, 10, 124, 99999, -1, -42, math.MaxInt64, math.MinInt64} {
+			if g, w := DeriveIndexedSeed(seed, "host", idx), DeriveSeed(seed, "host", strconv.Itoa(idx)); g != w {
+				t.Fatalf("seed %d idx %d: DeriveIndexedSeed %#x != DeriveSeed %#x", seed, idx, g, w)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { benchSink ^= DeriveIndexedSeed(9, "host", 123456) }); n != 0 {
+		t.Fatalf("DeriveIndexedSeed allocates %v per run, want 0", n)
 	}
 }
 

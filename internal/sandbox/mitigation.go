@@ -24,9 +24,6 @@ type Mitigations struct {
 	TSCScaling bool
 }
 
-// Active reports whether any mitigation is enabled.
-func (m Mitigations) Active() bool { return m.TrapAndEmulateTSC || m.TSCScaling }
-
 // Timer access costs used for the §6 overhead analysis. A native rdtsc is a
 // few nanoseconds; a trapped-and-emulated read costs a privilege transition
 // plus emulation — three orders of magnitude more (the paper cites

@@ -94,17 +94,12 @@ type Guest struct {
 	// most guests). Constant per guest: it cancels in frequency deltas but
 	// shifts derived boot times.
 	clockOffset time.Duration
-	// start is the instant the sandbox was created; mitigated counters are
-	// relative to it.
-	start simtime.Time
 	// emuEpoch is the base instant of the kernel's *emulated* counter under
 	// the trap-and-emulate mitigation: the moment the container's emulation
 	// context initialized. Container startup is staggered by scheduling and
 	// image-pull latency, so epochs differ across co-located instances —
 	// which is exactly why the emulated counter carries no host signal.
 	emuEpoch simtime.Time
-	// timerReads counts TSC accesses, for the §6 overhead analysis.
-	timerReads uint64
 }
 
 // NewGuest creates the guest view for a container started now on the given
@@ -125,10 +120,9 @@ func InitGuest(g *Guest, env HostEnv, gen Gen) {
 		env:         env,
 		gen:         gen,
 		clockOffset: env.Noise().SampleGuestOffset(env.NoiseRNG()),
-		start:       env.Now(),
 	}
 	startupLag := time.Duration(env.NoiseRNG().Range(0, float64(10*time.Second)))
-	g.emuEpoch = g.start.Add(-startupLag)
+	g.emuEpoch = env.Now().Add(-startupLag)
 	if gen == Gen2 {
 		g.tscOffset = env.Counter().ReadAt(env.Now())
 	}
@@ -136,13 +130,18 @@ func InitGuest(g *Guest, env HostEnv, gen Gen) {
 
 // CloneInto copies g's observable state into dst, swapping the host
 // environment handle for env — the world-snapshot path, where dst belongs to
-// a cloned instance resident on the cloned counterpart of g's host. Offsets,
-// epochs, and the timer-read count carry over, so the clone's future reads
-// are byte-identical to the original's.
+// a cloned instance resident on the cloned counterpart of g's host. Offsets
+// and epochs carry over, so the clone's future reads are byte-identical to
+// the original's.
 func (g *Guest) CloneInto(dst *Guest, env HostEnv) {
 	*dst = *g
 	dst.env = env
 }
+
+// RunsOn reports whether env is the host environment the guest reads —
+// ground truth for the platform's own consistency checks, which attack code
+// has no host handle to ask with.
+func (g *Guest) RunsOn(env HostEnv) bool { return g.env == env }
 
 // Gen returns the execution environment generation.
 func (g *Guest) Gen() Gen { return g.gen }
@@ -158,44 +157,11 @@ func (g *Guest) ProbeFault() bool { return g.env.ProbeFault() }
 // hypervisor passes the (anonymized) host model through.
 func (g *Guest) CPUModelName() string { return g.env.Model().Name }
 
-// CPUIDInfo is the processor information an unprivileged cpuid sequence
-// yields (§4.1): the brand string and the cache hierarchy — "essential for
-// many cache-based side-channel attacks". The PSN that once uniquely
-// identified processors is discontinued, which is why the paper's
-// fingerprints rely on the TSC instead.
-type CPUIDInfo struct {
-	Vendor         string
-	Brand          string
-	Cores          int
-	Sockets        int
-	L1DBytes       int64
-	L2Bytes        int64
-	L3Bytes        int64
-	CacheLineBytes int
-}
-
-// CPUID returns the processor information visible in this sandbox. Neither
-// environment intercepts the instruction, so the values are the host's.
-func (g *Guest) CPUID() CPUIDInfo {
-	m := g.env.Model()
-	return CPUIDInfo{
-		Vendor:         m.Vendor(),
-		Brand:          m.Name,
-		Cores:          m.Cores,
-		Sockets:        m.Sockets,
-		L1DBytes:       m.L1DBytes,
-		L2Bytes:        m.L2Bytes,
-		L3Bytes:        m.L3Bytes,
-		CacheLineBytes: m.CacheLineBytes,
-	}
-}
-
 // ReadTSC executes rdtsc. In Gen 1 this is the raw host counter; in Gen 2
 // the hardware subtracts the VM-boot offset. Under the §6 mitigations the
 // returned counter is sandbox-relative and ticks at exactly the nominal
 // frequency, leaking neither the host boot time nor the frequency error.
 func (g *Guest) ReadTSC() uint64 {
-	g.timerReads++
 	m := g.env.Mitigations()
 	if (g.gen == Gen1 && m.TrapAndEmulateTSC) || (g.gen == Gen2 && m.TSCScaling) {
 		elapsed := g.env.Now().Sub(g.emuEpoch)
@@ -211,9 +177,6 @@ func virtualTicks(ns, hz uint64) uint64 {
 	rem := ns % 1e9
 	return secs*hz + rem*hz/1e9
 }
-
-// TimerReads reports how many TSC accesses this guest has performed.
-func (g *Guest) TimerReads() uint64 { return g.timerReads }
 
 // TimerReadCost returns the per-read latency of TSC access in this sandbox
 // under the host's mitigations.
@@ -253,26 +216,4 @@ func (g *Guest) GuestKernelTSCHz() (float64, error) {
 		return float64(int64(nominal/1000)) * 1000, nil
 	}
 	return g.env.RefinedTSCHz(), nil
-}
-
-// Sysinfo is what the sysinfo(2)/uptime interfaces report inside the
-// sandbox. Both environments *virtualize* these values: gVisor emulates the
-// system call and reports the sandbox's own lifetime, and a Gen 2 guest
-// kernel booted with the VM. This is precisely why the paper needs the TSC:
-// the sanctioned interfaces hide the host's uptime; the unprivileged
-// hardware counter does not.
-type Sysinfo struct {
-	// Uptime is the (virtualized) system uptime.
-	Uptime time.Duration
-	// Hostname is the (virtualized) host name — the instance identity
-	// scrambled, never the physical machine's name.
-	Hostname string
-}
-
-// ReadSysinfo performs the emulated sysinfo system call.
-func (g *Guest) ReadSysinfo() Sysinfo {
-	return Sysinfo{
-		Uptime:   g.env.Now().Sub(g.start),
-		Hostname: "localhost",
-	}
 }
