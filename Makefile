@@ -3,16 +3,16 @@ GO ?= go
 .PHONY: check lint race bench run-all loc
 
 # Tier-1 gate: lint (gofmt + vet), build, test (including the scale kernel's
-# allocs-per-event ceiling), a build + vet + test of the nested perfbench
-# module (which `./...` never reaches; its tests are the determinism check on
-# the benchmark's campaign workloads), one iteration of every layer
-# microbenchmark so a broken bench fails here (only the packages that hold
-# one are linked, and lint has already vetted them), a race pass over the
+# allocation budget per created instance), a build + vet + test of the
+# nested perfbench module (which `./...` never reaches; its tests are the
+# determinism check on the benchmark's campaign workloads), one iteration of
+# every layer microbenchmark so a broken bench fails here (only the packages
+# that hold one are linked, and lint has already vetted them), a race pass over the
 # fault plane, its attack-side recovery paths, the fleet campaign, and the
 # one worker pool (internal/par) with the trial engine that runs on it,
 # a few seconds of each native fuzz target (the Bernoulli-threshold closed
-# form in randx, the brand-string frequency parser in cpu, fixed-delay lanes
-# against the plain heap in simtime),
+# form in randx, the brand-string frequency parser in cpu, the event queue's
+# tick and timer order against a linear-scan model in simtime),
 # and quick fault-sweep/multiregion/channel-ablation/noise-sweep smoke runs.
 # The `eaao attack` variants (main's split of global flags such as -faults
 # and -load from the attack subcommand's own included) are pinned by
@@ -28,7 +28,7 @@ check: lint
 	$(GO) test -race -run 'TestRunTrials|TestRunAll|TestParallelOutputByteIdentical' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoolThreshold$$' -fuzztime 3s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBaseFrequency$$' -fuzztime 3s ./internal/cpu/
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerLanes$$' -fuzztime 3s ./internal/simtime/
+	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerTicks$$' -fuzztime 3s ./internal/simtime/
 	@$(GO) run ./cmd/eaao -quick run faultsweep >/dev/null
 	@echo "faultsweep smoke OK"
 	@$(GO) run ./cmd/eaao -quick run multiregion >/dev/null
@@ -53,7 +53,7 @@ race:
 	$(GO) test -race ./...
 
 # Layer microbenchmarks where perfbench has no boundary (placement, the
-# simtime heap and its fixed-delay lanes, randx hashing, fingerprint
+# simtime heap with its periodic ticks, randx hashing, fingerprint
 # collection, snapshot restore of a busy world). End-to-end and
 # per-layer campaign numbers come from perfbench (see perfbench/README.md).
 bench:

@@ -107,8 +107,8 @@ func (c *Campaign) Launch() (*CampaignResult, error) {
 	// identity: deterministic per seed, independent across accounts and
 	// strategies, and — crucially — disjoint from every platform stream, so
 	// strategies that draw from it cannot disturb placement randomness.
-	rng := randx.New(c.acct.DataCenter().Platform().Seed()).
-		Derive("attack-campaign", c.acct.ID(), c.strategy.Name())
+	rng := randx.New(randx.DeriveSeed(c.acct.DataCenter().Platform().Seed(),
+		"attack-campaign", c.acct.ID(), c.strategy.Name()))
 	if err := c.strategy.Launch(campaignSink{c}, c.acct, c.cfg, rng); err != nil {
 		return nil, err
 	}

@@ -39,14 +39,6 @@ type Model struct {
 	CacheLineBytes int
 }
 
-// Vendor returns "GenuineIntel" or "AuthenticAMD" as cpuid leaf 0 would.
-func (m Model) Vendor() string {
-	if strings.Contains(m.Name, "AMD") {
-		return "AuthenticAMD"
-	}
-	return "GenuineIntel"
-}
-
 // ReportedTSCHz returns the TSC frequency the guest infers for this model:
 // cpuid does not expose it, so the labeled base frequency is used (method 1
 // of §4.2).

@@ -110,23 +110,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestVendor(t *testing.T) {
-	for _, m := range Catalog {
-		v := m.Vendor()
-		if v != "GenuineIntel" && v != "AuthenticAMD" {
-			t.Errorf("%q: vendor %q", m.Name, v)
-		}
-	}
-	intel, _ := ByName("Intel(R) Xeon(R) CPU @ 2.00GHz")
-	if intel.Vendor() != "GenuineIntel" {
-		t.Error("Intel part misvendored")
-	}
-	amd, _ := ByName("AMD EPYC 7B12 @ 2.25GHz")
-	if amd.Vendor() != "AuthenticAMD" {
-		t.Error("AMD part misvendored")
-	}
-}
-
 func TestCacheHierarchy(t *testing.T) {
 	for _, m := range Catalog {
 		if m.L1DBytes <= 0 || m.L2Bytes <= 0 || m.L3Bytes <= 0 {

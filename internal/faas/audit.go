@@ -11,6 +11,9 @@ import "fmt"
 //   - every live instance sits at its slot in both its host's resident list
 //     and its service's instance list, every resident is such an instance,
 //     and each service's tombstone count is deadInsts;
+//   - each service's activeCount is its number of active instances, and an
+//     autoscaling service's tick is pending or parked with the target met
+//     (a parked tick runs again only when a change wakes it);
 //   - every non-terminated member of the current nursery cohort is one of
 //     the region's live instances (terminated members stay until the
 //     boundary, which skips them).
@@ -36,11 +39,12 @@ func (dc *DataCenter) Audit() error {
 			if st, ok := s.policyState.(*cloudRunState); ok {
 				pools = append(pools, st.helpers)
 			}
-			dead := 0
+			dead, active := 0, 0
 			for slot, inst := range s.insts {
 				switch {
 				case inst == nil:
 					dead++
+					continue
 				case inst.service != s || inst.slot != slot || inst.state == StateTerminated:
 					return fmt.Errorf("faas: audit: service %s/%s slot %d holds instance %s of another slot or service, or terminated", a.id, s.name, slot, inst.ID())
 				case !dc.ownsHost(inst.host) || inst.hostSlot >= len(inst.host.instances) || inst.host.instances[inst.hostSlot] != inst:
@@ -48,9 +52,18 @@ func (dc *DataCenter) Audit() error {
 				case inst.guest != &inst.guestStore || !inst.guest.RunsOn(inst.host):
 					return fmt.Errorf("faas: audit: instance %s's guest runs on another host", inst.ID())
 				}
+				if inst.state == StateActive {
+					active++
+				}
 			}
 			if dead != s.deadInsts {
 				return fmt.Errorf("faas: audit: service %s/%s has %d tombstones, deadInsts %d", a.id, s.name, dead, s.deadInsts)
+			}
+			if active != s.activeCount {
+				return fmt.Errorf("faas: audit: service %s/%s has %d active instances, activeCount %d", a.id, s.name, active, s.activeCount)
+			}
+			if s.autoscaling && !s.tickEvent.Pending() && s.desiredInstances() != s.activeCount {
+				return fmt.Errorf("faas: audit: service %s/%s parked its autoscale tick with target %d unmet (%d active)", a.id, s.name, s.desiredInstances(), s.activeCount)
 			}
 			live += len(s.insts) - dead
 		}

@@ -26,14 +26,16 @@ const autoscaleInterval = 15 * time.Second
 // SetDemand sets the service's sustained concurrent-request demand and
 // starts (or re-targets) its autoscaler. A demand of zero releases all
 // instances to idle. The first evaluation happens immediately; subsequent
-// ones every 15 seconds, so instance counts converge within one tick and
-// then track demand changes.
+// ones on a 15-second grid from that instant, so instance counts converge
+// within one tick and then track demand changes.
 func (s *Service) SetDemand(concurrent int) error {
 	if concurrent < 0 {
 		return fmt.Errorf("faas: negative demand")
 	}
 	s.demand = concurrent
-	if !s.autoscaling {
+	if s.autoscaling {
+		s.wake()
+	} else {
 		s.autoscaling = true
 		s.autoscaleTick(s.account.dc.platform.sched.Now())
 	}
@@ -52,12 +54,18 @@ func (s *Service) desiredInstances() int {
 	return (s.demand + mc - 1) / mc
 }
 
-// autoscaleTick evaluates the target once and reschedules itself while
-// autoscaling is enabled.
+// autoscaleTick evaluates the target once. It arms the next tick first, so
+// the changes it makes find the tick pending and a new chain takes its place
+// among same-instant ticks at its first evaluation. A tick that leaves the
+// target equal to activeCount then parks: every later tick would find
+// nothing to do until demand or activeCount changes, and each such change
+// wakes it (wake). An ArmTick chain keeps its place across parks, so the
+// ticks that do fire run at the instants and in the order an unbroken chain
+// would give them.
 func (s *Service) autoscaleTick(now simtime.Time) {
-	if !s.autoscaling {
-		return
-	}
+	sched := s.account.dc.platform.sched
+	s.lastTick = now
+	sched.ArmTick(&s.tickEvent, now.Add(autoscaleInterval), s)
 	target := s.desiredInstances()
 	active := s.activeCount
 	switch {
@@ -80,12 +88,36 @@ func (s *Service) autoscaleTick(now simtime.Time) {
 	case target < active:
 		s.scaleIn(active - target)
 	}
-	if s.demand == 0 && s.activeCount == 0 {
-		// Nothing to manage until demand returns.
+	switch {
+	case s.demand == 0 && s.activeCount == 0:
+		// Nothing to manage until demand returns: the chain ends, and a
+		// later one takes a new place.
 		s.autoscaling = false
+		sched.Cancel(&s.tickEvent)
+		s.tickEvent = simtime.Event{}
+	case s.desiredInstances() == s.activeCount:
+		sched.Cancel(&s.tickEvent) // park
+	}
+}
+
+// wake re-arms a parked tick whose target no longer equals activeCount.
+// SetDemand and every activeCount change call it; this check inlines there.
+func (s *Service) wake() {
+	if s.autoscaling && !s.tickEvent.Pending() {
+		s.armWoken()
+	}
+}
+
+// armWoken arms a parked tick whose target is unmet at the first point of its
+// 15 s grid after now: the instant the unbroken chain's next tick would have
+// found the change.
+func (s *Service) armWoken() {
+	if s.desiredInstances() == s.activeCount {
 		return
 	}
-	s.account.dc.platform.sched.ArmLane(&s.tickEvent, autoscaleInterval, s)
+	sched := s.account.dc.platform.sched
+	k := sched.Now().Sub(s.lastTick)/autoscaleInterval + 1
+	sched.ArmTick(&s.tickEvent, s.lastTick.Add(k*autoscaleInterval), s)
 }
 
 // scaleIn idles the n most recently created active instances (LIFO: the

@@ -243,3 +243,61 @@ func TestLaunchTotalsNeverExceedQuota(t *testing.T) {
 		checkTotal("settle")
 	}
 }
+
+// TestAutoscaleTicksKeepChainOrder: two services start autoscaling at one
+// instant, so their ticks tie on one 15 s grid, and the older chain must act
+// first at every shared grid point — at the first tick, and after both
+// parked and the younger one was woken first. A fork restored from a
+// snapshot taken while both ticks are parked must act in the same order.
+func TestAutoscaleTicksKeepChainOrder(t *testing.T) {
+	for _, restored := range []bool{false, true} {
+		name := "original"
+		if restored {
+			name = "restored"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := MustPlatform(61, testProfile())
+			dc := p.MustRegion("test-region")
+			older := dc.Account("a").DeployService("older", ServiceConfig{MaxConcurrency: 1})
+			younger := dc.Account("b").DeployService("younger", ServiceConfig{MaxConcurrency: 1})
+			setDemand := func(d int, svcs ...*Service) {
+				t.Helper()
+				for _, s := range svcs {
+					if err := s.SetDemand(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// newest returns the creation seq of s's latest instance.
+			newest := func(s *Service) uint32 { return s.insts[len(s.insts)-1].seq }
+			setDemand(2, older, younger)
+			p.Scheduler().Advance(5 * time.Second)
+			setDemand(3, younger, older) // both act at the 15 s tick
+			p.Scheduler().Advance(15 * time.Second)
+			if older.ActiveCount() != 3 || younger.ActiveCount() != 3 || newest(older) > newest(younger) {
+				t.Fatalf("first shared tick: active %d and %d, the younger chain created first: %v",
+					older.ActiveCount(), younger.ActiveCount(), newest(older) > newest(younger))
+			}
+			if older.tickEvent.Pending() || younger.tickEvent.Pending() {
+				t.Fatal("a tick with its target met did not park")
+			}
+			if restored {
+				snap, err := audited(t, p).Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				p = audited(t, snap.MustRestore())
+				dc = p.MustRegion("test-region")
+				older = dc.Account("a").DeployService("older", ServiceConfig{MaxConcurrency: 1})
+				younger = dc.Account("b").DeployService("younger", ServiceConfig{MaxConcurrency: 1})
+			}
+			setDemand(4, younger, older) // wake the younger chain first
+			p.Scheduler().Advance(10 * time.Second)
+			if older.ActiveCount() != 4 || younger.ActiveCount() != 4 || newest(older) > newest(younger) {
+				t.Fatalf("woken tick at 30 s: active %d and %d, the younger chain created first: %v",
+					older.ActiveCount(), younger.ActiveCount(), newest(older) > newest(younger))
+			}
+			audited(t, p)
+		})
+	}
+}

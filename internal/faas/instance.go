@@ -185,6 +185,7 @@ func (i *Instance) terminate(now simtime.Time) {
 	if i.state == StateActive {
 		i.service.account.accrue(i, i.activeSince, now)
 		i.service.activeCount--
+		i.service.wake()
 	}
 	i.service.account.dc.cancelLifecycle(i)
 	i.service.account.dc.platform.sched.Cancel(&i.termEvent)
@@ -216,6 +217,7 @@ func (i *Instance) goIdle(now simtime.Time) {
 	}
 	i.service.account.accrue(i, i.activeSince, now)
 	i.service.activeCount--
+	i.service.wake()
 	i.state = StateIdle
 	i.idleSince = now
 }
@@ -227,6 +229,7 @@ func (i *Instance) activate(now simtime.Time) {
 	}
 	i.state = StateActive
 	i.service.activeCount++
+	i.service.wake()
 	i.activeSince = now
 	i.service.account.dc.resumeLifecycle(i, now)
 }

@@ -46,13 +46,16 @@ type Service struct {
 	// Request-driven autoscaling (§2.2). activeCount mirrors the number of
 	// StateActive instances incrementally (created/activated minus
 	// idled/terminated) so the 15-second autoscale tick is O(1) instead of an
-	// O(instances) scan. tickEvent is the intrusive self-rescheduling tick
-	// timer.
+	// O(instances) scan. tickEvent is the intrusive tick timer, an ArmTick
+	// chain that is pending or parked (see autoscaleTick); lastTick is the
+	// instant of its latest evaluation, the origin a woken tick's grid
+	// continues from.
 	maxConcurrency int
 	demand         int
 	autoscaling    bool
 	activeCount    int
 	tickEvent      simtime.Event
+	lastTick       simtime.Time
 
 	// Image-locality accounting: hosts that have ever run this service
 	// (indexed by HostID — host ids are dense indexes into dc.hosts), plus
@@ -397,6 +400,7 @@ func (s *Service) createInstance(h *Host, now simtime.Time) *Instance {
 	inst.slot = len(s.insts)
 	s.insts = append(s.insts, inst)
 	s.activeCount++
+	s.wake()
 	s.account.bill.Instances++
 	dc.liveInstances++
 	dc.scheduleLifecycle(inst, now)

@@ -251,7 +251,12 @@ func cloneService(na *Account, os *Service, cl *worldClone) (*Service, error) {
 	ns.account, ns.rng = na, os.rng.Clone()
 	ns.seenHosts = append(hostBitset(nil), os.seenHosts...)
 	ns.insts, ns.policyState = nil, nil
-	ns.decayEvent, ns.tickEvent = simtime.Event{}, simtime.Event{}
+	ns.decayEvent = simtime.Event{}
+	if os.tickEvent.Pending() {
+		// A parked tick is copied as it is, so the fork's chain keeps its
+		// place among same-instant ticks; a pending one is rebound below.
+		ns.tickEvent = simtime.Event{}
+	}
 	cl.svcs[os] = ns
 	switch st := os.policyState.(type) {
 	case nil:

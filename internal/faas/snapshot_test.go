@@ -383,6 +383,15 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		{"host slot", func(_ *DataCenter, _ *Service, inst *Instance) { inst.hostSlot++ }, false},
 		{"service slot", func(_ *DataCenter, s *Service, inst *Instance) { s.insts[inst.slot] = oinst }, false},
 		{"tombstones", func(_ *DataCenter, s *Service, _ *Instance) { s.deadInsts++ }, false},
+		{"active count", func(_ *DataCenter, s *Service, _ *Instance) { s.activeCount++ }, false},
+		{"autoscale wake", func(dc *DataCenter, _ *Service, _ *Instance) {
+			// A demand change that skips its wake leaves the tick parked
+			// with the new target unmet (the prologue's autoscaler is
+			// parked by now; Cancel makes sure).
+			s2 := dc.Account("a1").DeployService("s2", ServiceConfig{MaxConcurrency: 1})
+			dc.platform.sched.Cancel(&s2.tickEvent)
+			s2.demand++
+		}, false},
 		{"nursery member", func(dc *DataCenter, _ *Service, _ *Instance) {
 			dc.nursery.insts = append(dc.nursery.insts, oinst)
 		}, false},

@@ -50,7 +50,7 @@ func (t Time) String() string { return t.Real().Format(time.RFC3339Nano) }
 // caller-owned — typically embedded by value in the owning object — so a
 // timer that is re-armed over and over (the lifecycle kernel's per-instance
 // churn timers, the autoscaler's tick) costs zero allocations per arm. A
-// cancelled heap event is removed from the queue immediately (O(log n)), so
+// cancelled event is removed from the queue immediately (O(log n)), so
 // abandoned timers do not leak dead entries into every subsequent heap
 // operation.
 //
@@ -59,9 +59,9 @@ func (t Time) String() string { return t.Real().Format(time.RFC3339Nano) }
 // its own callback or after it fired.
 type Event struct {
 	at  Time
-	seq uint64 // insertion order; breaks ties deterministically
+	seq uint64 // insertion order (a tick's: see ArmTick); breaks ties deterministically
 	h   Handler
-	pos int // heap index + 1; -1 in a lane; 0 = not queued (so the zero Event is idle)
+	pos int // heap index + 1; 0 = not queued (so the zero Event is idle)
 }
 
 // Handler receives intrusive-event callbacks without any closure: storing a
@@ -162,51 +162,14 @@ func (h *eventHeap) remove(i int) {
 	}
 }
 
-// lane is the FIFO of events armed through ArmLane with one delay d. Each
-// arm lands at now+d with a larger seq and the clock never runs back, so the
-// slots are in (at, seq) order. Cancel leaves its slot stale (its seq no
-// longer matches its event's) until it reaches the head. A full slice whose
-// first half is spent is compacted, not grown, so ticks reuse one array.
-type lane struct {
-	d    time.Duration
-	q    []laneSlot // slots from head on are queued, stale ones included
-	head int
-}
-
-type laneSlot struct {
-	e   *Event
-	seq uint64
-}
-
-func (l *lane) push(e *Event) {
-	if len(l.q) == cap(l.q) && 2*l.head >= len(l.q) {
-		l.q, l.head = l.q[:copy(l.q, l.q[l.head:])], 0
-	}
-	l.q = append(l.q, laneSlot{e, e.seq})
-}
-
-// first returns the lane's earliest pending event, dropping stale slots on
-// the way, or nil when it holds none.
-func (l *lane) first() *Event {
-	for ; l.head < len(l.q); l.head++ {
-		if sl := l.q[l.head]; sl.e.seq == sl.seq {
-			return sl.e
-		}
-		l.q[l.head] = laneSlot{}
-	}
-	return nil
-}
-
 // Scheduler is a deterministic discrete-event scheduler. Events scheduled for
-// the same instant fire in the order they were scheduled. Scheduler is not
-// safe for concurrent use; the simulator is single-threaded by design so runs
-// are reproducible.
+// the same instant fire in the order they were scheduled, and periodic ticks
+// (ArmTick) after all of them. Scheduler is not safe for concurrent use; the
+// simulator is single-threaded by design so runs are reproducible.
 type Scheduler struct {
 	now      Time
 	nextID   uint64
 	queue    eventHeap
-	lanes    []lane
-	laneLive int // pending events across all lanes
 	executed uint64
 }
 
@@ -224,8 +187,8 @@ func (s *Scheduler) Now() Time { return s.now }
 // state bug, and silently dropping either deadline would destroy determinism.
 // Cancel it first to re-target. Arming in the past panics too.
 func (s *Scheduler) ArmHandler(e *Event, at Time, h Handler) {
-	s.arm(e, at, nil)
-	e.h = h
+	s.nextID++
+	s.arm(e, at, s.nextID, h)
 }
 
 // ArmHandlerAfter is ArmHandler with a relative deadline.
@@ -236,44 +199,37 @@ func (s *Scheduler) ArmHandlerAfter(e *Event, d time.Duration, h Handler) {
 	s.ArmHandler(e, s.now.Add(d), h)
 }
 
-// ArmLane is ArmHandlerAfter for a timer always armed with the same delay d,
-// such as a periodic tick. The event fires at the time and in the order
-// ArmHandlerAfter would give it, but it waits in d's FIFO lane instead of
-// the heap, so arming and firing it cost O(1): Step fires whichever of the
-// heap top and the lane heads comes first by (at, seq).
-func (s *Scheduler) ArmLane(e *Event, d time.Duration, h Handler) {
-	if d < 0 {
-		panic("simtime: negative delay")
+// tickBit is the tie-break bit of ArmTick events: with it set, a tick's seq
+// exceeds every ArmHandler seq.
+const tickBit = 1 << 63
+
+// ArmTick is ArmHandler for one link of a periodic chain of ticks, such as
+// an autoscaler's evaluation. A tick fires after every ArmHandler event due
+// at its instant, and same-instant ticks fire in the order their chains
+// began: the first ArmTick of an Event fixes its seq at tickBit | the next
+// insertion seq, and later arms of that Event — after it fired or was
+// cancelled — keep it, so a chain that skips instants keeps its place.
+// Zeroing the Event gives the place up; its next ArmTick starts a new chain.
+func (s *Scheduler) ArmTick(e *Event, at Time, h Handler) {
+	seq := e.seq
+	if seq&tickBit == 0 {
+		s.nextID++
+		seq = tickBit | s.nextID
 	}
-	i := 0
-	for i < len(s.lanes) && s.lanes[i].d != d {
-		i++
-	}
-	if i == len(s.lanes) {
-		s.lanes = append(s.lanes, lane{d: d})
-	}
-	s.arm(e, s.now.Add(d), &s.lanes[i])
-	e.h = h
+	s.arm(e, at, seq, h)
 }
 
-// arm gives e its deadline and the next seq and queues it in lane l, or in
-// the heap when l is nil.
-func (s *Scheduler) arm(e *Event, at Time, l *lane) {
+// arm gives e its deadline, tie-break seq and handler, then queues it: the
+// push sifts by (at, seq), so both are set first.
+func (s *Scheduler) arm(e *Event, at Time, seq uint64, h Handler) {
 	if e.pos != 0 {
 		panic("simtime: arming an event that is still pending")
 	}
 	if at < s.now {
 		panic(fmt.Sprintf("simtime: scheduling event at %v before now %v", at, s.now))
 	}
-	s.nextID++
-	e.at, e.seq = at, s.nextID
-	if l == nil {
-		s.queue.push(e)
-		return
-	}
-	e.pos = -1
-	l.push(e)
-	s.laneLive++
+	e.at, e.seq, e.h = at, seq, h
+	s.queue.push(e)
 }
 
 // Cancel removes a pending event from the queue without running it. It
@@ -286,19 +242,13 @@ func (s *Scheduler) Cancel(e *Event) bool {
 	if e == nil || e.pos == 0 {
 		return false
 	}
-	if e.pos > 0 {
-		s.queue.remove(e.pos - 1)
-	} else {
-		// Zeroing seq marks the lane slot stale (armed seqs start at 1).
-		e.pos, e.seq = 0, 0
-		s.laneLive--
-	}
+	s.queue.remove(e.pos - 1)
 	e.h = nil
 	return true
 }
 
 // Pending reports the number of queued events.
-func (s *Scheduler) Pending() int { return len(s.queue) + s.laneLive }
+func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // Executed reports the total number of events run since construction. It is
 // the denominator of the event kernel's throughput metrics (events/sec,
@@ -309,15 +259,10 @@ func (s *Scheduler) Executed() uint64 { return s.executed }
 // Step runs the next event, advancing the clock to its deadline. It reports
 // whether an event was run.
 func (s *Scheduler) Step() bool {
-	var e *Event
-	switch {
-	case s.laneLive > 0:
-		e = s.popEarliest()
-	case len(s.queue) > 0:
-		e = s.queue.popMin()
-	default:
+	if len(s.queue) == 0 {
 		return false
 	}
+	e := s.queue.popMin()
 	s.now = e.at
 	s.executed++
 	// Detach the handler before running it: the callback may re-arm e (the
@@ -328,34 +273,6 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// earliest returns the first of the heap top and the lane heads by (at, seq)
-// and its lane (nil: the heap); it is used only while a lane event is pending.
-func (s *Scheduler) earliest() (top *Event, in *lane) {
-	if len(s.queue) > 0 {
-		top = s.queue[0]
-	}
-	for i := range s.lanes {
-		l := &s.lanes[i]
-		if e := l.first(); e != nil && (top == nil || e.at < top.at || e.at == top.at && e.seq < top.seq) {
-			top, in = e, l
-		}
-	}
-	return top, in
-}
-
-// popEarliest pops the earliest event while a lane event is pending.
-func (s *Scheduler) popEarliest() *Event {
-	e, l := s.earliest()
-	if l == nil {
-		return s.queue.popMin()
-	}
-	l.q[l.head] = laneSlot{}
-	l.head++
-	e.pos = 0
-	s.laneLive--
-	return e
-}
-
 // Clone returns a deep copy of the scheduler for world snapshotting: the
 // clock, insertion counter, executed count, and the entire pending queue
 // carry over, so the copy replays the exact event sequence the original
@@ -363,13 +280,12 @@ func (s *Scheduler) popEarliest() *Event {
 // duplicate itself; remap is called once per pending event and must return
 // the cloned world's counterpart Event (typically the same field embedded in
 // the cloned owner) together with the handler it should fire into. The
-// heap is copied slot for slot, then each lane's pending events in order, so
-// each cloned event keeps the original's deadline, tie-break sequence, and
-// heap or lane position — firing order is byte-identical by construction.
+// queue is copied slot for slot, so each cloned event keeps the original's
+// deadline, tie-break sequence, and heap position — firing order is
+// byte-identical by construction.
 func (s *Scheduler) Clone(remap func(old *Event, h Handler) (*Event, Handler)) (*Scheduler, error) {
-	c := &Scheduler{now: s.now, nextID: s.nextID, executed: s.executed, laneLive: s.laneLive,
-		queue: make(eventHeap, len(s.queue)), lanes: make([]lane, len(s.lanes))}
-	counterpart := func(e *Event) (*Event, error) {
+	c := &Scheduler{now: s.now, nextID: s.nextID, executed: s.executed, queue: make(eventHeap, len(s.queue))}
+	for i, e := range s.queue {
 		ne, h := remap(e, e.h)
 		if ne == nil {
 			return nil, fmt.Errorf("simtime: remap returned no counterpart for pending event (deadline %v)", e.at)
@@ -378,25 +294,7 @@ func (s *Scheduler) Clone(remap func(old *Event, h Handler) (*Event, Handler)) (
 			return nil, fmt.Errorf("simtime: remap returned an event that is already pending (deadline %v)", e.at)
 		}
 		ne.at, ne.seq, ne.h, ne.pos = e.at, e.seq, h, e.pos
-		return ne, nil
-	}
-	var err error
-	for i, e := range s.queue {
-		if c.queue[i], err = counterpart(e); err != nil {
-			return nil, err
-		}
-	}
-	for i, l := range s.lanes {
-		c.lanes[i] = lane{d: l.d, q: make([]laneSlot, 0, len(l.q)-l.head)}
-		for _, sl := range l.q[l.head:] {
-			if sl.e.seq == sl.seq {
-				ne, err := counterpart(sl.e)
-				if err != nil {
-					return nil, err
-				}
-				c.lanes[i].push(ne)
-			}
-		}
+		c.queue[i] = ne
 	}
 	return c, nil
 }
@@ -408,16 +306,7 @@ func (s *Scheduler) RunUntil(t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: RunUntil(%v) before now %v", t, s.now))
 	}
-	for {
-		var e *Event
-		if s.laneLive > 0 {
-			e, _ = s.earliest()
-		} else if len(s.queue) > 0 {
-			e = s.queue[0]
-		}
-		if e == nil || e.at > t {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= t {
 		s.Step()
 	}
 	s.now = t

@@ -253,55 +253,38 @@ func (r *rearm) HandleEvent(e *Event, now Time) {
 	r.s.ArmHandler(e, now.Add(d), r)
 }
 
-// ticker is a self-rescheduling autoscale-style tick: it re-arms every 15 s,
-// through a lane or through the heap.
-type ticker struct {
-	s    *Scheduler
-	lane bool
-}
+// ticker is a self-rescheduling autoscale-style tick: it re-arms every 15 s.
+type ticker struct{ s *Scheduler }
 
 const tickEvery = 15 * time.Second
 
-func (t *ticker) HandleEvent(e *Event, _ Time) {
-	if t.lane {
-		t.s.ArmLane(e, tickEvery, t)
-	} else {
-		t.s.ArmHandlerAfter(e, tickEvery, t)
-	}
-}
+func (t *ticker) HandleEvent(e *Event, now Time) { t.s.ArmTick(e, now.Add(tickEvery), t) }
 
 // BenchmarkScheduleStep prices one kernel event — pop the earliest deadline,
 // fire it, re-arm it — at heap depths from a quick world's to a -big one's,
-// and in a loaded world's mix: 2,000 pending, 1,800 of them 15 s ticks
+// and in a mix of 2,000 pending: 1,800 15 s ticks armed through ArmTick
 // (about 90% of the events fired) beside 200 timers re-armed uniformly
-// within 30 s, with the ticks armed through the heap or through a lane.
+// within 30 s.
 func BenchmarkScheduleStep(b *testing.B) {
-	for _, lane := range []bool{false, true} {
-		name := "ticks=heap"
-		if lane {
-			name = "ticks=lane"
+	b.Run("ticks/pending=2000", func(b *testing.B) {
+		s := NewScheduler(0)
+		r := &rearm{s: s, x: 1, span: 2 * tickEvery}
+		t := &ticker{s: s}
+		evs := make([]Event, 2000)
+		for i := range evs[:200] {
+			r.HandleEvent(&evs[i], 0)
 		}
-		b.Run(name+"/pending=2000", func(b *testing.B) {
-			s := NewScheduler(0)
-			r := &rearm{s: s, x: 1, span: 2 * tickEvery}
-			t := &ticker{s: s, lane: lane}
-			evs := make([]Event, 2000)
-			for i := range evs[:200] {
-				r.HandleEvent(&evs[i], 0)
-			}
-			for i := range evs[200:] {
-				// Spread the first ticks over one period, as services
-				// start autoscaling at scattered times.
-				s.ArmHandler(&evs[200+i], Time(tickEvery)*Time(i)/1800, t)
-			}
-			s.RunUntil(Time(2 * tickEvery)) // every tick now re-arms itself
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Step()
-			}
-		})
-	}
+		for i := range evs[200:] {
+			// Spread the first ticks over one period, as services
+			// start autoscaling at scattered times.
+			s.ArmTick(&evs[200+i], Time(tickEvery)*Time(i)/1800, t)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Step()
+		}
+	})
 	for _, depth := range []int{1e3, 1e4, 1e5, 1e6} {
 		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
 			s := NewScheduler(0)
