@@ -11,8 +11,9 @@ GO ?= go
 # fault plane, its attack-side recovery paths, the fleet campaign, and the
 # one worker pool (internal/par) with the trial engine that runs on it,
 # a few seconds of each native fuzz target (the Bernoulli-threshold closed
-# form in randx, the brand-string frequency parser in cpu, the event queue's
-# tick and timer order against a linear-scan model in simtime),
+# form and the lazily seeded register against math/rand in randx, the
+# brand-string frequency parser in cpu, the event queue's tick and timer
+# order against a linear-scan model in simtime),
 # and quick fault-sweep/multiregion/channel-ablation/noise-sweep smoke runs.
 # The `eaao attack` variants (main's split of global flags such as -faults
 # and -load from the attack subcommand's own included) are pinned by
@@ -27,6 +28,7 @@ check: lint
 	$(GO) test -race ./internal/core/... ./internal/faas/... ./internal/par/...
 	$(GO) test -race -run 'TestRunTrials|TestRunAll|TestParallelOutputByteIdentical' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoolThreshold$$' -fuzztime 3s ./internal/randx/
+	$(GO) test -run '^$$' -fuzz '^FuzzLazySeed$$' -fuzztime 3s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBaseFrequency$$' -fuzztime 3s ./internal/cpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerTicks$$' -fuzztime 3s ./internal/simtime/
 	@$(GO) run ./cmd/eaao -quick run faultsweep >/dev/null
@@ -53,7 +55,8 @@ race:
 	$(GO) test -race ./...
 
 # Layer microbenchmarks where perfbench has no boundary (placement, the
-# simtime heap with its periodic ticks, randx hashing, fingerprint
+# simtime heap with its periodic ticks, randx hashing, lazy stream seeding
+# (BenchmarkSeedDraw) and single draws (BenchmarkFloat64), fingerprint
 # collection, snapshot restore of a busy world). End-to-end and
 # per-layer campaign numbers come from perfbench (see perfbench/README.md).
 bench:

@@ -4,17 +4,17 @@ import "testing"
 
 // TestScaleKernelAllocsPerEvent pins the event kernel's steady-state
 // allocation budget on the scale experiment's fixed world, quiet and under
-// background traffic. It scales runtime_allocs_per_event back to the run's
-// allocations and divides them by the tenant instances created: a
-// denominator the kernel's own event count cannot move (parked autoscale
-// ticks cut the events, not the work). The ceilings sit 25% above the
-// measured 0.48 (quiet) and 37.4 (loaded: the bystanders' instances and
-// re-draws allocate too, but only the tenants' instances are counted), so
-// one extra heap allocation per created instance fails here instead of
-// surfacing in a profile later.
+// background traffic. It reads runtime_allocs_per_instance: the run's
+// allocations over the tenant instances created, a denominator the kernel's
+// own event count cannot move (parked autoscale ticks cut the events, not
+// the work). The ceilings sit 25% above the measured 0.48 (quiet) and 37.4
+// (loaded: the bystanders' instances and re-draws allocate too, but only
+// the tenants' instances are counted), so one extra heap allocation per
+// created instance fails here instead of surfacing in a profile later.
 //
-// runtime_allocs_per_event counts process-wide mallocs, so this test must not
-// call t.Parallel: a concurrently running test would inflate the count.
+// runtime_allocs_per_instance counts process-wide mallocs, so this test
+// must not call t.Parallel: a concurrently running test would inflate the
+// count.
 func TestScaleKernelAllocsPerEvent(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -29,8 +29,7 @@ func TestScaleKernelAllocsPerEvent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := res.Metrics
-			got := m["runtime_allocs_per_event"] * m["events_executed"] / m["instances_created"]
+			got := res.Metrics["runtime_allocs_per_instance"]
 			t.Logf("%.4f allocations per instance created", got)
 			if got > tc.budget {
 				t.Errorf("scale kernel allocates %.4f per instance created, budget %.2f", got, tc.budget)

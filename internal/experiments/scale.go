@@ -138,17 +138,20 @@ func runScale(ctx Context) (*Result, error) {
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
 	events := pl.Scheduler().Executed()
+	made := created()
 
 	res.Tables = append(res.Tables, table)
-	res.Metrics["instances_created"] = float64(created())
+	res.Metrics["instances_created"] = float64(made)
 	res.Metrics["peak_live_instances"] = float64(peak)
 	res.Metrics["preemptions"] = float64(dc.FaultCounters().Preemptions)
 	res.Metrics["events_executed"] = float64(events)
 	res.Metrics["hosts_materialized"] = float64(dc.MaterializedHosts())
 	res.Metrics["hosts_total"] = float64(dc.TrueHostCount())
 	res.Metrics["sim_hours"] = (time.Duration(len(phases)) * phaseDur).Hours()
-	res.Metrics["runtime_events_per_sec"] = float64(events) / wall.Seconds()
-	res.Metrics["runtime_allocs_per_event"] = float64(m1.Mallocs-m0.Mallocs) / float64(events)
+	// The runtime rates divide by the tenant instances created, not by the
+	// kernel's events: parked autoscale ticks cut the events, not the work.
+	res.Metrics["runtime_instances_per_sec"] = float64(made) / wall.Seconds()
+	res.Metrics["runtime_allocs_per_instance"] = float64(m1.Mallocs-m0.Mallocs) / float64(made)
 	res.note("%d tenants over %d demand phases peaked at %d live instances on %d of %d hosts (%.0f%% of the fleet never materialized)",
 		tenants, len(phases), peak, dc.MaterializedHosts(), dc.TrueHostCount(),
 		100*(1-float64(dc.MaterializedHosts())/float64(dc.TrueHostCount())))

@@ -106,7 +106,8 @@ func (h *Host) materialize() {
 	i := int(h.id)
 	// The indexed stream is drained within this call (noiseRNG below lives
 	// on), so reseeding the region scratch in place avoids one 5 KiB state
-	// allocation per materialized host.
+	// allocation per materialized host. Seeding is lazy: the stream seeds
+	// only the register words its 5–9 draws read.
 	rng := dc.matScratch.Reseed(randx.DeriveIndexedSeed(dc.seed, "host", i))
 	// The noise stream's slab slot is first scratch for the problematic draw.
 	if len(dc.noiseSlab) == 0 {

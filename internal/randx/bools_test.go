@@ -52,8 +52,12 @@ func TestCountBoolsMatchesBoolLoop(t *testing.T) {
 }
 
 // sameNext fails unless the two sources sit at the same stream position.
+// Each is seeded whole first: the kernel and the Bool loop may leave their
+// fill marks at different words.
 func sameNext(t *testing.T, got, want *Source) {
 	t.Helper()
+	seedWhole(&got.st)
+	seedWhole(&want.st)
 	if got.st != want.st {
 		t.Fatal("kernel and Bool loop left the stream at different positions")
 	}
@@ -63,8 +67,10 @@ func sameNext(t *testing.T, got, want *Source) {
 }
 
 // plant sets the register so that the k-th next Int63 draw (k ≥ 1, well
-// inside one wrap) is x.
+// inside one wrap) is x. It seeds the whole register first, or a later
+// fill would overwrite the planted words.
 func plant(s *Source, k int, x int64) {
+	seedWhole(&s.st)
 	feed := (int(s.st.feed) - k + 2*rngLen) % rngLen
 	tap := (int(s.st.tap) - k + 2*rngLen) % rngLen
 	s.st.vec[feed], s.st.vec[tap] = x, 0

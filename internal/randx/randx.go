@@ -46,8 +46,10 @@ func New(seed uint64) *Source {
 // Reseed reinitializes s in place to exactly the state New(seed) would
 // return, the same stream from the top with no allocation, and returns s. It
 // exists for scratch Sources that are derived, drained, and discarded in one
-// scope (per-host materialization, recycle draws, pool sampling) — the
-// dominant randx allocation sites once streams themselves got cheap.
+// scope (per-host materialization, recycle draws, pool sampling). Seeding
+// itself is O(1), and the register words a stream never reads are never
+// seeded, so the 4.9 KB allocation New zeroes is most of what such a stream
+// would cost.
 func (s *Source) Reseed(seed uint64) *Source {
 	s.seed = seed
 	s.st.Seed(int64(seed))
@@ -141,12 +143,18 @@ func (s *Source) Float64() float64 { return s.float64() }
 // same Int63 draw scaled by 2⁻⁶³, resampled when the quotient rounds up to
 // 1.0, so its value stream is bit-identical to the stdlib's — without the
 // interface call through rand.Source that the wrapped Rand pays per draw.
+// It may call reach, so it does not inline: each single draw makes one
+// direct call. The resample recurses rather than loops, which keeps the
+// path without a fill free of register spills.
 func (s *Source) float64() float64 {
-	for {
-		if f := float64(s.st.Int63()) / (1 << 63); f != 1 {
-			return f
-		}
+	st := &s.st
+	if st.down() {
+		st.reach()
 	}
+	if f := float64(st.add()&rngMask) / (1 << 63); f != 1 {
+		return f
+	}
+	return s.float64()
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.

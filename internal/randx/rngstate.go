@@ -10,11 +10,15 @@ import "math/rand"
 //   - Snapshots. Copy-on-write world forking (Platform.Snapshot) must clone
 //     every stream mid-run, preserving its exact position. rngState is a
 //     plain value: Source.Clone copies it.
-//   - Seeding cost. Creating a derived stream was the simulator's single
-//     hottest operation (~40% of kernel CPU): rngSource.Seed runs ~1900
-//     sequential Lehmer-LCG steps through a division-based Schrage reduction.
-//     seedLCG below computes the identical x → 48271·x mod (2³¹−1) with a
-//     widening multiply and two shift-adds — several times faster, exactly
+//   - Seeding cost. rngSource.Seed fills all 607 register words from 1,841
+//     sequential Lehmer-LCG steps, x → 48271·x mod (2³¹−1), each through a
+//     division-based Schrage reduction. Most derived streams read only a
+//     few of those words: Host.materialize's scratch stream takes 5–9
+//     draws. Seeding value k is x₀·48271ᵏ mod (2³¹−1), so rngState.Seed
+//     only keeps x₀, and the draws seed each word, with the identical value,
+//     when they first reach it (see rngState). The fill computes the
+//     modular products with a widening multiply and two shift-adds
+//     (seedLCG, mulMod31), several times faster than Schrage and exactly
 //     equal.
 //
 // Byte-for-byte equality with math/rand is load-bearing: every golden digest
@@ -90,16 +94,31 @@ func seedLCG(x uint64) uint64 {
 }
 
 // seedJump6 is 48271⁶ mod (2³¹−1): the multiplier that advances the seeding
-// LCG six steps at once, so Seed's register fill can run six independent
-// dependency chains instead of one 1800-multiply serial chain. Six lanes
-// produce exactly two register words per iteration (three values each), so
-// the fill needs no intermediate buffer.
+// LCG six steps at once, so a register fill can run six independent
+// dependency chains instead of one serial chain. Six lanes produce exactly
+// two register words per iteration (three values each), so the fill needs
+// no intermediate buffer.
 var seedJump6 = func() uint64 {
 	x := uint64(1)
 	for i := 0; i < 6; i++ {
 		x = seedLCG(x)
 	}
 	return x
+}()
+
+// seedPow[i] is 48271^(21+3i) mod (2³¹−1). rngSource.Seed discards 20 LCG
+// values and builds register word i from values 21+3i, 22+3i and 23+3i, so
+// word i of the stream seeded with x starts from seeding value x·seedPow[i].
+var seedPow = func() (p [rngLen]uint32) {
+	x := uint64(1)
+	for i := 0; i < 21; i++ {
+		x = seedLCG(x)
+	}
+	for i := range p {
+		p[i] = uint32(x)
+		x = seedLCG(seedLCG(seedLCG(x)))
+	}
+	return p
 }()
 
 // mulMod31 returns m·x mod (2³¹−1) for m, x in [1, 2³¹−2] (product < 2⁶²,
@@ -114,19 +133,37 @@ func mulMod31(m, x uint64) uint64 {
 	return p
 }
 
+// rngFeed0 is the feed index a fresh register starts from; tap starts at 0.
+const rngFeed0 = rngLen - rngTap
+
+// minFill is the fewest draws the first fill after Seed seeds the register
+// for. Host.materialize's scratch stream takes 5–9 draws.
+const minFill = 8
+
 // rngState is the generator state: a plain value, cloneable by assignment.
 // It implements rand.Source64, so rand.New(&st) drives every stdlib
 // distribution (Float64, NormFloat64, ExpFloat64, Perm, ...) through it with
 // bit-identical results.
+//
+// The register is seeded lazily. Until feed first wraps, tap = feed + 273,
+// and the draws so far have read the words [feed, 334) and [tap, 607). So
+// one mark lo in [0, 334] names the seeded words: [lo, 334) and
+// [max(lo+273, 334), 607). A draw whose feed falls below lo seeds more words
+// first; at lo = 0 the whole register is seeded, and a feed below lo is the
+// wrap. Words outside the mark hold stale values and are never read.
 type rngState struct {
 	vec       [rngLen]int64
 	tap, feed int32
+	lo        int32  // the fill mark
+	x0        uint32 // the reduced seed: seeding value 0
 }
 
-// Seed positions the register exactly as rngSource.Seed does.
+// Seed positions the register as rngSource.Seed does, in O(1): it keeps the
+// reduced seed and marks no word seeded. The draws fill the register.
 func (r *rngState) Seed(seed int64) {
 	r.tap = 0
-	r.feed = rngLen - rngTap
+	r.feed = rngFeed0
+	r.lo = rngFeed0
 
 	seed %= int32max
 	if seed < 0 {
@@ -135,28 +172,42 @@ func (r *rngState) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
+	r.x0 = uint32(seed)
+}
 
-	x := uint64(seed)
-	for i := 0; i < 20; i++ {
-		x = seedLCG(x)
+// grow seeds the register down to at least feed word f < lo, and to at
+// least twice the draws it was seeded for, so a stream that draws its whole
+// register takes a handful of fills.
+func (r *rngState) grow(f int) {
+	lo := int(r.lo)
+	to := max(min(f, 2*lo-rngFeed0, rngFeed0-minFill), 0)
+	r.seedWords(to, lo)
+	r.seedWords(max(to+rngTap, rngFeed0), max(lo+rngTap, rngFeed0))
+	r.lo = int32(to)
+}
+
+// seedWords writes register words [i, j) exactly as rngSource.Seed does.
+// It generates their seeding values as six interleaved lanes advanced by
+// the 6-step jump multiplier: the lane chains are independent, so the CPU
+// overlaps multiplies that would otherwise serialize on a ~4-cycle latency
+// each. Lanes a..c are word i, lanes d..f word i+1.
+func (r *rngState) seedWords(i, j int) {
+	if i >= j {
+		return
 	}
-	// The register consumes 3·607 sequential LCG values. Generate them as
-	// six interleaved lanes advanced by the 6-step jump multiplier: the
-	// per-lane chains are independent, so the CPU overlaps multiplies that
-	// would otherwise serialize on a ~4-cycle latency each, and six lanes
-	// are exactly two register words per iteration — lanes a..c are word i,
-	// lanes d..f word i+1, written directly with no intermediate buffer.
-	a := seedLCG(x)
+	a := mulMod31(uint64(seedPow[i]), uint64(r.x0))
 	b := seedLCG(a)
 	c := seedLCG(b)
 	d := seedLCG(c)
 	e := seedLCG(d)
 	f := seedLCG(e)
 	j6 := seedJump6
-	i := 0
-	for ; i+2 <= rngLen; i += 2 {
-		r.vec[i] = (int64(a)<<40 ^ int64(b)<<20 ^ int64(c)) ^ rngCooked[i]
-		r.vec[i+1] = (int64(d)<<40 ^ int64(e)<<20 ^ int64(f)) ^ rngCooked[i+1]
+	v := r.vec[i:j]
+	cooked := rngCooked[i:j][:len(v)]
+	k := 0
+	for ; k+2 <= len(v); k += 2 {
+		v[k] = (int64(a)<<40 ^ int64(b)<<20 ^ int64(c)) ^ cooked[k]
+		v[k+1] = (int64(d)<<40 ^ int64(e)<<20 ^ int64(f)) ^ cooked[k+1]
 		a = mulMod31(j6, a)
 		b = mulMod31(j6, b)
 		c = mulMod31(j6, c)
@@ -164,27 +215,55 @@ func (r *rngState) Seed(seed int64) {
 		e = mulMod31(j6, e)
 		f = mulMod31(j6, f)
 	}
-	// rngLen is odd: the last word takes the first three lane values.
-	r.vec[i] = (int64(a)<<40 ^ int64(b)<<20 ^ int64(c)) ^ rngCooked[i]
+	if k < len(v) { // an odd run: the last word takes the first three lanes
+		v[k] = (int64(a)<<40 ^ int64(b)<<20 ^ int64(c)) ^ cooked[k]
+	}
 }
 
-// Uint64 steps the lagged-Fibonacci recurrence (rngSource.Uint64 verbatim).
+// Uint64 steps the lagged-Fibonacci recurrence, as rngSource.Uint64 does.
 func (r *rngState) Uint64() uint64 {
+	if r.down() {
+		r.reach()
+	}
+	return r.add()
+}
+
+// Int63 masks the top bit off, as rngSource.Int63 does. It repeats Uint64
+// instead of calling it: a body that may call reach cannot be inlined.
+func (r *rngState) Int63() int64 {
+	if r.down() {
+		r.reach()
+	}
+	return int64(r.add() & rngMask)
+}
+
+// down moves tap and feed one word down. It reports a feed below the fill
+// mark, which reach must settle before add reads the words.
+func (r *rngState) down() bool {
 	r.tap--
 	if r.tap < 0 {
 		r.tap += rngLen
 	}
 	r.feed--
-	if r.feed < 0 {
-		r.feed += rngLen
-	}
+	return r.feed < r.lo
+}
+
+// add writes the sum of the feed and tap words back to feed and returns it.
+func (r *rngState) add() uint64 {
 	x := r.vec[r.feed] + r.vec[r.tap]
 	r.vec[r.feed] = x
 	return uint64(x)
 }
 
-// Int63 masks the top bit off, as rngSource.Int63 does.
-func (r *rngState) Int63() int64 { return int64(r.Uint64() & rngMask) }
+// reach makes feed word r.feed readable: it wraps a feed that fell off the
+// bottom of a whole register, and otherwise seeds down to it.
+func (r *rngState) reach() {
+	if r.feed < 0 {
+		r.feed += rngLen
+		return
+	}
+	r.grow(int(r.feed))
+}
 
 // The block kernels below step the register exactly as a run of float64
 // calls would, keeping only draws below keepBound (a skipped draw is below
@@ -199,6 +278,9 @@ func (r *rngState) countBelow(n int, t uint64) (below int) {
 	for n > 0 {
 		tap, feed = (tap+rngLen-1)%rngLen+1, (feed+rngLen-1)%rngLen+1
 		k := min(tap, feed, n)
+		if feed-k < int(r.lo) {
+			r.grow(feed - k)
+		}
 		fv := r.vec[feed-k : feed]
 		tv := r.vec[tap-k : tap][:len(fv)]
 		for j := len(fv) - 1; j >= 0; j-- {
@@ -224,6 +306,9 @@ func (r *rngState) fill(dst []uint64) {
 	for m := 0; m < len(dst); {
 		tap, feed = (tap+rngLen-1)%rngLen+1, (feed+rngLen-1)%rngLen+1
 		k := min(tap, feed, len(dst)-m)
+		if feed-k < int(r.lo) {
+			r.grow(feed - k)
+		}
 		fv := r.vec[feed-k : feed]
 		tv := r.vec[tap-k : tap][:len(fv)]
 		for j := len(fv) - 1; j >= 0; j-- {

@@ -69,6 +69,116 @@ func TestRNGStateMatchesStdlib(t *testing.T) {
 	}
 }
 
+// FuzzLazySeed checks the lazily seeded register against math/rand's own
+// source. A script of draw shapes runs on a Source and on rand.NewSource
+// with the same seed; counted shapes take up to 289 rounds, so scripts
+// cross the fill mark's 273, 334 and 607 step boundaries. A Clone taken at
+// a fuzzed step must continue exactly as the original did. Then the Source,
+// which has drawn, is reseeded and replays the script against a fresh
+// stdlib source: a stale register word from the old seed would show there.
+func FuzzLazySeed(f *testing.F) {
+	every := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
+	long := []byte{250, 251, 252, 253, 254, 0, 2, 250, 252, 13, 1}
+	f.Add(uint64(9), every, uint16(3), uint64(7))
+	f.Add(uint64(0), long, uint16(2), uint64(9))
+	f.Add(uint64(1<<31-1), append(long, every...), uint16(9), ^uint64(0))
+	f.Add(uint64(42), []byte{}, uint16(0), uint64(42))
+	f.Fuzz(func(t *testing.T, seed uint64, script []byte, cut uint16, reseed uint64) {
+		if len(script) > 64 {
+			script = script[:64]
+		}
+		at := int(cut) % (len(script) + 1)
+		got, want := New(seed), rand.New(rand.NewSource(int64(seed)))
+		var clone *Source
+		var after []uint64
+		for i, op := range script {
+			if i == at {
+				clone = got.Clone()
+			}
+			g, w := lazyDraw(got, op), stdlibDraw(want, op)
+			if g != w {
+				t.Fatalf("seed %d step %d op %d: got %#x, stdlib %#x", seed, i, op, g, w)
+			}
+			if i >= at {
+				after = append(after, g)
+			}
+		}
+		if clone == nil {
+			clone = got.Clone()
+		}
+		for i, op := range script[at:] {
+			if g := lazyDraw(clone, op); g != after[i] {
+				t.Fatalf("seed %d: clone from step %d diverged at step %d: %#x, original %#x", seed, at, at+i, g, after[i])
+			}
+		}
+		got.Reseed(reseed)
+		want = rand.New(rand.NewSource(int64(reseed)))
+		for i, op := range script {
+			if g, w := lazyDraw(got, op), stdlibDraw(want, op); g != w {
+				t.Fatalf("reseed %d step %d op %d: got %#x, stdlib %#x", reseed, i, op, g, w)
+			}
+		}
+	})
+}
+
+// lazyDraw takes draw shape op%7 from s and returns its value as bits;
+// op/7 sizes the shape.
+func lazyDraw(s *Source, op byte) uint64 {
+	k := int(op / 7)
+	p, q := channelOdds[k%len(channelOdds)], channelOdds[(k+2)%len(channelOdds)]
+	switch op % 7 {
+	case 0:
+		return s.Uint64()
+	case 1:
+		return uint64(s.rng.Int63())
+	case 2:
+		return math.Float64bits(s.Float64())
+	case 3:
+		return math.Float64bits(s.Normal(0, 1))
+	case 4:
+		return uint64(s.Intn(1 + int(op)<<23))
+	case 5:
+		return uint64(s.CountBools(1+8*k, p))
+	default:
+		c := s.CountBoolPairs(1+8*k, p, q)
+		return uint64(c[0][0]) | uint64(c[0][1])<<16 | uint64(c[1][0])<<32 | uint64(c[1][1])<<48
+	}
+}
+
+// stdlibDraw is lazyDraw on a math/rand stream: the counted shapes run as
+// loops of Float64 comparisons.
+func stdlibDraw(r *rand.Rand, op byte) uint64 {
+	k := int(op / 7)
+	p, q := channelOdds[k%len(channelOdds)], channelOdds[(k+2)%len(channelOdds)]
+	switch op % 7 {
+	case 0:
+		return r.Uint64()
+	case 1:
+		return uint64(r.Int63())
+	case 2:
+		return math.Float64bits(r.Float64())
+	case 3:
+		return math.Float64bits(r.NormFloat64())
+	case 4:
+		return uint64(r.Intn(1 + int(op)<<23))
+	case 5:
+		hits := 0
+		for i := 0; i < 1+8*k; i++ {
+			if r.Float64() < p {
+				hits++
+			}
+		}
+		return uint64(hits)
+	default:
+		var c [2][2]int
+		for i := 0; i < 1+8*k; i++ {
+			a, b := r.Float64() < p, r.Float64() < q
+			c[b2i(a)][b2i(b)]++
+		}
+		return uint64(c[0][0]) | uint64(c[0][1])<<16 | uint64(c[1][0])<<32 | uint64(c[1][1])<<48
+	}
+}
+
 // TestSourceFloatPathMatchesStdlib locks Source's direct float path (Bool,
 // Range, Laplace, Float64 and WeightedIndex read the generator state without
 // going through rand.Rand) to the stdlib: interleaved with the draws that
@@ -122,7 +232,10 @@ func TestSourceFloatPathMatchesStdlib(t *testing.T) {
 // Source resample instead of returning it.
 func TestSourceFloatRetriesLikeStdlib(t *testing.T) {
 	s := New(7)
-	// The next Uint64 sums the words just below feed and tap.
+	// Seed the whole register first, or the first draw's fill would
+	// overwrite the planted words. The next Uint64 sums the words just below
+	// feed and tap.
+	seedWhole(&s.st)
 	feed, tap := (s.st.feed+rngLen-1)%rngLen, (s.st.tap+rngLen-1)%rngLen
 	s.st.vec[feed], s.st.vec[tap] = rngMask, 0
 	st := s.st
@@ -132,6 +245,17 @@ func TestSourceFloatRetriesLikeStdlib(t *testing.T) {
 	}
 	if s.st != st {
 		t.Fatal("Source and stdlib consumed different draw counts across the retry")
+	}
+	if taken := (feed - s.st.feed + rngLen) % rngLen; taken != 1 {
+		t.Fatalf("Float64 took %d draws past the planted one, want 1 (the retry)", taken)
+	}
+}
+
+// seedWhole seeds every register word that the fill mark has not reached,
+// so a test can poke the register or compare two states word for word.
+func seedWhole(st *rngState) {
+	if st.lo > 0 {
+		st.grow(0)
 	}
 }
 
@@ -291,4 +415,38 @@ func BenchmarkStdlibNew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rand.New(rand.NewSource(int64(i)))
 	}
+}
+
+// BenchmarkSeedDraw reseeds a stream and takes a few of its draws: 8 is
+// about what Host.materialize's scratch stream takes, 700 reads the whole
+// register (its feed wraps after 334 draws, its tap after 607).
+func BenchmarkSeedDraw(b *testing.B) {
+	for _, draws := range []int{8, 700} {
+		b.Run("draws="+strconv.Itoa(draws), func(b *testing.B) {
+			s := New(0)
+			var x float64
+			for i := 0; i < b.N; i++ {
+				s.Reseed(uint64(i))
+				for j := 0; j < draws; j++ {
+					x += s.Float64()
+				}
+			}
+			benchSink += uint64(x)
+		})
+	}
+}
+
+// BenchmarkFloat64 times one uniform draw from a stream whose whole register
+// is already seeded: the per-draw cost every Bool and Range pays.
+func BenchmarkFloat64(b *testing.B) {
+	s := New(9)
+	for i := 0; i < 2*rngLen; i++ {
+		s.Float64()
+	}
+	b.ResetTimer()
+	var x float64
+	for i := 0; i < b.N; i++ {
+		x += s.Float64()
+	}
+	benchSink += uint64(x)
 }
