@@ -41,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csv := fs.Bool("csv", false, "print tables as CSV too")
 	svgDir := fs.String("svg", "", "directory to write figure SVGs into")
 	jsonOut := fs.Bool("json", false, "emit results as JSON instead of text")
-	parallel := fs.Bool("parallel", false, "run experiments concurrently (each owns its own simulated world)")
 	jobs := fs.Int("jobs", runtime.NumCPU(), "max concurrent trial workers (1 = fully sequential)")
 	policyName := fs.String("policy", "", "override the placement policy in every region (cloudrun, random-uniform, least-loaded)")
 	faultLevel := fs.Float64("faults", 0, "uniform injected fault level in [0,1] (0 = fault-free; scales launch, preemption, channel and probe fault rates together)")
@@ -136,20 +135,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ctx := eaao.ExperimentContext{Seed: *seed, Quick: *quick, Big: *big, Jobs: *jobs, Policy: policy, Faults: faults, Load: *load}
 
 		// Each experiment builds its own deterministic world, so runs are
-		// independent and can proceed concurrently; results print in the
-		// requested order either way. With -parallel the experiments fan
-		// out through the bounded trial pool (-jobs workers) and each runs
-		// sequentially inside; without it, experiments run one at a time
-		// and each parallelizes its own trial repetitions.
-		var outcomes []eaao.ExperimentOutcome
-		if *parallel {
-			outcomes = eaao.RunExperiments(ids, ctx)
-		} else {
-			for _, id := range ids {
-				res, err := eaao.RunExperiment(id, ctx)
-				outcomes = append(outcomes, eaao.ExperimentOutcome{ID: id, Res: res, Err: err})
-			}
-		}
+		// independent: they fan out through the bounded trial pool (-jobs
+		// workers, shared between experiments and their trials), and results
+		// print in the requested order.
+		outcomes := eaao.RunExperiments(ids, ctx)
 		failures := 0
 		for _, oc := range outcomes {
 			if oc.Err != nil {

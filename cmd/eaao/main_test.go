@@ -10,13 +10,19 @@ import (
 	"eaao"
 )
 
+// runQuick runs one experiment at quick scale and seed 42.
+func runQuick(t *testing.T, id string) *eaao.ExperimentResult {
+	t.Helper()
+	oc := eaao.RunExperiments([]string{id}, eaao.ExperimentContext{Seed: 42, Quick: true})[0]
+	if oc.Err != nil {
+		t.Fatal(oc.Err)
+	}
+	return oc.Res
+}
+
 func TestWriteSVGs(t *testing.T) {
 	dir := t.TempDir()
-	res, err := eaao.RunExperiment("fig6", eaao.ExperimentContext{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSVGs(io.Discard, dir, res); err != nil {
+	if err := writeSVGs(io.Discard, dir, runQuick(t, "fig6")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig6.svg"))
@@ -32,11 +38,7 @@ func TestWriteSVGsLogAxis(t *testing.T) {
 	// fig4's p_boot sweep spans 7 decades: the writer must choose a log
 	// axis (marked in the x label).
 	dir := t.TempDir()
-	res, err := eaao.RunExperiment("fig4", eaao.ExperimentContext{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSVGs(io.Discard, dir, res); err != nil {
+	if err := writeSVGs(io.Discard, dir, runQuick(t, "fig4")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig4.svg"))
@@ -58,11 +60,8 @@ func TestCPUProfileWritesValidProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, runErr := eaao.RunExperiment("fig11a", eaao.ExperimentContext{Seed: 42, Quick: true})
+	runQuick(t, "fig11a")
 	stop()
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

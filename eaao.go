@@ -14,7 +14,7 @@
 //     instance-launching strategies, and the staged campaign engine
 //     (single-region and multi-region fleets).
 //   - The full evaluation harness: every figure and table of the paper can
-//     be regenerated with RunExperiment (see Experiments for the catalog).
+//     be regenerated with RunExperiments (see Experiments for the catalog).
 //
 // A minimal end-to-end use:
 //
@@ -152,8 +152,6 @@ type (
 	ExperimentContext = experiments.Context
 	// ExperimentResult holds an experiment's figures, tables and metrics.
 	ExperimentResult = experiments.Result
-	// ExperimentOutcome pairs one experiment id with its result or error.
-	ExperimentOutcome = experiments.Outcome
 )
 
 // Sandbox generations.
@@ -253,15 +251,10 @@ func CloudRunRates() pricing.Rates { return pricing.CloudRunRates() }
 // Experiments lists every reproducible paper artifact in order.
 func Experiments() []experiments.Descriptor { return experiments.All() }
 
-// RunExperiment regenerates one paper artifact ("fig4" ... "gen2cov").
-func RunExperiment(id string, ctx ExperimentContext) (*ExperimentResult, error) {
-	return experiments.Run(id, ctx)
-}
-
-// RunExperiments regenerates several artifacts through the bounded trial
-// pool (ctx.Jobs workers; each experiment runs sequentially inside so the
-// cross-experiment and intra-experiment parallelism do not multiply).
-// Outcomes are returned in input order, one per id, failures included.
-func RunExperiments(ids []string, ctx ExperimentContext) []ExperimentOutcome {
+// RunExperiments regenerates paper artifacts ("fig4" ... "gen2cov") through
+// the bounded trial pool: ctx.Jobs workers, split between the experiments
+// and each experiment's own trials so the two do not multiply. Outcomes are
+// returned in input order, one per id, failures included.
+func RunExperiments(ids []string, ctx ExperimentContext) []experiments.Outcome {
 	return experiments.RunAll(ids, ctx)
 }

@@ -133,14 +133,14 @@ func TestExperimentRegistryThroughFacade(t *testing.T) {
 	if len(exps) != 28 {
 		t.Fatalf("registry has %d experiments, want 28", len(exps))
 	}
-	res, err := RunExperiment("table1", ExperimentContext{Seed: 42, Quick: true})
-	if err != nil {
-		t.Fatal(err)
+	out := RunExperiments([]string{"table1", "nope"}, ExperimentContext{Seed: 42, Quick: true})
+	if out[0].Err != nil {
+		t.Fatal(out[0].Err)
 	}
-	if res.ID != "table1" {
-		t.Errorf("ran %q", res.ID)
+	if out[0].Res.ID != "table1" {
+		t.Errorf("ran %q", out[0].Res.ID)
 	}
-	if _, err := RunExperiment("nope", ExperimentContext{Seed: 42, Quick: true}); err == nil {
+	if out[1].Err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -64,13 +64,13 @@ type Outcome struct {
 }
 
 // RunAll executes the named experiments concurrently on the bounded trial
-// pool and returns their outcomes in input order. Parallelism is spent
-// *across* experiments here, so each experiment runs its own trials
-// sequentially (Jobs = 1) and the total worker count stays bounded by
-// ctx.jobs(). Failures are reported per experiment, never short-circuited.
+// pool and returns their outcomes in input order. The ctx.jobs() workers are
+// split: each experiment runs its own trials on max(1, jobs/len(ids)), so
+// one experiment alone keeps its trial parallelism and the two levels do not
+// multiply. Failures are reported per experiment, never short-circuited.
 func RunAll(ids []string, ctx Context) []Outcome {
 	inner := ctx
-	inner.Jobs = 1
+	inner.Jobs = max(1, ctx.jobs()/max(1, len(ids)))
 	out, _ := runTrials(ctx, len(ids), func(t Trial) (Outcome, error) {
 		res, err := Run(ids[t.Index], inner)
 		return Outcome{ID: ids[t.Index], Res: res, Err: err}, nil

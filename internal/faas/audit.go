@@ -14,9 +14,12 @@ import "fmt"
 //   - each service's activeCount is its number of active instances, and an
 //     autoscaling service's tick is pending or parked with the target met
 //     (a parked tick runs again only when a change wakes it);
-//   - every non-terminated member of the current nursery cohort is one of
-//     the region's live instances (terminated members stay until the
-//     boundary, which skips them).
+//   - every nursery cohort is this region's and pending, deadlines rise
+//     from oldest to newest, and every non-terminated member is one of the
+//     region's live instances (terminated members stay until the boundary,
+//     which skips them);
+//   - the scheduler's queue is a heap by (deadline, seq) whose events each
+//     record their own slot (simtime.Scheduler.Seated).
 //
 // Snapshot tests run it on the original world and on every fork: a fork
 // that points back into the snapshot fails it.
@@ -78,7 +81,10 @@ func (dc *DataCenter) Audit() error {
 	if live != residents {
 		return fmt.Errorf("faas: audit: %d live instances but %d host residents", live, residents)
 	}
-	if c := dc.nursery; c != nil {
+	for i, c := range dc.cohorts {
+		if c.dc != dc || !c.ev.Pending() || i > 0 && c.ev.Deadline() <= dc.cohorts[i-1].ev.Deadline() {
+			return fmt.Errorf("faas: audit: nursery cohort %d of %d is not this region's, not pending, or not due after the cohort before it", i, len(dc.cohorts))
+		}
 		for _, inst := range c.insts {
 			s := inst.service
 			a := s.account
@@ -87,6 +93,9 @@ func (dc *DataCenter) Audit() error {
 				return fmt.Errorf("faas: audit: nursery member %s is not one of the region's instances", inst.ID())
 			}
 		}
+	}
+	if err := dc.platform.sched.Seated(); err != nil {
+		return fmt.Errorf("faas: audit: %w", err)
 	}
 	return nil
 }

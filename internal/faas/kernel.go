@@ -127,6 +127,9 @@ func (c *lifeCohort) HandleEvent(_ *simtime.Event, now simtime.Time) {
 	}
 	clear(c.insts) // drop the instance pointers so the GC can reclaim them
 	c.insts = c.insts[:0]
+	// Boundaries fire in creation order, so c is the oldest pending cohort.
+	dc.cohorts[0] = nil
+	dc.cohorts = dc.cohorts[1:]
 	dc.cohortFree = append(dc.cohortFree, c)
 }
 
@@ -141,20 +144,24 @@ func (dc *DataCenter) allocCohort() *lifeCohort {
 	return &lifeCohort{dc: dc}
 }
 
-// scheduleLifecycle enrolls a new instance in the current nursery cohort,
+// scheduleLifecycle enrolls a new instance in the newest nursery cohort,
 // opening one (and arming its boundary event) when this is the first
-// creation of the instant. No-op when both hazards are zero.
+// creation of the instant. No-op when both hazards are zero. Boundaries are
+// armed at now + lifecycleInterval with now never decreasing, so cohorts
+// fire in the order they open.
 func (dc *DataCenter) scheduleLifecycle(inst *Instance, now simtime.Time) {
 	rate := dc.churnHazard + dc.preemptHazard
 	if rate <= 0 {
 		return
 	}
-	if dc.nursery == nil || dc.nurseryAt != now {
-		dc.nursery = dc.allocCohort()
+	if len(dc.cohorts) == 0 || dc.nurseryAt != now {
+		c := dc.allocCohort()
 		dc.nurseryAt = now
-		dc.platform.sched.ArmHandlerAfter(&dc.nursery.ev, lifecycleInterval, dc.nursery)
+		dc.cohorts = append(dc.cohorts, c)
+		dc.platform.sched.ArmHandlerAfter(&c.ev, lifecycleInterval, c)
 	}
-	dc.nursery.insts = append(dc.nursery.insts, inst)
+	c := dc.cohorts[len(dc.cohorts)-1]
+	c.insts = append(c.insts, inst)
 }
 
 // resumeLifecycle re-arms the hazard of a warm-reused instance whose timer

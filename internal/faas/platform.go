@@ -160,12 +160,13 @@ type DataCenter struct {
 	lifeMix1      uint64
 	// lifeSlab/lifeFree pool the kernel's per-instance timer slots (see
 	// allocLifeEvent): slabs amortize allocation, the free list recycles
-	// slots of terminated instances. nursery is the cohort collecting the
-	// instances created at nurseryAt (one boundary event per creation
-	// instant), and cohortFree recycles fired cohorts.
+	// slots of terminated instances. cohorts are the pending nursery
+	// cohorts, oldest first (one boundary event per creation instant, so
+	// they fire in this order); the newest collects the instances created
+	// at nurseryAt. cohortFree recycles fired cohorts.
 	lifeSlab   []simtime.Event
 	lifeFree   []*simtime.Event
-	nursery    *lifeCohort
+	cohorts    []*lifeCohort
 	nurseryAt  simtime.Time
 	cohortFree []*lifeCohort
 

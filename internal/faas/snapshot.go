@@ -1,10 +1,6 @@
 package faas
 
-import (
-	"fmt"
-
-	"eaao/internal/simtime"
-)
+import "fmt"
 
 // World snapshots: deep-copy forking of a fully built platform.
 //
@@ -27,14 +23,17 @@ import (
 // the cloned region's hosts[id], and an instance's is the cloned service's
 // insts[slot], whose layout (tombstones included) is copied exactly.
 //
+// Every platform timer (idle reapers, lifecycle timers, nursery cohorts,
+// demand decay, autoscale ticks, traffic re-draws) is an intrusive event
+// embedded in, or leased by, an owner the clone copies anyway. Each owner
+// value-copies its events and reseats the pending ones into the fork's
+// queue (simtime.Scheduler.Reseat), where they land in their original slots.
+//
 // What cannot be snapshotted — all three capture state that lives outside
 // the world, which a deep copy cannot follow:
 //
-//   - a pending event whose handler remapEvent does not know, such as an
-//     experiment's own timer. Every platform timer (idle reapers, lifecycle
-//     timers, nursery cohorts, demand decay, autoscale ticks, traffic
-//     re-draws) is an intrusive Handler event that remaps to its cloned
-//     owner.
+//   - a pending event no world object owns, such as an experiment's own
+//     timer: no owner reseats it, and the fork's queue keeps an empty slot.
 //   - instances carrying OnSIGTERM or SetWorkload callbacks.
 //   - an installed PlacementTracer.
 //
@@ -79,45 +78,28 @@ func (s *Snapshot) MustRestore() *Platform {
 	return p
 }
 
-// worldClone carries the old-to-new region and service maps of one
-// platform clone; remapEvent consults them to rebind the scheduler's pending
-// events to their cloned owners. Hosts and instances remap by index.
-type worldClone struct {
-	dcs  map[*DataCenter]*DataCenter
-	svcs map[*Service]*Service
-	err  error
-}
-
 func clonePlatform(src *Platform) (*Platform, error) {
 	np := &Platform{
 		seed:    src.seed,
+		sched:   src.sched.Clone(),
 		regions: make(map[Region]*DataCenter, len(src.regions)),
 		order:   append([]Region(nil), src.order...),
 		markSeq: src.markSeq,
 	}
-	cl := &worldClone{
-		dcs:  make(map[*DataCenter]*DataCenter, len(src.regions)),
-		svcs: make(map[*Service]*Service),
-	}
 	for _, r := range src.order {
-		ndc, err := cloneDataCenter(np, src.regions[r], cl)
+		ndc, err := cloneDataCenter(np, src.regions[r])
 		if err != nil {
 			return nil, err
 		}
 		np.regions[r] = ndc
 	}
-	sched, err := src.sched.Clone(cl.remapEvent)
-	if cl.err != nil {
-		return nil, cl.err
+	if err := np.sched.Seated(); err != nil {
+		return nil, fmt.Errorf("faas: snapshot: %w; experiment-owned timers cannot be snapshotted", err)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("faas: snapshot: %w", err)
-	}
-	np.sched = sched
 	return np, nil
 }
 
-func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter, error) {
+func cloneDataCenter(np *Platform, odc *DataCenter) (*DataCenter, error) {
 	if odc.tracer != nil {
 		return nil, fmt.Errorf("faas: snapshot: region %s has a placement tracer installed; tracers capture state outside the world", odc.profile.Name)
 	}
@@ -145,8 +127,7 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 	// Selection and derivation scratch is dead between operations by
 	// contract, so the fork starts with fresh (empty) scratch. The lifecycle
 	// event pool is likewise rebuilt: pool slot identity is invisible to the
-	// simulation, and remapEvent leases fresh slots for pending timers.
-	cl.dcs[odc] = ndc
+	// simulation, and cloneInstance leases fresh slots for pending timers.
 	ndc.launchFaultRNG = odc.launchFaultRNG.Clone()
 	ndc.channelFaultRNG = odc.channelFaultRNG.Clone()
 	ndc.probeFaultRNG = odc.probeFaultRNG.Clone()
@@ -169,8 +150,15 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 		ndc.hosts[i] = nh
 	}
 
+	// svcs maps each service to its clone, for the traffic tenants and
+	// nursery cohorts below.
+	nsvc := 0
 	for _, oa := range odc.acctSeq {
-		na, err := cloneAccount(ndc, oa, cl)
+		nsvc += len(oa.svcSeq)
+	}
+	svcs := make(map[*Service]*Service, nsvc)
+	for _, oa := range odc.acctSeq {
+		na, err := cloneAccount(ndc, oa, svcs)
 		if err != nil {
 			return nil, err
 		}
@@ -181,9 +169,9 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 	// Background traffic is data plus intrusive events, so it deep-copies:
 	// tenants are value structs whose service pointers remap through the
 	// account clones above, the stateless draw streams travel as (mixBase,
-	// draws) counters, and each tenant's pending re-draw timer rebinds in
-	// remapEvent by rank. This is what keeps loaded worlds fork-compatible
-	// where closure-backed workloads (SetWorkload) cannot be.
+	// draws) counters, and each tenant reseats its pending re-draw timer.
+	// This is what keeps loaded worlds fork-compatible where closure-backed
+	// workloads (SetWorkload) cannot be.
 	if ot := odc.traffic; ot != nil {
 		nt := &trafficState{
 			dc:        ndc,
@@ -198,12 +186,33 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 		for i := range ot.tenants {
 			n := &nt.tenants[i]
 			*n = ot.tenants[i]
-			n.state, n.svc, n.ev = nt, cl.svcs[n.svc], simtime.Event{}
+			n.state, n.svc = nt, svcs[n.svc]
 			if n.svc == nil {
 				return nil, fmt.Errorf("faas: snapshot: traffic tenant %d's service missing from the clone", i)
 			}
+			np.sched.Reseat(&n.ev, n)
 		}
 		ndc.traffic = nt
+	}
+
+	// Pending nursery cohorts, oldest first. A cohort may still reference
+	// members that terminated young; the boundary handler skips them, so the
+	// clone drops them.
+	ndc.cohorts = make([]*lifeCohort, len(odc.cohorts))
+	for i, oc := range odc.cohorts {
+		nc := &lifeCohort{dc: ndc, insts: make([]*Instance, 0, len(oc.insts)), ev: oc.ev}
+		for _, oi := range oc.insts {
+			if oi.state == StateTerminated {
+				continue
+			}
+			os, ns := oi.service, svcs[oi.service]
+			if ns == nil || oi.slot >= len(os.insts) || os.insts[oi.slot] != oi {
+				return nil, fmt.Errorf("faas: snapshot: nursery cohort member %s missing from the clone", oi.ID())
+			}
+			nc.insts = append(nc.insts, ns.insts[oi.slot])
+		}
+		np.sched.Reseat(&nc.ev, nc)
+		ndc.cohorts[i] = nc
 	}
 
 	// Every slot of every host's resident list must have been claimed by a
@@ -219,7 +228,7 @@ func cloneDataCenter(np *Platform, odc *DataCenter, cl *worldClone) (*DataCenter
 	return ndc, nil
 }
 
-func cloneAccount(ndc *DataCenter, oa *Account, cl *worldClone) (*Account, error) {
+func cloneAccount(ndc *DataCenter, oa *Account, svcs map[*Service]*Service) (*Account, error) {
 	na := &Account{
 		dc:       ndc,
 		id:       oa.id,
@@ -232,32 +241,29 @@ func cloneAccount(ndc *DataCenter, oa *Account, cl *worldClone) (*Account, error
 		bill:     oa.bill,
 	}
 	for _, os := range oa.svcSeq {
-		ns, err := cloneService(na, os, cl)
+		ns, err := cloneService(na, os)
 		if err != nil {
 			return nil, err
 		}
 		na.services[os.name] = ns
 		na.svcSeq = append(na.svcSeq, ns)
+		svcs[os] = ns
 	}
 	return na, nil
 }
 
-func cloneService(na *Account, os *Service, cl *worldClone) (*Service, error) {
+func cloneService(na *Account, os *Service) (*Service, error) {
 	// Value-copy, like hosts and instances; the stream, the host bitset, the
 	// instance list and the policy state become the fork's own below, and
-	// timers start detached (remapEvent rebinds the pending ones).
+	// the copied timers are reseated into the fork's queue.
 	ns := new(Service)
 	*ns = *os
 	ns.account, ns.rng = na, os.rng.Clone()
 	ns.seenHosts = append(hostBitset(nil), os.seenHosts...)
 	ns.insts, ns.policyState = nil, nil
-	ns.decayEvent = simtime.Event{}
-	if os.tickEvent.Pending() {
-		// A parked tick is copied as it is, so the fork's chain keeps its
-		// place among same-instant ticks; a pending one is rebound below.
-		ns.tickEvent = simtime.Event{}
-	}
-	cl.svcs[os] = ns
+	sched := na.dc.platform.sched
+	sched.Reseat(&ns.decayEvent, ns)
+	sched.Reseat(&ns.tickEvent, ns)
 	switch st := os.policyState.(type) {
 	case nil:
 	case *cloudRunState:
@@ -302,11 +308,16 @@ func cloneInstance(ns *Service, oi *Instance) (*Instance, error) {
 	// other guest state (offsets, epochs, read counts) is value-copied.
 	oi.guestStore.CloneInto(&ni.guestStore, nh)
 	ni.guest = &ni.guestStore
-	// Timers start detached; remapEvent rebinds pending ones with their
-	// original deadlines and tie-break sequence (and leases a fresh pooled
-	// slot for a pending lifecycle timer).
-	ni.termEvent = simtime.Event{}
+	// The copied idle reaper is reseated as it is; a pending lifecycle timer
+	// is copied into a freshly leased pooled slot.
+	sched := ndc.platform.sched
+	sched.Reseat(&ni.termEvent, ni)
 	ni.lifeEvent = nil
+	if oe := oi.lifeEvent; oe != nil && oe.Pending() {
+		ni.lifeEvent = ndc.allocLifeEvent()
+		*ni.lifeEvent = *oe
+		sched.Reseat(ni.lifeEvent, ni)
+	}
 	return ni, nil
 }
 
@@ -320,89 +331,4 @@ func remapHosts(hosts []*Host, ndc *DataCenter) []*Host {
 		out[i] = ndc.hosts[h.id]
 	}
 	return out
-}
-
-// inst returns the counterpart of a live instance: the same slot of its
-// cloned service, or nil when oi is not live in a cloned service.
-func (cl *worldClone) inst(oi *Instance) *Instance {
-	os := oi.service
-	ns := cl.svcs[os]
-	if ns == nil || oi.slot >= len(os.insts) || os.insts[oi.slot] != oi {
-		return nil
-	}
-	return ns.insts[oi.slot]
-}
-
-// remapEvent rebinds one pending scheduler event to its cloned owner. The
-// handler identifies the owner; the event address distinguishes which of the
-// owner's timers is pending.
-func (cl *worldClone) remapEvent(old *simtime.Event, h simtime.Handler) (*simtime.Event, simtime.Handler) {
-	switch o := h.(type) {
-	case *Instance:
-		ni := cl.inst(o)
-		if ni == nil {
-			return cl.fail("pending timer of an instance missing from the clone")
-		}
-		if old == &o.termEvent {
-			return &ni.termEvent, ni
-		}
-		if old == o.lifeEvent {
-			ni.lifeEvent = ni.service.account.dc.allocLifeEvent()
-			return ni.lifeEvent, ni
-		}
-		return cl.fail("pending instance event matches neither the idle reaper nor the lifecycle timer")
-	case *Service:
-		ns := cl.svcs[o]
-		if ns == nil {
-			return cl.fail("pending timer of a service missing from the clone")
-		}
-		if old == &o.decayEvent {
-			return &ns.decayEvent, ns
-		}
-		if old == &o.tickEvent {
-			return &ns.tickEvent, ns
-		}
-		return cl.fail("pending service event matches neither the decay nor the autoscale timer")
-	case *trafficTenant:
-		ndc := cl.dcs[o.state.dc]
-		if ndc == nil || ndc.traffic == nil || o.rank >= len(ndc.traffic.tenants) {
-			return cl.fail("pending re-draw timer of a traffic tenant missing from the clone")
-		}
-		nt := &ndc.traffic.tenants[o.rank]
-		return &nt.ev, nt
-	case *lifeCohort:
-		ndc := cl.dcs[o.dc]
-		if ndc == nil {
-			return cl.fail("pending nursery cohort of a region missing from the clone")
-		}
-		nc := &lifeCohort{dc: ndc, insts: make([]*Instance, 0, len(o.insts))}
-		for _, oi := range o.insts {
-			// A cohort may still reference members that terminated young;
-			// the boundary handler skips them, so the clone drops them.
-			if oi.state == StateTerminated {
-				continue
-			}
-			ni := cl.inst(oi)
-			if ni == nil {
-				return cl.fail("nursery cohort member missing from the clone")
-			}
-			nc.insts = append(nc.insts, ni)
-		}
-		// Only the region's current nursery keeps collecting newcomers;
-		// older cohorts are reachable solely through their pending event.
-		if o == o.dc.nursery {
-			ndc.nursery = nc
-		}
-		return &nc.ev, nc
-	default:
-		cl.err = fmt.Errorf("faas: snapshot: pending event with unknown handler type %T (experiment-owned timers cannot be snapshotted)", h)
-		return nil, nil
-	}
-}
-
-func (cl *worldClone) fail(msg string) (*simtime.Event, simtime.Handler) {
-	if cl.err == nil {
-		cl.err = fmt.Errorf("faas: snapshot: %s", msg)
-	}
-	return nil, nil
 }

@@ -64,6 +64,38 @@ func snapPrologue(t *testing.T, p *Platform) {
 	// pending, so the fork must re-arm immunity-boundary state.
 	p.Scheduler().Advance(10 * time.Minute)
 	mustLaunch(s1, 44)
+	// A demand change wakes s2's parked autoscale tick.
+	if err := s2.SetDemand(3); err != nil {
+		t.Fatal(err)
+	}
+
+	// The snapshot instant holds a pending event of every kind an owner
+	// reseats into a fork (traffic re-draws: TestTrafficSnapshotForkIdentical).
+	var reapers, lifes, decays, ticks int
+	for _, a := range dc.acctSeq {
+		for _, s := range a.svcSeq {
+			decays += pendingCount(&s.decayEvent)
+			ticks += pendingCount(&s.tickEvent)
+			for _, inst := range s.insts {
+				if inst != nil {
+					reapers += pendingCount(&inst.termEvent)
+					lifes += pendingCount(inst.lifeEvent)
+				}
+			}
+		}
+	}
+	if len(dc.cohorts) < 2 || reapers == 0 || lifes == 0 || decays == 0 || ticks == 0 {
+		t.Fatalf("prologue left %d nursery cohorts (want 2+), %d idle reapers, %d lifecycle timers, %d demand decays and %d autoscale ticks pending (want 1+ each)",
+			len(dc.cohorts), reapers, lifes, decays, ticks)
+	}
+}
+
+// pendingCount is 1 when e is a pending event, else 0.
+func pendingCount(e *simtime.Event) int {
+	if e != nil && e.Pending() {
+		return 1
+	}
+	return 0
 }
 
 // driveWorld runs a fixed post-snapshot script against a platform and
@@ -343,7 +375,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 
 // TestAuditCatchesCorruption corrupts one fork per Audit check and requires
 // the audit to fail; an untouched fork, and a terminated nursery member of
-// another world, must pass.
+// another world, must pass. (simtime's TestSeatedCatchesCorruption breaks
+// the heap order itself, which needs the queue's internals.)
 func TestAuditCatchesCorruption(t *testing.T) {
 	p := MustPlatform(11, snapProfile())
 	snapPrologue(t, p)
@@ -393,13 +426,32 @@ func TestAuditCatchesCorruption(t *testing.T) {
 			s2.demand++
 		}, false},
 		{"nursery member", func(dc *DataCenter, _ *Service, _ *Instance) {
-			dc.nursery.insts = append(dc.nursery.insts, oinst)
+			c := dc.cohorts[0]
+			c.insts = append(c.insts, oinst)
 		}, false},
 		{"terminated nursery member", func(dc *DataCenter, _ *Service, _ *Instance) {
 			dead := *oinst
 			dead.state = StateTerminated
-			dc.nursery.insts = append(dc.nursery.insts, &dead)
+			c := dc.cohorts[0]
+			c.insts = append(c.insts, &dead)
 		}, true},
+		{"fired cohort", func(dc *DataCenter, _ *Service, _ *Instance) {
+			dc.platform.sched.Cancel(&dc.cohorts[0].ev)
+		}, false},
+		{"cohort order", func(dc *DataCenter, _ *Service, _ *Instance) {
+			dc.cohorts[0], dc.cohorts[1] = dc.cohorts[1], dc.cohorts[0]
+		}, false},
+		{"heap slots", func(_ *DataCenter, s *Service, _ *Instance) {
+			// Two pending lifecycle timers trade values, heap positions
+			// included, behind the queue's back.
+			var evs []*simtime.Event
+			for _, inst := range s.Instances() {
+				if pendingCount(inst.lifeEvent) == 1 {
+					evs = append(evs, inst.lifeEvent)
+				}
+			}
+			*evs[0], *evs[1] = *evs[1], *evs[0]
+		}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

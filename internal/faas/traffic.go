@@ -170,7 +170,6 @@ type trafficState struct {
 // is the intrusive ev event; HandleEvent re-draws demand and re-arms.
 type trafficTenant struct {
 	state *trafficState
-	rank  int
 	// mixBase is randx.MixStep(state.mix1, rank): the tenant's stateless
 	// draw stream, advanced by the draws counter.
 	mixBase uint64
@@ -215,7 +214,6 @@ func (dc *DataCenter) initTraffic() {
 	for i := range ts.tenants {
 		t := &ts.tenants[i]
 		t.state = ts
-		t.rank = i
 		t.mixBase = randx.MixStep(ts.mix1, uint64(i))
 		acct := dc.Account(fmt.Sprintf("bg-%05d", i))
 		// Bystanders are established tenants; the new-account quota models

@@ -160,9 +160,6 @@ func (s *Source) float64() float64 {
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (s *Source) Int63n(n int64) int64 { return s.rng.Int63n(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
 

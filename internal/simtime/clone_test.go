@@ -159,26 +159,21 @@ func buildReplayWorld(s *Scheduler, log *[]string, n int) []*replayHandler {
 func TestCloneReplaysIdentically(t *testing.T) {
 	var origLog []string
 	s := NewScheduler(100)
-	buildReplayWorld(s, &origLog, 8)
+	hs := buildReplayWorld(s, &origLog, 8)
 	for i := 0; i < 5; i++ { // advance partway so the queue is mid-flight
 		s.Step()
 	}
 
+	// Each owner value-copies its event into the fork and reseats it there,
+	// the way a snapshot forks its owners.
 	var cloneLog []string
-	cs, err := s.Clone(func(old *Event, h Handler) (*Event, Handler) {
-		rh, ok := h.(*replayHandler)
-		if !ok {
-			t.Fatalf("unknown pending event at %v", old.at)
-		}
-		nh := &replayHandler{id: rh.id, left: rh.left, log: &cloneLog}
-		return &nh.ev, nh
-	})
-	if err != nil {
-		t.Fatal(err)
+	cs := s.Clone()
+	for _, h := range hs {
+		nh := &replayHandler{id: h.id, left: h.left, ev: h.ev, sched: cs, log: &cloneLog}
+		cs.Reseat(&nh.ev, nh)
 	}
-	// The clone's handlers must re-arm into the clone's scheduler.
-	for i := range cs.queue {
-		cs.queue[i].h.(*replayHandler).sched = cs
+	if err := cs.Seated(); err != nil {
+		t.Fatal(err)
 	}
 	if cs.Now() != s.Now() || cs.Executed() != s.Executed() || cs.Pending() != s.Pending() {
 		t.Fatalf("clone counters diverge: now %v/%v executed %d/%d pending %d/%d",
@@ -203,19 +198,55 @@ func TestCloneReplaysIdentically(t *testing.T) {
 	_ = origLog
 }
 
-func TestCloneRejectsBadRemap(t *testing.T) {
+// TestSeatedReportsUnseatedEvent requires Seated to name a pending event of
+// the original that no owner reseated into the clone, and a clone whose
+// every pending event was reseated to pass.
+func TestSeatedReportsUnseatedEvent(t *testing.T) {
 	s := NewScheduler(0)
 	owner := &countHandler{}
-	var e Event
-	s.ArmHandler(&e, 10, owner)
+	var a, b Event
+	s.ArmHandler(&a, 10, owner)
+	s.ArmHandler(&b, 20, owner)
 
-	if _, err := s.Clone(func(*Event, Handler) (*Event, Handler) { return nil, nil }); err == nil {
-		t.Fatal("Clone accepted a nil counterpart")
+	c := s.Clone()
+	na, nb := a, b
+	c.Reseat(&na, owner)
+	if err := c.Seated(); err == nil {
+		t.Fatal("Seated accepted a clone with a pending event nobody reseated")
 	}
-	// Returning an already-pending event (here: the original itself) must be
-	// rejected — it would alias the two schedulers' queues.
-	if _, err := s.Clone(func(old *Event, _ Handler) (*Event, Handler) { return old, owner }); err == nil {
-		t.Fatal("Clone accepted a pending counterpart")
+	c.Reseat(&nb, owner)
+	if err := c.Seated(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Step() || c.Now() != 10 || !c.Step() || c.Now() != 20 || owner.fired != 2 {
+		t.Fatalf("reseated clone fired %d events, now %v", owner.fired, c.Now())
+	}
+}
+
+// TestSeatedCatchesCorruption breaks the queue's two invariants behind its
+// back — an event's recorded position, and the heap order — and requires
+// Seated to report each.
+func TestSeatedCatchesCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(s *Scheduler)
+	}{
+		{"position", func(s *Scheduler) { s.queue[1].pos = 3 }},
+		{"heap order", func(s *Scheduler) { s.queue.swap(0, 1) }},
+	}
+	for _, c := range cases {
+		s := NewScheduler(0)
+		evs := make([]Event, 4)
+		for i := range evs {
+			s.ArmHandler(&evs[i], Time(10*(i+1)), &countHandler{})
+		}
+		if err := s.Seated(); err != nil {
+			t.Fatal(err)
+		}
+		c.corrupt(s)
+		if err := s.Seated(); err == nil {
+			t.Fatalf("Seated accepted a queue with a corrupted %s", c.name)
+		}
 	}
 }
 
@@ -224,8 +255,8 @@ func TestCloneEmptyQueue(t *testing.T) {
 	var e Event
 	s.ArmHandler(&e, 50, &countHandler{})
 	drain(s)
-	c, err := s.Clone(func(*Event, Handler) (*Event, Handler) { return nil, nil })
-	if err != nil {
+	c := s.Clone()
+	if err := c.Seated(); err != nil {
 		t.Fatal(err)
 	}
 	if c.Now() != s.Now() || c.Executed() != 1 || c.Pending() != 0 {

@@ -75,6 +75,9 @@ type Handler interface {
 // Pending reports whether the event is currently queued.
 func (e *Event) Pending() bool { return e.pos != 0 }
 
+// Deadline returns the instant the event was last armed for.
+func (e *Event) Deadline() Time { return e.at }
+
 // eventHeap is a hand-rolled binary min-heap ordered by (at, seq). It is not
 // a container/heap.Interface on purpose: arming an event is the simulator's
 // hottest operation (once per created instance, once per autoscale tick) and
@@ -273,30 +276,44 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Clone returns a deep copy of the scheduler for world snapshotting: the
-// clock, insertion counter, executed count, and the entire pending queue
-// carry over, so the copy replays the exact event sequence the original
-// would. Pending events are caller-owned objects the scheduler cannot
-// duplicate itself; remap is called once per pending event and must return
-// the cloned world's counterpart Event (typically the same field embedded in
-// the cloned owner) together with the handler it should fire into. The
-// queue is copied slot for slot, so each cloned event keeps the original's
-// deadline, tie-break sequence, and heap position — firing order is
-// byte-identical by construction.
-func (s *Scheduler) Clone(remap func(old *Event, h Handler) (*Event, Handler)) (*Scheduler, error) {
-	c := &Scheduler{now: s.now, nextID: s.nextID, executed: s.executed, queue: make(eventHeap, len(s.queue))}
-	for i, e := range s.queue {
-		ne, h := remap(e, e.h)
-		if ne == nil {
-			return nil, fmt.Errorf("simtime: remap returned no counterpart for pending event (deadline %v)", e.at)
-		}
-		if ne.pos != 0 {
-			return nil, fmt.Errorf("simtime: remap returned an event that is already pending (deadline %v)", e.at)
-		}
-		ne.at, ne.seq, ne.h, ne.pos = e.at, e.seq, h, e.pos
-		c.queue[i] = ne
+// Clone returns a copy of the scheduler for world snapshotting: the clock,
+// insertion counter and executed count carry over, and the queue has one
+// empty slot per pending event of the original. Pending events are
+// caller-owned objects the scheduler cannot duplicate itself: each owner
+// value-copies its events into the cloned world and puts the pending ones
+// back with Reseat, and Seated then reports a slot nobody filled.
+func (s *Scheduler) Clone() *Scheduler {
+	return &Scheduler{now: s.now, nextID: s.nextID, executed: s.executed, queue: make(eventHeap, len(s.queue))}
+}
+
+// Reseat queues e, a value copy of an event pending in the scheduler this
+// one was cloned from, with handler h. The copy keeps the original's
+// deadline, tie-break seq and heap position, so it lands in the original's
+// slot and firing order is identical by construction. An idle e is left
+// alone: a parked tick keeps its seq and with it its chain's place.
+func (s *Scheduler) Reseat(e *Event, h Handler) {
+	if e.pos != 0 {
+		e.h = h
+		s.queue[e.pos-1] = e
 	}
-	return c, nil
+}
+
+// Seated checks the queue: every slot holds an event whose position is that
+// slot, in heap order by (deadline, seq). On a clone it reports a pending
+// event of the original that no owner reseated; on any scheduler it reports
+// a corrupted heap.
+func (s *Scheduler) Seated() error {
+	for i, e := range s.queue {
+		switch {
+		case e == nil:
+			return fmt.Errorf("simtime: queue slot %d is empty (a pending event was not reseated)", i)
+		case e.pos != i+1:
+			return fmt.Errorf("simtime: event in queue slot %d records position %d", i, e.pos-1)
+		case i > 0 && s.queue.less(i, (i-1)/2):
+			return fmt.Errorf("simtime: queue slot %d (deadline %v) sorts before its parent", i, e.at)
+		}
+	}
+	return nil
 }
 
 // RunUntil executes every event with deadline <= t (including events those

@@ -219,24 +219,17 @@ func (w *tickWorld) apply(kind byte, k int, arg byte) {
 }
 
 // clone forks the world through Scheduler.Clone the way a snapshot forks
-// its owners: idle events are copied as they are, so a tick chain keeps its
-// place, and pending ones are handed over zeroed for Clone to fill in.
+// its owners: every event is value-copied, so a parked tick chain keeps its
+// place, and each pending copy is reseated into the fork.
 func (w *tickWorld) clone() *tickWorld {
-	nw := &tickWorld{t: w.t, data: w.data, pos: w.pos, armed: w.armed, model: w.model}
+	nw := &tickWorld{t: w.t, s: w.s.Clone(), data: w.data, pos: w.pos, armed: w.armed, model: w.model}
 	for i := range nw.evs {
-		nw.evs[i] = tickEvent{id: i, w: nw}
-		if !w.evs[i].ev.Pending() {
-			nw.evs[i].ev = w.evs[i].ev
-		}
+		nw.evs[i] = tickEvent{ev: w.evs[i].ev, id: i, w: nw}
+		nw.s.Reseat(&nw.evs[i].ev, &nw.evs[i])
 	}
-	s, err := w.s.Clone(func(old *Event, h Handler) (*Event, Handler) {
-		te := h.(*tickEvent)
-		return &nw.evs[te.id].ev, &nw.evs[te.id]
-	})
-	if err != nil {
+	if err := nw.s.Seated(); err != nil {
 		w.t.Fatal(err)
 	}
-	nw.s = s
 	return nw
 }
 
