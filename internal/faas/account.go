@@ -32,9 +32,12 @@ type Account struct {
 	// account itself never draws.
 	seed uint64
 
-	group    int
-	basePool []*Host // preference-ordered
-	helpers  []*Host // account-level helper pool, preference-ordered
+	group int
+	// basePool and helpers (the account-level helper pool) are host ids,
+	// preference-ordered. The world, its snapshots and forks share them, so
+	// they are copy-on-write: resampleBasePool builds a new slice.
+	basePool []HostID
+	helpers  []HostID
 
 	services map[string]*Service
 	svcSeq   []*Service // creation order, for deterministic iteration
@@ -77,7 +80,7 @@ func (a *Account) Mature() { a.quota = 0 }
 
 // sampleBasePool draws the account's base pool from its placement group,
 // ranked by host desirability.
-func (a *Account) sampleBasePool(rng *randx.Source) []*Host {
+func (a *Account) sampleBasePool(rng *randx.Source) []HostID {
 	group := a.dc.hostBuf[:0]
 	for _, h := range a.dc.hosts {
 		if h.group == a.group {
@@ -85,11 +88,7 @@ func (a *Account) sampleBasePool(rng *randx.Source) []*Host {
 		}
 	}
 	a.dc.hostBuf = group[:0]
-	n := a.dc.profile.BasePoolSize
-	if n > len(group) {
-		n = len(group)
-	}
-	return a.noisyTopSample(rng, group, n, sigmaBase, noExclusion)
+	return a.noisyTopSample(rng, group, a.dc.profile.BasePoolSize, sigmaBase, noExclusion)
 }
 
 // noExclusion asks noisyTopSample to consider every candidate. Any other
@@ -99,32 +98,26 @@ func (a *Account) sampleBasePool(rng *randx.Source) []*Host {
 const noExclusion uint64 = 0
 
 // noisyTopSample selects the k best candidates by desirability plus Gaussian
-// selection noise. The result is ordered best-first, i.e. stronger
+// selection noise, and returns their ids ordered best-first, i.e. stronger
 // preference first. Scoring scratch is reused across calls; selection is a
 // deterministic quickselect over the strict (score, host-id) total order, so
 // the output matches the historical full sort element for element.
-func (a *Account) noisyTopSample(rng *randx.Source, candidates []*Host, k int, sigma float64, excludeMark uint64) []*Host {
+func (a *Account) noisyTopSample(rng *randx.Source, candidates []*Host, k int, sigma float64, excludeMark uint64) []HostID {
 	pool := a.dc.scoreBuf[:0]
-	if excludeMark == noExclusion {
-		for _, h := range candidates {
-			pool = append(pool, hostScore{h: h, score: h.desirability + rng.Normal(0, sigma)})
+	for _, h := range candidates {
+		if excludeMark != noExclusion && h.mark == excludeMark {
+			continue
 		}
-	} else {
-		for _, h := range candidates {
-			if h.mark == excludeMark {
-				continue
-			}
-			pool = append(pool, hostScore{h: h, score: h.desirability + rng.Normal(0, sigma)})
-		}
+		pool = append(pool, hostScore{id: h.id, score: h.desirability + rng.Normal(0, sigma)})
 	}
 	a.dc.scoreBuf = pool[:0]
 	if k > len(pool) {
 		k = len(pool)
 	}
 	topK(pool, k, byScoreThenID{})
-	out := make([]*Host, k)
+	out := make([]HostID, k)
 	for i := range out {
-		out[i] = pool[i].h
+		out[i] = pool[i].id
 	}
 	return out
 }
@@ -142,8 +135,8 @@ func (a *Account) resampleBasePool(frac float64) {
 		return
 	}
 	mark := a.dc.platform.nextMark()
-	for _, h := range a.basePool {
-		h.mark = mark
+	for _, id := range a.basePool {
+		a.dc.hosts[id].mark = mark
 	}
 	// Loose preference: spread well beyond the fleet's most desirable tier.
 	const sigmaDynamic = 1.0
@@ -152,11 +145,14 @@ func (a *Account) resampleBasePool(frac float64) {
 	// head. This is what makes us-central1 placement "more dynamic": a
 	// tenant's instances keep landing on partially new hosts, which in turn
 	// caps how well any attacker footprint can cover them (the paper's
-	// 61-90% coverage band there, vs ~100% elsewhere).
+	// 61-90% coverage band there, vs ~100% elsewhere). Copy-on-write: the
+	// old pool may be shared with snapshots and forks.
 	perm := a.dc.deriveScratch.Reseed(randx.DeriveSeed(a.seed, "resample-pos")).Perm(len(a.basePool))
-	for i, h := range fresh {
-		a.basePool[perm[i]] = h
+	pool := append([]HostID(nil), a.basePool...)
+	for i, id := range fresh {
+		pool[perm[i]] = id
 	}
+	a.basePool = pool
 }
 
 // ID returns the account identity.

@@ -1,13 +1,17 @@
 package faas
 
-import "fmt"
+import (
+	"fmt"
+
+	"eaao/internal/simtime"
+)
 
 // Audit checks that the region holds only its own objects and that
 // residency and service slots agree. It returns the first violation found:
 //
-//   - every host is dc.hosts[id] and belongs to dc, and every host an
-//     account's pools, a service's CloudRun helper set, an instance or a
-//     guest's environment points at is one of them;
+//   - every host is dc.hosts[id] and belongs to dc, every host an instance
+//     or a guest's environment points at is one of them, and every entry of
+//     an account's pools and a service's helper set is one of their ids;
 //   - every live instance sits at its slot in both its host's resident list
 //     and its service's instance list, every resident is such an instance,
 //     and each service's tombstone count is deadInsts;
@@ -18,6 +22,8 @@ import "fmt"
 //     from oldest to newest, and every non-terminated member is one of the
 //     region's live instances (terminated members stay until the boundary,
 //     which skips them);
+//   - no lifecycle-timer slot on the free list is pending or listed twice,
+//     and none is a live instance's timer;
 //   - the scheduler's queue is a heap by (deadline, seq) whose events each
 //     record their own slot (simtime.Scheduler.Seated).
 //
@@ -36,8 +42,15 @@ func (dc *DataCenter) Audit() error {
 		}
 		residents += len(h.instances)
 	}
+	free := make(map[*simtime.Event]bool, len(dc.lifeFree))
+	for _, e := range dc.lifeFree {
+		if e.Pending() || free[e] {
+			return fmt.Errorf("faas: audit: the lifecycle free list holds a pending or repeated timer slot")
+		}
+		free[e] = true
+	}
 	for _, a := range dc.acctSeq {
-		pools := [][]*Host{a.basePool, a.helpers}
+		pools := [][]HostID{a.basePool, a.helpers}
 		for _, s := range a.svcSeq {
 			if st, ok := s.policyState.(*cloudRunState); ok {
 				pools = append(pools, st.helpers)
@@ -54,6 +67,8 @@ func (dc *DataCenter) Audit() error {
 					return fmt.Errorf("faas: audit: instance %s is not resident at its slot on one of the region's hosts", inst.ID())
 				case inst.guest != &inst.guestStore || !inst.guest.RunsOn(inst.host):
 					return fmt.Errorf("faas: audit: instance %s's guest runs on another host", inst.ID())
+				case free[inst.lifeEvent]:
+					return fmt.Errorf("faas: audit: instance %s's lifecycle timer is on the free list", inst.ID())
 				}
 				if inst.state == StateActive {
 					active++
@@ -71,9 +86,9 @@ func (dc *DataCenter) Audit() error {
 			live += len(s.insts) - dead
 		}
 		for _, pool := range pools {
-			for _, h := range pool {
-				if !dc.ownsHost(h) {
-					return fmt.Errorf("faas: audit: a host pool of account %s holds host %d of another world", a.id, h.id)
+			for _, id := range pool {
+				if id < 0 || int(id) >= len(dc.hosts) {
+					return fmt.Errorf("faas: audit: a host pool of account %s holds host id %d, not one of the region's %d", a.id, id, len(dc.hosts))
 				}
 			}
 		}

@@ -329,7 +329,7 @@ func TestObs6HelperSetsOverlapAcrossServices(t *testing.T) {
 	acct := dc.Account("a1")
 	s1 := acct.DeployService("s1", ServiceConfig{})
 	s2 := acct.DeployService("s2", ServiceConfig{})
-	set1 := make(map[*Host]bool)
+	set1 := make(map[HostID]bool)
 	for _, h := range s1.policyState.(*cloudRunState).helpers {
 		set1[h] = true
 	}
@@ -608,7 +608,7 @@ func TestDynamicRegionResamplesBasePool(t *testing.T) {
 	pl := MustPlatform(21, p)
 	dc := pl.MustRegion("test-region")
 	acct := dc.Account("a1")
-	before := append([]*Host(nil), acct.basePool...)
+	before := append([]HostID(nil), acct.basePool...)
 	svc := acct.DeployService("s", ServiceConfig{})
 	if _, err := svc.Launch(10); err != nil {
 		t.Fatal(err)

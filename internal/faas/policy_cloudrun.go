@@ -1,6 +1,8 @@
 package faas
 
 import (
+	"slices"
+
 	"eaao/internal/randx"
 	"eaao/internal/simtime"
 )
@@ -14,11 +16,13 @@ type CloudRunPolicy struct {
 	policyDefaults
 }
 
-// cloudRunState is CloudRunPolicy's per-service state: the
+// cloudRunState is CloudRunPolicy's per-service state: the ids of the
 // preference-ordered helper hosts the service can expand onto. How many are
 // unlocked is a pure function of the demand streak, recomputed per placement.
+// It is immutable once built, so the world, its snapshots and every fork
+// share one.
 type cloudRunState struct {
-	helpers []*Host
+	helpers []HostID
 }
 
 // Name returns "cloudrun".
@@ -61,11 +65,13 @@ func (CloudRunPolicy) Place(req PlacementRequest, b *PlacementBatch) {
 	// spreads as wide as the window allows (at most HelperPerHostCap per
 	// host). Anything the unlocked helpers cannot absorb spills to base.
 	if helperN > 0 && helperActive > 0 {
-		active := st.helpers[:helperActive]
-		placed := helperN
-		if capacity := len(active) * p.HelperPerHostCap; placed > capacity {
-			placed = capacity
+		placed := min(helperN, helperActive*p.HelperPerHostCap)
+		dc := s.account.dc
+		active := dc.hostBuf[:0]
+		for _, id := range st.helpers[:helperActive] {
+			active = append(active, dc.hosts[id])
 		}
+		dc.hostBuf = active[:0]
 		b.Spread(active, placed)
 	}
 
@@ -98,47 +104,30 @@ func (CloudRunPolicy) OnDemandDecay(svc *Service, now simtime.Time) {
 // account-level helper pool (so same-account services overlap heavily),
 // plus a few fresh fleet-wide hosts interleaved throughout the expansion
 // order (so each new service's footprint grows the cumulative one, Fig. 10).
-func buildHelperSet(s *Service, rng *randx.Source) []*Host {
-	a := s.account
-	p := a.dc.profile
-	fromAccount := a.noisyTopSample(rng, a.helpers, p.ServiceHelperSize, sigmaHelper, noExclusion)
-	mark := a.dc.platform.nextMark()
-	for _, h := range fromAccount {
-		h.mark = mark
+func buildHelperSet(s *Service, rng *randx.Source) []HostID {
+	a, dc := s.account, s.account.dc
+	p := dc.profile
+	helpers := dc.hostBuf[:0]
+	for _, id := range a.helpers {
+		helpers = append(helpers, dc.hosts[id])
 	}
-	for _, h := range a.basePool {
-		h.mark = mark // base hosts are not helpers
+	dc.hostBuf = helpers[:0]
+	fromAccount := a.noisyTopSample(rng, helpers, p.ServiceHelperSize, sigmaHelper, noExclusion)
+	mark := dc.platform.nextMark()
+	for _, id := range fromAccount {
+		dc.hosts[id].mark = mark
 	}
-	fresh := a.noisyTopSample(rng, a.dc.hosts, p.ServiceHelperFresh, sigmaFresh, mark)
+	for _, id := range a.basePool {
+		dc.hosts[id].mark = mark // base hosts are not helpers
+	}
+	fresh := a.noisyTopSample(rng, dc.hosts, p.ServiceHelperFresh, sigmaFresh, mark)
 
-	// Interleave fresh entries uniformly into the account-pool order. The
-	// historical implementation inserted each fresh host with an O(n) slice
-	// shift; this computes the same final layout in one merge pass by
-	// resolving the insertion positions first. Drawing pos_i against the
-	// growing length len(fromAccount)+i+1 reproduces the old rng.Intn
-	// sequence exactly; an insertion at or before an earlier fresh host's
-	// slot shifts that slot up by one, and the account-pool hosts keep
-	// their relative order in whatever slots remain.
-	pos := make([]int, len(fresh))
-	for i := range fresh {
-		pi := rng.Intn(len(fromAccount) + i + 1)
-		for j := 0; j < i; j++ {
-			if pi <= pos[j] {
-				pos[j]++
-			}
-		}
-		pos[i] = pi
-	}
-	out := make([]*Host, len(fromAccount)+len(fresh))
-	for i, h := range fresh {
-		out[pos[i]] = h
-	}
-	next := 0
-	for i := range out {
-		if out[i] == nil {
-			out[i] = fromAccount[next]
-			next++
-		}
+	// Interleave fresh entries uniformly into the account-pool order, each
+	// inserted at a position drawn against the set's current length. The set
+	// holds no pointers, so each insert's shift is a short memmove.
+	out := append(make([]HostID, 0, len(fromAccount)+len(fresh)), fromAccount...)
+	for _, id := range fresh {
+		out = slices.Insert(out, rng.Intn(len(out)+1), id)
 	}
 	return out
 }
@@ -159,23 +148,25 @@ const rankNoise = 3.0
 // The returned slice is backed by region-level scratch: valid until the
 // region's next selection, which is fine for its one consumer (an immediate
 // PlacementBatch.Spread).
-func rankedBaseSelection(rng *randx.Source, a *Account, pool []*Host, hostCount int) []*Host {
-	out := a.dc.hostBuf[:0]
+func rankedBaseSelection(rng *randx.Source, a *Account, pool []HostID, hostCount int) []*Host {
+	dc := a.dc
+	out := dc.hostBuf[:0]
 	if hostCount >= len(pool) {
-		out = append(out, pool...)
-		a.dc.hostBuf = out[:0]
-		return out
+		for _, id := range pool {
+			out = append(out, dc.hosts[id])
+		}
+	} else {
+		cand := dc.scoreBuf[:0]
+		for i, id := range pool {
+			cand = append(cand, hostScore{id: id, score: float64(i) + rng.Normal(0, rankNoise)})
+		}
+		dc.scoreBuf = cand[:0]
+		topK(cand, hostCount, byScore{})
+		for _, c := range cand[:hostCount] {
+			out = append(out, dc.hosts[c.id])
+		}
 	}
-	cand := a.dc.scoreBuf[:0]
-	for i, h := range pool {
-		cand = append(cand, hostScore{h: h, score: float64(i) + rng.Normal(0, rankNoise)})
-	}
-	a.dc.scoreBuf = cand[:0]
-	topK(cand, hostCount, byScore{})
-	for i := 0; i < hostCount; i++ {
-		out = append(out, cand[i].h)
-	}
-	a.dc.hostBuf = out[:0]
+	dc.hostBuf = out[:0]
 	return out
 }
 
@@ -192,14 +183,14 @@ func recycleBaseDraw(svc *Service, oldID string) *Host {
 	if hostCount >= len(pool) {
 		// Historical behavior: the ranked selection degenerates to a copy
 		// of the whole pool (no scoring draws), then a uniform pick.
-		return pool[svc.rng.Intn(len(pool))]
+		return a.dc.hosts[pool[svc.rng.Intn(len(pool))]]
 	}
 	rng := svc.rng.DeriveInto(&a.dc.deriveScratch, "recycle", oldID)
 	cand := a.dc.scoreBuf[:0]
-	for i, h := range pool {
-		cand = append(cand, hostScore{h: h, score: float64(i) + rng.Normal(0, rankNoise)})
+	for i, id := range pool {
+		cand = append(cand, hostScore{id: id, score: float64(i) + rng.Normal(0, rankNoise)})
 	}
 	a.dc.scoreBuf = cand[:0]
 	k := svc.rng.Intn(hostCount)
-	return selectRank(cand, k, byScore{})
+	return a.dc.hosts[selectRank(cand, k, byScore{})]
 }

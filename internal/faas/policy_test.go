@@ -252,7 +252,7 @@ func TestHelperWindowExhaustionSpillsToBase(t *testing.T) {
 	// the fresh draw excludes them), so judge the helper path on
 	// helper-exclusive hosts: base placement never touches those.
 	helpers := svc.policyState.(*cloudRunState).helpers
-	helperOnly := make(map[*Host]bool, len(helpers))
+	helperOnly := make(map[HostID]bool, len(helpers))
 	for _, h := range helpers {
 		helperOnly[h] = true
 	}
@@ -264,7 +264,7 @@ func TestHelperWindowExhaustionSpillsToBase(t *testing.T) {
 		if existing[inst] {
 			continue
 		}
-		if helperOnly[inst.host] {
+		if helperOnly[inst.host.id] {
 			onHelpers++
 		} else {
 			spill++

@@ -2,10 +2,11 @@ package faas
 
 // hostScore pairs a host with a selection score. It is the working element of
 // every noisy top-K scheduler decision (base pools, helper sets, ranked base
-// selection); the scored buffers live on the Account so the per-launch hot
-// path does not allocate.
+// selection); the scored buffer lives on the region so the per-launch hot
+// path does not allocate, and it names the host by id, so the collector has
+// nothing in it to trace.
 type hostScore struct {
-	h     *Host
+	id    HostID
 	score float64
 }
 
@@ -32,7 +33,7 @@ func (byScoreThenID) less(a, b *hostScore) bool {
 	if a.score != b.score {
 		return a.score < b.score
 	}
-	return a.h.id < b.h.id
+	return a.id < b.id
 }
 
 // topK partially orders s so that the k entries smallest under less occupy
@@ -168,7 +169,7 @@ func partition[L ordering](s []hostScore, lo, hi int, less L) int {
 
 // selectRank returns the entry of rank k (0-indexed, ascending under less)
 // without ordering anything else: a single quickselect pass, O(len(s)).
-func selectRank[L ordering](s []hostScore, k int, less L) *Host {
+func selectRank[L ordering](s []hostScore, k int, less L) HostID {
 	quickselect(s, k+1, less)
 	best := 0
 	for i := 1; i <= k; i++ {
@@ -176,5 +177,5 @@ func selectRank[L ordering](s []hostScore, k int, less L) *Host {
 			best = i
 		}
 	}
-	return s[best].h
+	return s[best].id
 }

@@ -18,9 +18,11 @@ import "fmt"
 // A fork copies only state it can draw from or mutate. The platform, its
 // regions and accounts only derive sub-streams, which reads a seed and draws
 // nothing, so they hold a seed word; the streams that draw (services, host
-// noise, fault planes, congestion) are cloned at their position. Pointers
-// are remapped by index, not through identity maps: a host's counterpart is
-// the cloned region's hosts[id], and an instance's is the cloned service's
+// noise, fault planes, congestion) are cloned at their position. Host pools
+// and helper sets are HostID slices, immutable once built (copy-on-write),
+// that the world, its snapshot and every fork share. The other pointers are
+// remapped by index, not through identity maps: a host's counterpart is the
+// cloned region's hosts[id], and an instance's is the cloned service's
 // insts[slot], whose layout (tombstones included) is copied exactly.
 //
 // Every platform timer (idle reapers, lifecycle timers, nursery cohorts,
@@ -234,8 +236,8 @@ func cloneAccount(ndc *DataCenter, oa *Account, svcs map[*Service]*Service) (*Ac
 		id:       oa.id,
 		seed:     oa.seed,
 		group:    oa.group,
-		basePool: remapHosts(oa.basePool, ndc),
-		helpers:  remapHosts(oa.helpers, ndc),
+		basePool: oa.basePool,
+		helpers:  oa.helpers,
 		services: make(map[string]*Service, len(oa.services)),
 		quota:    oa.quota,
 		bill:     oa.bill,
@@ -253,21 +255,20 @@ func cloneAccount(ndc *DataCenter, oa *Account, svcs map[*Service]*Service) (*Ac
 }
 
 func cloneService(na *Account, os *Service) (*Service, error) {
-	// Value-copy, like hosts and instances; the stream, the host bitset, the
-	// instance list and the policy state become the fork's own below, and
-	// the copied timers are reseated into the fork's queue.
+	// Value-copy, like hosts and instances; the stream, the host bitset and
+	// the instance list become the fork's own below, and the copied timers
+	// are reseated into the fork's queue. The policy state is immutable
+	// (cloudRunState), so the fork shares it.
 	ns := new(Service)
 	*ns = *os
 	ns.account, ns.rng = na, os.rng.Clone()
 	ns.seenHosts = append(hostBitset(nil), os.seenHosts...)
-	ns.insts, ns.policyState = nil, nil
+	ns.insts = nil
 	sched := na.dc.platform.sched
 	sched.Reseat(&ns.decayEvent, ns)
 	sched.Reseat(&ns.tickEvent, ns)
 	switch st := os.policyState.(type) {
-	case nil:
-	case *cloudRunState:
-		ns.policyState = &cloudRunState{helpers: remapHosts(st.helpers, na.dc)}
+	case nil, *cloudRunState:
 	default:
 		return nil, fmt.Errorf("faas: snapshot: service %s/%s has unsupported policy state %T", na.id, os.name, st)
 	}
@@ -319,16 +320,4 @@ func cloneInstance(ns *Service, oi *Instance) (*Instance, error) {
 		sched.Reseat(ni.lifeEvent, ni)
 	}
 	return ni, nil
-}
-
-// remapHosts returns the counterparts of hosts in the cloned region ndc.
-func remapHosts(hosts []*Host, ndc *DataCenter) []*Host {
-	if hosts == nil {
-		return nil
-	}
-	out := make([]*Host, len(hosts))
-	for i, h := range hosts {
-		out[i] = ndc.hosts[h.id]
-	}
-	return out
 }

@@ -3,6 +3,8 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -327,6 +329,19 @@ func TestSnapshotRejectsOutsideState(t *testing.T) {
 	})
 }
 
+// pendingLifeEvent returns the pending lifecycle timer of one of s's
+// instances.
+func pendingLifeEvent(t *testing.T, s *Service) *simtime.Event {
+	t.Helper()
+	for _, inst := range s.Instances() {
+		if pendingCount(inst.lifeEvent) == 1 {
+			return inst.lifeEvent
+		}
+	}
+	t.Fatal("no pending lifecycle timer")
+	return nil
+}
+
 // closureHandler fires a closure the experiment owns, outside the world.
 type closureHandler func(simtime.Time)
 
@@ -398,15 +413,17 @@ func TestAuditCatchesCorruption(t *testing.T) {
 	}{
 		{"untouched", func(*DataCenter, *Service, *Instance) {}, true},
 		{"host slice", func(dc *DataCenter, _ *Service, _ *Instance) { dc.hosts[3] = odc.hosts[3] }, false},
-		{"base pool", func(_ *DataCenter, s *Service, _ *Instance) {
-			s.account.basePool[0] = odc.hosts[s.account.basePool[0].id]
+		// Pools are shared with the snapshot, so a corruption replaces the
+		// slice (copy-on-write) rather than writing into it.
+		{"base pool", func(dc *DataCenter, s *Service, _ *Instance) {
+			s.account.basePool = append([]HostID{HostID(len(dc.hosts))}, s.account.basePool[1:]...)
 		}, false},
 		{"account helpers", func(_ *DataCenter, s *Service, _ *Instance) {
-			s.account.helpers[0] = odc.hosts[s.account.helpers[0].id]
+			s.account.helpers = append([]HostID{-1}, s.account.helpers[1:]...)
 		}, false},
-		{"service helper set", func(_ *DataCenter, s *Service, _ *Instance) {
+		{"service helper set", func(dc *DataCenter, s *Service, _ *Instance) {
 			st := s.policyState.(*cloudRunState)
-			st.helpers[0] = odc.hosts[st.helpers[0].id]
+			s.policyState = &cloudRunState{helpers: append(append([]HostID(nil), st.helpers[1:]...), HostID(len(dc.hosts)+7))}
 		}, false},
 		{"instance host", func(_ *DataCenter, _ *Service, inst *Instance) { inst.host = odc.hosts[inst.host.id] }, false},
 		{"guest env", func(_ *DataCenter, _ *Service, inst *Instance) {
@@ -441,6 +458,22 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		{"cohort order", func(dc *DataCenter, _ *Service, _ *Instance) {
 			dc.cohorts[0], dc.cohorts[1] = dc.cohorts[1], dc.cohorts[0]
 		}, false},
+		{"free list live timer", func(dc *DataCenter, s *Service, _ *Instance) {
+			dc.lifeFree = append(dc.lifeFree, pendingLifeEvent(t, s))
+		}, false},
+		{"free list live stopped timer", func(dc *DataCenter, s *Service, _ *Instance) {
+			// Stopped but still the instance's: only the owner check sees it.
+			e := pendingLifeEvent(t, s)
+			dc.platform.sched.Cancel(e)
+			dc.lifeFree = append(dc.lifeFree, e)
+		}, false},
+		{"free list repeat", func(dc *DataCenter, _ *Service, _ *Instance) {
+			e := dc.allocLifeEvent()
+			dc.lifeFree = append(dc.lifeFree, e, e)
+		}, false},
+		{"free list idle slot", func(dc *DataCenter, _ *Service, _ *Instance) {
+			dc.lifeFree = append(dc.lifeFree, dc.allocLifeEvent())
+		}, true},
 		{"heap slots", func(_ *DataCenter, s *Service, _ *Instance) {
 			// Two pending lifecycle timers trade values, heap positions
 			// included, behind the queue's back.
@@ -462,5 +495,96 @@ func TestAuditCatchesCorruption(t *testing.T) {
 				t.Fatalf("audit after corrupting the %s: %v", c.name, err)
 			}
 		})
+	}
+}
+
+// dynamicWorld is a DynamicPlacement region with one deployed service that
+// has never launched, so its first launch in any fork is cold and resamples
+// the account's base pool.
+func dynamicWorld(t *testing.T) *Snapshot {
+	t.Helper()
+	p := testProfile()
+	p.DynamicPlacement = true
+	p.DynamicResampleFrac = 0.35
+	pl := MustPlatform(21, p)
+	pl.MustRegion("test-region").Account("a1").DeployService("s", ServiceConfig{})
+	snap, err := pl.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// coldLaunch launches in w's dynamic service and returns the account's base
+// pool after the resample, then each new instance's id and host.
+func coldLaunch(t testing.TB, w *Platform) []string {
+	a := w.MustRegion("test-region").Account("a1")
+	insts, err := a.DeployService("s", ServiceConfig{}).Launch(10)
+	if err != nil {
+		t.Error(err) // not Fatal: concurrent forks call this off the test goroutine
+	}
+	log := []string{fmt.Sprint(a.basePool)}
+	for _, inst := range insts {
+		log = append(log, fmt.Sprintf("%s@%d", inst.ID(), inst.host.id))
+	}
+	return log
+}
+
+// TestSnapshotSharedPoolsCopyOnWrite pins that sharing pools between a
+// snapshot and its forks is safe: a fork's cold launch resamples its base
+// pool into a new slice, leaving the snapshot's and a sibling fork's pools
+// element for element as they were, and a third fork replays the launch.
+func TestSnapshotSharedPoolsCopyOnWrite(t *testing.T) {
+	snap := dynamicWorld(t)
+	pool := func(w *Platform) []HostID { return w.MustRegion("test-region").Account("a1").basePool }
+	want := append([]HostID(nil), pool(snap.world)...)
+	fork1, fork2 := snap.MustRestore(), snap.MustRestore()
+	log1 := coldLaunch(t, audited(t, fork1))
+	if slices.Equal(pool(fork1), want) {
+		t.Fatal("the cold launch did not resample the base pool")
+	}
+	for name, got := range map[string][]HostID{"snapshot": pool(snap.world), "sibling fork": pool(fork2)} {
+		if !slices.Equal(got, want) {
+			t.Errorf("%s base pool changed by a fork's resample:\n  got  %v\n  want %v", name, got, want)
+		}
+	}
+	diffLogs(t, "third fork replays the first", log1, coldLaunch(t, audited(t, snap.MustRestore())))
+	audited(t, fork1)
+}
+
+// TestSnapshotSharedPoolsConcurrentForks restores and resamples from one
+// snapshot on two goroutines; under -race it fails if forks write into what
+// they share.
+func TestSnapshotSharedPoolsConcurrentForks(t *testing.T) {
+	snap := dynamicWorld(t)
+	logs := make([][]string, 2)
+	var wg sync.WaitGroup
+	for g := range logs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			logs[g] = coldLaunch(t, snap.MustRestore())
+		}()
+	}
+	wg.Wait()
+	diffLogs(t, "concurrent forks", logs[0], logs[1])
+}
+
+// restoreAllocBudget is the measured allocation count of one restore of
+// loadedWorld(1000), 1,446, plus 10%. Per-fork copies of what forks share
+// (pools, helper sets, the immutable policy state) push a restore over it.
+const restoreAllocBudget = 1590
+
+// TestSnapshotRestoreAllocs holds a busy world's restore to its allocation
+// budget.
+func TestSnapshotRestoreAllocs(t *testing.T) {
+	snap, err := loadedWorld(t, 1000).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() { snap.MustRestore() })
+	t.Logf("%.0f allocations per restore", allocs)
+	if allocs > restoreAllocBudget {
+		t.Errorf("a restore allocates %.0f times, budget %d", allocs, restoreAllocBudget)
 	}
 }
