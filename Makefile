@@ -2,8 +2,10 @@ GO ?= go
 
 .PHONY: check lint race bench run-all loc
 
-# Tier-1 gate: lint (gofmt + vet), build, test (including the scale kernel's
-# allocation budget per created instance), a build + vet + test of the
+# Tier-1 gate: lint (gofmt + vet), build, an arm64 cross-build and vet of
+# randx (the Go block kernels that stand in for the amd64 vector ones),
+# test (including the scale kernel's allocation budget per created
+# instance), a build + vet + test of the
 # nested perfbench module (which `./...` never reaches; its tests are the
 # determinism check on the benchmark's campaign workloads), one iteration of
 # every layer microbenchmark so a broken bench fails here (only the packages
@@ -11,7 +13,8 @@ GO ?= go
 # fault plane, its attack-side recovery paths, the fleet campaign, and the
 # one worker pool (internal/par) with the trial engine that runs on it,
 # a few seconds of each native fuzz target (the Bernoulli-threshold closed
-# form and the lazily seeded register against math/rand in randx, the
+# form, the lazily seeded register against math/rand and both contention
+# kernels on every path the CPU has against Bool loops in randx, the
 # brand-string frequency parser in cpu, the event queue's tick and timer
 # order against a linear-scan model in simtime),
 # and quick fault-sweep/multiregion/channel-ablation/noise-sweep smoke runs.
@@ -20,6 +23,7 @@ GO ?= go
 # TestAttackOutputPinned in cmd/eaao, which `go test ./...` runs.
 check: lint
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/randx
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 	cd perfbench && $(GO) test ./...
 	$(GO) test ./...
@@ -29,6 +33,7 @@ check: lint
 	$(GO) test -race -run 'TestRunTrials|TestRunAll|TestParallelOutputByteIdentical' ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoolThreshold$$' -fuzztime 3s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz '^FuzzLazySeed$$' -fuzztime 3s ./internal/randx/
+	$(GO) test -run '^$$' -fuzz '^FuzzContentionKernels$$' -fuzztime 3s ./internal/randx/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBaseFrequency$$' -fuzztime 3s ./internal/cpu/
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerTicks$$' -fuzztime 3s ./internal/simtime/
 	@$(GO) run ./cmd/eaao -quick run faultsweep >/dev/null
@@ -56,7 +61,8 @@ race:
 
 # Layer microbenchmarks where perfbench has no boundary (placement, the
 # simtime heap with its periodic ticks, randx hashing, lazy stream seeding
-# (BenchmarkSeedDraw) and single draws (BenchmarkFloat64), fingerprint
+# (BenchmarkSeedDraw), single draws (BenchmarkFloat64) and the contention
+# kernels on the vector and Go paths (BenchmarkCountBools), fingerprint
 # collection, snapshot restore of a busy world). End-to-end and
 # per-layer campaign numbers come from perfbench (see perfbench/README.md).
 bench:

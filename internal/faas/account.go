@@ -79,13 +79,13 @@ func (a *Account) Quota() int {
 func (a *Account) Mature() { a.quota = 0 }
 
 // sampleBasePool draws the account's base pool from its placement group,
-// ranked by host desirability.
+// ranked by host desirability. Host i is in placement group
+// i mod PlacementGroups, so a group's hosts, in id order, are every
+// PlacementGroups-th host from the group's own number on.
 func (a *Account) sampleBasePool(rng *randx.Source) []HostID {
 	group := a.dc.hostBuf[:0]
-	for _, h := range a.dc.hosts {
-		if h.group == a.group {
-			group = append(group, h)
-		}
+	for i := a.group; i < len(a.dc.hosts); i += a.dc.profile.PlacementGroups {
+		group = append(group, a.dc.hosts[i])
 	}
 	a.dc.hostBuf = group[:0]
 	return a.noisyTopSample(rng, group, a.dc.profile.BasePoolSize, sigmaBase, noExclusion)

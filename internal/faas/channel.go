@@ -7,6 +7,8 @@ package faas
 // unrelated tenants on the host. The covert package layers CTest
 // configurations (including each channel's round time) on top.
 
+import "eaao/internal/randx"
+
 // NumResources is the number of registered shared-resource families.
 // Per-channel state (host misfire windows, FaultPlan.PerChannel) is indexed
 // by Resource in fixed-size arrays of this length, so plans and hosts stay
@@ -43,6 +45,10 @@ type channelModel struct {
 	// the residency term's LoadDropCap still applies separately.
 	ServingDrop    float64
 	ServingDropCap float64
+
+	// baseAt is BaseNoise as a draw threshold: the noise odds of every
+	// execution on a channel with no LoadNoise.
+	baseAt randx.Threshold
 }
 
 // channelModels is the registry, indexed by Resource.
@@ -54,7 +60,7 @@ type channelModel struct {
 // of magnitude more bandwidth than the RNG and 5× shorter tests, but the
 // cache is shared with every co-resident workload, so both error rates grow
 // with host occupancy.
-var channelModels = [NumResources]channelModel{
+var channelModels = withThresholds([NumResources]channelModel{
 	ResourceRNG:    {BaseNoise: 0.008},
 	ResourceMemBus: {BaseNoise: 0.18},
 	ResourceLLC: {
@@ -70,6 +76,14 @@ var channelModels = [NumResources]channelModel{
 		ServingDrop:    0.005,
 		ServingDropCap: 0.30,
 	},
+})
+
+// withThresholds fills in each model's baseAt.
+func withThresholds(ms [NumResources]channelModel) [NumResources]channelModel {
+	for i := range ms {
+		ms[i].baseAt = randx.BoolThreshold(ms[i].BaseNoise)
+	}
+	return ms
 }
 
 // Valid reports whether the resource is a registered family.
@@ -130,37 +144,42 @@ func (m *channelModel) roundDrop(h *Host) float64 {
 // or a dead read) or by a load-induced drop. Noise and drop odds and the
 // misfire bias are fixed for the execution, so a round's units depend only
 // on whether its noise draw hit and whether it dropped: the rounds are drawn
-// as one block of those outcome classes (one noise Bool and, on
-// load-sensitive channels, one drop Bool per round, in that order) and each
-// class is tallied once.
+// as one block (one noise Bool and, on load-sensitive channels, one drop
+// Bool per round, in that order) that counts the hits, the drops and the
+// rounds with both, and the tallies follow from those counts.
 func (h *Host) contend(model *channelModel, res Resource, rounds, m int) {
-	noise := model.roundNoise(h)
-	var classes [2][2]int // [noise hit][dropped]
+	noise := model.baseAt
+	if model.LoadNoise > 0 {
+		noise = randx.BoolThreshold(model.roundNoise(h))
+	}
+	var hits, drops, both int
 	if model.LoadDrop > 0 {
-		classes = h.noiseRNG.CountBoolPairs(rounds, noise, model.roundDrop(h))
+		hits, drops, both = h.noiseRNG.CountBoolPairs(rounds, noise, randx.BoolThreshold(model.roundDrop(h)))
 	} else {
-		hits := h.noiseRNG.CountBools(rounds, noise)
-		classes[0][0], classes[1][0] = rounds-hits, hits
+		hits = h.noiseRNG.CountBools(rounds, noise)
 	}
-	bias := h.misfireBias[res]
 	count := int(h.roundCount)
-	if bias > 0 {
-		count++
+	switch bias := h.misfireBias[res]; {
+	case bias > 0: // a phantom unit in every round, which no drop reads dead
+		count, drops, both = count+1, 0, 0
+	case bias < 0: // every round reads dead
+		hits, drops, both = 0, rounds, 0
 	}
-	var votes, dead int
-	for hit, byDrop := range classes {
-		for dropped, n := range byDrop {
-			units := count + hit
-			if bias < 0 || bias == 0 && dropped == 1 {
-				units = 0
-			}
-			if units >= m {
-				votes += n
-			}
-			if units == 0 {
-				dead += n
-			}
-		}
+	// Rounds that did not drop read count units, count+1 if the noise hit.
+	lit := hits - both
+	unlit := rounds - drops - lit
+	votes, dead := 0, drops
+	if count+1 >= m {
+		votes += lit
+	}
+	if count >= m {
+		votes += unlit
+	}
+	if m <= 0 {
+		votes += drops
+	}
+	if count == 0 {
+		dead += unlit
 	}
 	h.roundVotes, h.roundDead = int32(votes), int32(dead)
 }

@@ -156,10 +156,14 @@ func TestContentionRoundsMatchesPerRoundOracle(t *testing.T) {
 	faulty.Faults.PerChannel[ResourceRNG] = ChannelFaultRates{FalsePositiveRate: 0.3}
 	faulty.Faults.PerChannel[ResourceLLC] = ChannelFaultRates{FalseNegativeRate: 0.3}
 	faulty.Faults.PerChannel[ResourceMemBus] = ChannelFaultRates{FalsePositiveRate: 0.2, FalseNegativeRate: 0.3}
+	// Phantom misfires on a loaded LLC: a phantom unit outvotes the drops.
+	loadedFaulty := loaded
+	loadedFaulty.Faults.PerChannel[ResourceLLC] = ChannelFaultRates{FalsePositiveRate: 0.3, FalseNegativeRate: 0.3}
 	worlds := []contentionWorld{
 		buildContentionWorld(t, "quiet", 41, testProfile(), 0),
 		buildContentionWorld(t, "load0.7", 44, loaded, 90*time.Minute),
 		buildContentionWorld(t, "misfires", 43, faulty, 0),
+		buildContentionWorld(t, "load0.7-misfires", 44, loadedFaulty, 90*time.Minute),
 	}
 	const rounds = 60
 	for _, w := range worlds {
@@ -205,12 +209,12 @@ func TestContentionRoundsMatchesPerRoundOracle(t *testing.T) {
 			}
 		}
 		// Guard against a vacuous pass: the loaded world must reach the
-		// serving-bystander drop term, the fault world must enter episodes.
+		// serving-bystander drop term, the fault worlds must enter episodes.
 		if w.name == "load0.7" && serving == 0 {
 			t.Error("load0.7: no participant host had a serving bystander")
 		}
-		if w.name == "misfires" && misfires == 0 {
-			t.Error("misfires: no misfire episode was entered")
+		if (w.name == "misfires" || w.name == "load0.7-misfires") && misfires == 0 {
+			t.Errorf("%s: no misfire episode was entered", w.name)
 		}
 	}
 }

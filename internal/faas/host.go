@@ -19,7 +19,7 @@ type HostID int
 // Host is one physical machine in a data center.
 //
 // Hosts are materialized lazily: construction fills only the identity fields
-// placement ranking reads (id, desirability, group), and the heavy state —
+// placement ranking reads (id, desirability), and the heavy state —
 // CPU model, TSC counter, noise character, per-host RNG streams, the
 // instance map — is drawn on first contact (an instance attaching, or a
 // HostEnv accessor). Because every heavy field comes from the host's own
@@ -42,8 +42,6 @@ type Host struct {
 	// helper expansion, which is what correlates attacker and victim
 	// footprints.
 	desirability float64
-	// group is the placement group for base-host assignment.
-	group int
 	// noiseRNG drives guest measurement noise and covert-channel background
 	// activity on this host.
 	noiseRNG *randx.Source
@@ -87,7 +85,6 @@ func initHostShell(h *Host, dc *DataCenter, i int) {
 	h.id = HostID(i)
 	h.dc = dc
 	h.desirability = float64(i%dc.profile.NumHosts) / float64(dc.profile.NumHosts)
-	h.group = i % dc.profile.PlacementGroups
 }
 
 // materialize draws the host's heavy state from its own deterministic

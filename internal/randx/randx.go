@@ -20,8 +20,8 @@ import (
 // (float64), so every draw is bit-identical to a
 // rand.New(rand.NewSource(seed)) stream — while the state itself stays
 // cloneable for world snapshots. Runs of Bool draws go through the block
-// kernel CountBools/CountBoolPairs, which compares raw Int63 draws against
-// the integer threshold boolThreshold(p) and returns per-outcome counts.
+// kernels CountBools/CountBoolPairs, which compare raw Int63 draws against
+// the integer threshold BoolThreshold(p) and return hit counts.
 type Source struct {
 	// rng and st are stored by value so a Source is one allocation; rng's
 	// internal source pointer refers to &st, restored by wire() whenever a
@@ -175,13 +175,17 @@ func (s *Source) Bool(p float64) bool { return s.float64() < p }
 // rounds to 2⁶³, a quotient of exactly 1.
 const keepBound = 1<<63 - 512
 
-// boolThreshold returns t(p), the least Int63 draw x with
+// Threshold is a Bool probability as the block kernels read it: the least
+// Int63 draw that Bool(p) comes up false on.
+type Threshold uint64
+
+// BoolThreshold returns t(p), the least Int63 draw x with
 // float64(x)/2⁶³ ≥ p, so that for every draw float64 keeps, Bool(p) is
 // x < t(p). With T = p·2⁶³ (exact: a power-of-two scaling), draws up to 2⁵³
 // convert exactly and t is ⌈T⌉. Above 2⁵³, T is an integer float and x
 // rounds to at least T from the midpoint to T's predecessor on; the
 // midpoint itself ties to even, which is T only when T's mantissa is even.
-func boolThreshold(p float64) uint64 {
+func BoolThreshold(p float64) Threshold {
 	switch {
 	case !(p > 0):
 		return 0
@@ -190,39 +194,25 @@ func boolThreshold(p float64) uint64 {
 	}
 	T := p * (1 << 63)
 	if T <= 1<<53 {
-		return uint64(math.Ceil(T))
+		return Threshold(math.Ceil(T))
 	}
 	bits := math.Float64bits(T)
 	mid := (uint64(T) + uint64(math.Float64frombits(bits-1))) / 2
-	return mid + bits&1
+	return Threshold(mid + bits&1)
 }
 
-// CountBools draws n rounds of Bool(p) and returns how many came up true.
-// It draws exactly what the n calls would.
-func (s *Source) CountBools(n int, p float64) int {
-	return s.st.countBelow(n, boolThreshold(p))
+// CountBools draws n rounds of Bool(p), for t = BoolThreshold(p), and
+// returns how many came up true. It draws exactly what the n calls would.
+func (s *Source) CountBools(n int, t Threshold) int {
+	return s.st.countBelow(n, uint64(t))
 }
 
-// CountBoolPairs draws n rounds of Bool(p) then Bool(q) and returns how many
-// rounds fell in each outcome class, indexed [p's outcome][q's outcome] with
-// 1 for true. It draws exactly what the 2n calls would: in batches
-// (rngState.fill), tallied branch-free into the first draws' hits, the
-// second draws' hits and the rounds where both hit, from which the classes
-// follow.
-func (s *Source) CountBoolPairs(n int, p, q float64) (c [2][2]int) {
-	tp, tq := boolThreshold(p), boolThreshold(q)
-	var buf [64]uint64
-	var hp, hq, both int
-	for left := n; left > 0; left -= len(buf) / 2 {
-		d := buf[:2*min(left, len(buf)/2)]
-		s.st.fill(d)
-		for i := 1; i < len(d); i += 2 {
-			a, b := b2i(d[i-1] < tp), b2i(d[i] < tq)
-			hp, hq, both = hp+a, hq+b, both+a&b
-		}
-	}
-	c[0][0], c[0][1], c[1][0], c[1][1] = n-hp-hq+both, hq-both, hp-both, both
-	return c
+// CountBoolPairs draws n rounds of Bool(p) then Bool(q), for
+// tp = BoolThreshold(p) and tq = BoolThreshold(q), and returns how many
+// rounds' first draws, second draws, and both draws came up true. It draws
+// exactly what the 2n calls would.
+func (s *Source) CountBoolPairs(n int, tp, tq Threshold) (hp, hq, both int) {
+	return s.st.countPairs(n, uint64(tp), uint64(tq))
 }
 
 // b2i is 1 for true and 0 for false; it compiles to a flag set, no branch.

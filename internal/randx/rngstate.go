@@ -270,7 +270,10 @@ func (r *rngState) reach() {
 // no threshold, as every threshold is at most keepBound). They walk it in
 // runs that end where tap or feed wraps, so the inner loops carry no wrap
 // test, and write the taps back once. An index at 0 steps to the register's
-// top word next, so each run first rewinds it to rngLen.
+// top word next, so each run first rewinds it to rngLen. A run's whole
+// blocks of four draws go to the vector kernels where the CPU has them
+// (belowBlocks, pairBlocks; elsewhere pairBlocks runs pairRounds); the Go
+// loops here take the words those leave.
 
 // countBelow takes the next n kept draws and returns how many are below t.
 func (r *rngState) countBelow(n int, t uint64) (below int) {
@@ -283,6 +286,10 @@ func (r *rngState) countBelow(n int, t uint64) (below int) {
 		}
 		fv := r.vec[feed-k : feed]
 		tv := r.vec[tap-k : tap][:len(fv)]
+		left, b, rejected := belowBlocks(fv, tv, t)
+		below, n = below+b, n+rejected
+		fv = fv[:left]
+		tv = tv[:len(fv)]
 		for j := len(fv) - 1; j >= 0; j-- {
 			x := fv[j] + tv[j]
 			fv[j] = x
@@ -300,27 +307,69 @@ func (r *rngState) countBelow(n int, t uint64) (below int) {
 	return below
 }
 
-// fill overwrites dst with the next len(dst) kept draws.
-func (r *rngState) fill(dst []uint64) {
+// countPairs takes the next 2n kept draws as n rounds of a draw against tp
+// then one against tq, and returns how many rounds' first draws, second
+// draws, and both draws were below their thresholds. Each run hands its
+// whole rounds to pairBlocks once a round starts (a run may open on a
+// round's second draw, left by the run before). A rejected draw shifts the
+// rounds of every later draw, so pairBlocks leaves a block that holds one,
+// and the rest of its run, to the loop here.
+func (r *rngState) countPairs(n int, tp, tq uint64) (hp, hq, both int) {
 	tap, feed := int(r.tap), int(r.feed)
-	for m := 0; m < len(dst); {
+	first := 0 // the current round's first hit
+	for m := 2 * n; m > 0; {
 		tap, feed = (tap+rngLen-1)%rngLen+1, (feed+rngLen-1)%rngLen+1
-		k := min(tap, feed, len(dst)-m)
+		k := min(tap, feed, m)
 		if feed-k < int(r.lo) {
 			r.grow(feed - k)
 		}
 		fv := r.vec[feed-k : feed]
 		tv := r.vec[tap-k : tap][:len(fv)]
-		for j := len(fv) - 1; j >= 0; j-- {
+		blocked := false
+		for j := len(fv); j > 0; {
+			if !blocked && m%2 == 0 {
+				blocked = true
+				left, p, q, pq := pairBlocks(fv[:j], tv[:j], tp, tq)
+				hp, hq, both, m, j = hp+p, hq+q, both+pq, m-(j-left), left
+				continue
+			}
+			j--
 			x := fv[j] + tv[j]
 			fv[j] = x
 			u := uint64(x) & rngMask
-			dst[m] = u
-			if u < keepBound {
-				m++
+			if u >= keepBound {
+				continue
 			}
+			if m%2 == 0 {
+				first = b2i(u < tp)
+				hp += first
+			} else {
+				second := b2i(u < tq)
+				hq, both = hq+second, both+first&second
+			}
+			m--
 		}
 		tap, feed = tap-k, feed-k
 	}
 	r.tap, r.feed = int32(tap), int32(feed)
+	return hp, hq, both
+}
+
+// pairRounds is pairBlocks' Go kernel: it takes whole rounds, two draws
+// each, down from the top of a run, stops before a round that holds a
+// rejected draw, and returns the words left below the rounds it took.
+func pairRounds(fv, tv []int64, tp, tq uint64) (left, hp, hq, both int) {
+	tv = tv[:len(fv)]
+	j := len(fv)
+	for ; j >= 2; j -= 2 {
+		x, y := fv[j-1]+tv[j-1], fv[j-2]+tv[j-2]
+		u, w := uint64(x)&rngMask, uint64(y)&rngMask
+		if max(u, w) >= keepBound {
+			break
+		}
+		fv[j-1], fv[j-2] = x, y
+		a, b := b2i(u < tp), b2i(w < tq)
+		hp, hq, both = hp+a, hq+b, both+a&b
+	}
+	return j, hp, hq, both
 }

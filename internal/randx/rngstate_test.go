@@ -138,10 +138,10 @@ func lazyDraw(s *Source, op byte) uint64 {
 	case 4:
 		return uint64(s.Intn(1 + int(op)<<23))
 	case 5:
-		return uint64(s.CountBools(1+8*k, p))
+		return uint64(s.CountBools(1+8*k, BoolThreshold(p)))
 	default:
-		c := s.CountBoolPairs(1+8*k, p, q)
-		return uint64(c[0][0]) | uint64(c[0][1])<<16 | uint64(c[1][0])<<32 | uint64(c[1][1])<<48
+		hp, hq, both := s.CountBoolPairs(1+8*k, BoolThreshold(p), BoolThreshold(q))
+		return uint64(hp) | uint64(hq)<<16 | uint64(both)<<32
 	}
 }
 
@@ -170,12 +170,12 @@ func stdlibDraw(r *rand.Rand, op byte) uint64 {
 		}
 		return uint64(hits)
 	default:
-		var c [2][2]int
+		var hp, hq, both int
 		for i := 0; i < 1+8*k; i++ {
-			a, b := r.Float64() < p, r.Float64() < q
-			c[b2i(a)][b2i(b)]++
+			a, b := b2i(r.Float64() < p), b2i(r.Float64() < q)
+			hp, hq, both = hp+a, hq+b, both+a&b
 		}
-		return uint64(c[0][0]) | uint64(c[0][1])<<16 | uint64(c[1][0])<<32 | uint64(c[1][1])<<48
+		return uint64(hp) | uint64(hq)<<16 | uint64(both)<<32
 	}
 }
 
